@@ -21,7 +21,7 @@ import numpy as np
 from .alphabet import ScoreMatrix, check_quasi_metric, distance_from_score
 from .ingest import FragmentDataset, FragmentRef
 from .query import NormalizedQuery, QueryFunction
-from .search import HitList, SearchStats, _query_table
+from .search import HitList, SearchStats, _scan_spans
 from .core import _raw_lcp, _sort_keys
 
 
@@ -76,11 +76,11 @@ def _linear_scan_long(ds: FragmentDataset, q: QueryFunction, radius: int) -> Hit
 
 
 def linear_scan_knn(ds: FragmentDataset, q: QueryFunction, k: int) -> HitList:
-    """Exhaustive k smallest values, ties broken by extraction order."""
+    """Exhaustive k smallest values, ties broken by (seq_id, offset)."""
     if k < 1:
         raise ValueError("k must be >= 1")
     rows, vals = _dataset_values(ds, q)
-    order = np.lexsort((rows, vals))[: min(k, rows.size)]
+    order = np.lexsort((ds.offs[rows], ds.sids[rows], vals))[: min(k, rows.size)]
     return HitList(
         [
             (FragmentRef(int(ds.sids[rows[i]]), int(ds.offs[rows[i]])), int(vals[i]))
@@ -124,38 +124,22 @@ def flat_build(ds: FragmentDataset) -> FlatIndex:
 def flat_search(
     flat: FlatIndex, q: NormalizedQuery, radius: int
 ) -> tuple[HitList, SearchStats]:
-    """Scan the whole run as one bin: shared-prefix reuse plus early
-    rejection, with the same cost model as the index's bin scans."""
+    """Scan the whole run as one span of the index's span-scan kernel:
+    shared-prefix reuse plus early rejection, with the same cost model as
+    the index's bin scans."""
     t0 = time.perf_counter()
     stats = SearchStats()
     ds = flat.dataset
     if q.m != ds.m:
         raise ValueError(f"query length {q.m} != fragment length {ds.m}")
-    n = flat.n
-    stats.bins_scanned = 1 if n else 0
-    stats.fragments_scanned = n
-    if n == 0:
-        stats.elapsed = time.perf_counter() - t0
-        return HitList(), stats
-    m = ds.m
-    lcp_own = np.minimum(flat.lcp[:n], m)
-    lcp_next = np.minimum(flat.lcp[1:n + 1], m)
-    step1 = np.maximum(lcp_next - lcp_own, 0)
-    qtab = _query_table(q)
-    vals = qtab[np.arange(m)[None, :], flat.letters]
-    cum = np.cumsum(vals, axis=1)
-    partial = np.where(lcp_next > 0, np.take_along_axis(
-        cum, np.maximum(lcp_next - 1, 0)[:, None], axis=1
-    ).ravel(), 0)
-    valid = flat.key_len >= m
-    accepted = valid & (partial <= radius)
-    stats.residues_scanned = int(step1.sum()) + int((m - lcp_next)[accepted].sum())
-    full = cum[:, m - 1]
-    hit = accepted & (full <= radius)
-    rows = flat.order[hit]
+    stats.bins_scanned = 1 if flat.n else 0
+    idx, vals = _scan_spans(
+        flat, q, np.array([0], dtype=np.int64), np.array([flat.n], dtype=np.int64),
+        radius, stats,
+    )
     entries = [
         (FragmentRef(int(ds.sids[r]), int(ds.offs[r])), int(v))
-        for r, v in zip(rows, full[hit])
+        for r, v in zip(flat.order[idx], vals)
     ]
     stats.hits = len(entries)
     stats.elapsed = time.perf_counter() - t0

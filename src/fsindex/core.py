@@ -15,6 +15,7 @@ concurrent searches.
 
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass
 
@@ -25,6 +26,7 @@ from .ingest import FragmentDataset, FragmentRef, SequenceDB, encode_db
 
 MAGIC = b"FSIX"
 FORMAT_VERSION = 1
+_HEADER = struct.Struct("<4sIIQQB")  # magic, version, m, n, bins, suffix flag
 
 
 class IndexFormatError(ValueError):
@@ -150,8 +152,7 @@ class FSIndex:
 
     def save(self, path) -> int:
         """Write the index file; returns the byte count."""
-        header = struct.pack(
-            "<4sIIQQB",
+        header = _HEADER.pack(
             MAGIC,
             FORMAT_VERSION,
             self.m,
@@ -225,74 +226,75 @@ def build(dataset: FragmentDataset, scheme: PartitionScheme) -> FSIndex:
     )
 
 
-def read_index_header(path) -> dict:
-    """Header fields plus bin-occupancy numbers, without the sequence set."""
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    head_size = struct.calcsize("<4sIIQQB")
-    if len(blob) < head_size:
+def _read_exact(fh, size: int) -> bytes:
+    data = fh.read(size)
+    if len(data) != size:
         raise IndexFormatError("truncated index file")
-    magic, version, m, n, n_bins, suffix_flag = struct.unpack_from("<4sIIQQB", blob)
+    return data
+
+
+def _read_text(fh) -> str:
+    (size,) = struct.unpack("<I", _read_exact(fh, 4))
+    return _read_exact(fh, size).decode()
+
+
+def _read_header(fh) -> dict:
+    """Parse and check an index file's header, leaving ``fh`` at the bin table."""
+    magic, version, m, n, n_bins, suffix_flag = _HEADER.unpack(
+        _read_exact(fh, _HEADER.size)
+    )
     if magic != MAGIC:
         raise IndexFormatError("not an index file (bad magic)")
-    pos = head_size
-    (alpha_len,) = struct.unpack_from("<I", blob, pos)
-    pos += 4
-    alpha = blob[pos:pos + alpha_len].decode()
-    pos += alpha_len
-    (spec_len,) = struct.unpack_from("<I", blob, pos)
-    pos += 4
-    spec = blob[pos:pos + spec_len].decode()
-    pos += spec_len
-    bins = np.frombuffer(blob, dtype="<i8", count=n_bins + 1, offset=pos)
-    sizes = np.diff(bins)
+    if version != FORMAT_VERSION:
+        raise IndexFormatError(f"unsupported index version {version}")
     return {
         "version": version,
         "fragment_length": m,
         "fragments": n,
         "bins": n_bins,
         "suffix_mode": bool(suffix_flag),
-        "alphabet": alpha,
-        "partition": spec,
-        "empty_bins": int((sizes == 0).sum()),
-        "largest_bin": int(sizes.max()) if sizes.size else 0,
-        "mean_bin_size": float(n / n_bins) if n_bins else 0.0,
-        "file_bytes": len(blob),
+        "alphabet": _read_text(fh),
+        "partition": _read_text(fh),
     }
+
+
+def read_index_header(path) -> dict:
+    """Header fields plus bin-occupancy numbers, read from the header and
+    the bin table only."""
+    with open(path, "rb") as fh:
+        info = _read_header(fh)
+        n, n_bins = info["fragments"], info["bins"]
+        bins = np.frombuffer(_read_exact(fh, (n_bins + 1) * 8), dtype="<i8")
+        file_bytes = os.fstat(fh.fileno()).st_size
+    sizes = np.diff(bins)
+    info.update(
+        empty_bins=int((sizes == 0).sum()),
+        largest_bin=int(sizes.max()) if sizes.size else 0,
+        mean_bin_size=float(n / n_bins) if n_bins else 0.0,
+        file_bytes=file_bytes,
+    )
+    return info
 
 
 def load(path, db: SequenceDB) -> FSIndex:
     """Load an index file; ``db`` must be the sequence set it was built from."""
-    with open(path, "rb") as fh:
+    # Unbuffered: after the small header reads, a buffered reader's
+    # read() of the rest copies it in chunks, twice as slow as readall().
+    with open(path, "rb", buffering=0) as fh:
+        info = _read_header(fh)
         blob = fh.read()
-    head_size = struct.calcsize("<4sIIQQB")
-    if len(blob) < head_size:
-        raise IndexFormatError("truncated index file")
-    magic, version, m, n, n_bins, suffix_flag = struct.unpack_from("<4sIIQQB", blob)
-    if magic != MAGIC:
-        raise IndexFormatError("not an index file (bad magic)")
-    if version != FORMAT_VERSION:
-        raise IndexFormatError(f"unsupported index version {version}")
-    pos = head_size
-    (alpha_len,) = struct.unpack_from("<I", blob, pos)
-    pos += 4
-    alpha = blob[pos:pos + alpha_len].decode()
-    pos += alpha_len
-    (spec_len,) = struct.unpack_from("<I", blob, pos)
-    pos += 4
-    spec = blob[pos:pos + spec_len].decode()
-    pos += spec_len
-
-    alphabet = Alphabet(alpha)
-    scheme = parse_partition(spec, alphabet, m)
+    m, n, n_bins = info["fragment_length"], info["fragments"], info["bins"]
+    suffix_mode = info["suffix_mode"]
+    alphabet = Alphabet(info["alphabet"])
+    scheme = parse_partition(info["partition"], alphabet, m)
     if scheme.n_bins != n_bins:
         raise IndexFormatError("bin count disagrees with partition spec")
 
     need = (n_bins + 1) * 8 + n * 8 + (n + 1)
-    if len(blob) - pos != need:
+    if len(blob) != need:
         raise IndexFormatError("index arrays truncated or oversized")
-    bins = np.frombuffer(blob, dtype="<i8", count=n_bins + 1, offset=pos).astype(np.int64)
-    pos += (n_bins + 1) * 8
+    bins = np.frombuffer(blob, dtype="<i8", count=n_bins + 1).astype(np.int64)
+    pos = (n_bins + 1) * 8
     packed = np.frombuffer(blob, dtype="<u8", count=n, offset=pos)
     pos += n * 8
     lcp = np.frombuffer(blob, dtype="<u1", count=n + 1, offset=pos).astype(np.uint8)
@@ -309,22 +311,16 @@ def load(path, db: SequenceDB) -> FSIndex:
         db=db,
         alphabet=alphabet,
         m=m,
-        suffix_mode=bool(suffix_flag),
-        floor=1 if suffix_flag else m,
+        suffix_mode=suffix_mode,
+        floor=1 if suffix_mode else m,
         sids=sids,
         offs=offs,
         rejected=0,  # unknown post hoc; manifest comes from extraction
         codes=codes,
         starts=starts,
     )
+    letters = dataset.letter_matrix()  # the dataset's rows are in frag order
     key_len = dataset.key_lengths()
-    pad = len(alphabet)
-    letters = np.full((n, m), pad, dtype=np.uint8)
-    if n:
-        base = starts[sids] + offs
-        for j in range(m):
-            live = key_len > j
-            letters[live, j] = codes[base[live] + j]
     for arr in (bins, lcp, letters, key_len):
         arr.flags.writeable = False
     return FSIndex(

@@ -7,10 +7,13 @@ positions along any path, so every bin is reached exactly once.  A node
 is pruned when its bound exceeds the radius; accepted bins are scanned
 with shared-prefix (lcp) reuse and early rejection of partial sums.
 
-Two traversals implement the same visit set: a vectorized breadth-first
-sweep used for fixed-radius queries, and the literal depth-first
-recursion (shallowest subtrees first) used for k-NN, where the radius
-shrinks as the hit heap evolves, and for traced searches.
+One traversal serves every search: a vectorized breadth-first sweep at
+a fixed radius that returns the accepted nodes with their bounds and,
+given a ``Tracer``, records the scanned and pruned nodes.  Range,
+longer- and shorter-query searches scan every accepted node; k-NN
+search scans them best first, in increasing bound order.  One span-scan
+kernel evaluates every scanned frag-array span, for the index and for
+the flat baseline.
 
 Scan counters (bins/fragments/residues scanned) follow the reference
 scan's cost model exactly; the vectorized implementation may touch more
@@ -19,12 +22,12 @@ cells internally but reports what the sequential algorithm would do.
 
 from __future__ import annotations
 
-import heapq
 import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from .alphabet import PartitionScheme
 from .core import FSIndex
 from .ingest import FragmentRef
 from .query import LowerBoundTable, NormalizedQuery, lower_bound_table
@@ -71,17 +74,40 @@ class HitList:
 
 
 class Tracer:
-    """Records which implicit-tree nodes a search scanned or pruned."""
+    """Records which implicit-tree nodes a search scanned or pruned.
+
+    The traversal hands over node ranks and bounds as arrays; ``scanned``
+    and ``pruned`` decode them into (digits, bound) pairs when read, so
+    recording adds array work, not per-node Python work, to the search.
+    """
 
     def __init__(self):
-        self.scanned: list[tuple[tuple[int, ...], int]] = []
-        self.pruned: list[tuple[tuple[int, ...], int]] = []
+        self._nodes: dict[str, list] = {"scanned": [], "pruned": []}
 
-    def scan(self, digits: tuple[int, ...], bound: int) -> None:
-        self.scanned.append((digits, bound))
+    def record(
+        self, kind: str, scheme: PartitionScheme, depth: int, ranks: np.ndarray,
+        bounds: np.ndarray,
+    ) -> None:
+        """Add nodes of ``kind`` ("scanned" or "pruned"), identified by
+        their first ``depth`` digits."""
+        self._nodes[kind].append(
+            (scheme.radix_weights[:depth], scheme.sizes[:depth], ranks, bounds)
+        )
 
-    def prune(self, digits: tuple[int, ...], bound: int) -> None:
-        self.pruned.append((digits, bound))
+    def _pairs(self, kind: str) -> list[tuple[tuple[int, ...], int]]:
+        out = []
+        for weights, sizes, ranks, bounds in self._nodes[kind]:
+            digits = (ranks[:, None] // weights[None, :]) % sizes[None, :]
+            out.extend(zip(map(tuple, digits.tolist()), bounds.tolist()))
+        return out
+
+    @property
+    def scanned(self) -> list[tuple[tuple[int, ...], int]]:
+        return self._pairs("scanned")
+
+    @property
+    def pruned(self) -> list[tuple[tuple[int, ...], int]]:
+        return self._pairs("pruned")
 
     def scanned_digits(self) -> set[tuple[int, ...]]:
         return {d for d, _ in self.scanned}
@@ -105,203 +131,139 @@ def _multi_arange(starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
     return np.cumsum(out)
 
 
-def _query_table(q: NormalizedQuery, pad_columns: int = 1) -> np.ndarray:
+def _query_table(q: NormalizedQuery) -> np.ndarray:
     """(m, |alphabet|+1) lookup with a zero column for the pad code."""
     t = q.base.tables
-    return np.hstack([t, np.zeros((t.shape[0], pad_columns), dtype=np.int64)])
+    return np.hstack([t, np.zeros((t.shape[0], 1), dtype=np.int64)])
 
 
-class _ScanContext:
-    """Precomputed arrays one search needs to scan frag-array spans."""
+def _scan_spans(
+    index, q: NormalizedQuery, starts: np.ndarray, ends: np.ndarray, eps: int,
+    stats: SearchStats,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Cost-model scan of frag-array spans at a fixed radius.
 
-    def __init__(self, index: FSIndex, q: NormalizedQuery):
-        self.index = index
-        self.q = q
-        self.qtab = _query_table(q)
-        self.eval_len = q.m
-        self.width = min(q.m, index.m)  # positions resolvable from stored letters
+    ``index`` is an ``FSIndex`` or a ``FlatIndex``: rows of ``letters``,
+    ``key_len`` and ``lcp`` in scan order.  A query longer than the rows
+    also reads ``sids``, ``offs`` and ``dataset`` to evaluate the
+    positions past them.  Returns (row indices, values) of hits and
+    updates the fragment and residue counters exactly as the sequential
+    bin scan would.
+    """
+    idx = _multi_arange(starts, ends)
+    stats.fragments_scanned += idx.size
+    if idx.size == 0:
+        return idx, np.zeros(0, dtype=np.int64)
+    qtab = _query_table(q)
+    m, eval_len = index.letters.shape[1], q.m
+    w = min(eval_len, m)  # positions resolvable from stored letters
+
+    lcp_own = np.minimum(index.lcp[idx].astype(np.int64), eval_len)
+    lcp_next = np.minimum(index.lcp[idx + 1].astype(np.int64), eval_len)
+    step1 = np.maximum(lcp_next - lcp_own, 0)
+
+    rows = index.letters[idx, :w]
+    vals = qtab[np.arange(w)[None, :], rows]
+    cum = np.cumsum(vals, axis=1)
+    partial = np.where(lcp_next > 0, np.take_along_axis(
+        cum, np.maximum(lcp_next - 1, 0)[:, None], axis=1
+    ).ravel(), 0)
+
+    if eval_len <= m:
+        valid = index.key_len[idx] >= eval_len
+        full = cum[:, eval_len - 1]
+    else:
         ds = index.dataset
-        self.seq_lens = ds.seq_lengths
+        pad = len(ds.alphabet)
+        sids = index.sids[idx].astype(np.int64)
+        offs = index.offs[idx].astype(np.int64)
+        long_enough = offs + eval_len <= ds.seq_lengths[sids]
+        base = ds.starts[sids] + offs
+        ext_pos = base[:, None] + np.arange(m, eval_len)[None, :]
+        ext_codes = ds.codes[np.minimum(ext_pos, ds.codes.size - 1)]
+        ext_codes = np.where(long_enough[:, None], ext_codes, pad)
+        clean = (ext_codes < pad).all(axis=1)
+        valid = (index.key_len[idx] >= m) & long_enough & clean
+        ext_vals = qtab[np.arange(m, eval_len)[None, :], ext_codes]
+        full = cum[:, m - 1] + ext_vals.sum(axis=1)
 
-    def scan_spans(
-        self, starts: np.ndarray, ends: np.ndarray, eps: int, stats: SearchStats
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Cost-model scan of frag-index spans at a fixed radius.
-
-        Returns (frag indices, values) of hits and updates the fragment
-        and residue counters exactly as the sequential bin scan would.
-        """
-        index, w, eval_len = self.index, self.width, self.eval_len
-        idx = _multi_arange(starts, ends)
-        cnt = idx.size
-        stats.fragments_scanned += cnt
-        if cnt == 0:
-            return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
-
-        lcp_own = np.minimum(index.lcp[idx].astype(np.int64), eval_len)
-        lcp_next = np.minimum(index.lcp[idx + 1].astype(np.int64), eval_len)
-        step1 = np.maximum(lcp_next - lcp_own, 0)
-
-        rows = index.letters[idx, :w]
-        vals = self.qtab[np.arange(w)[None, :], rows]
-        cum = np.cumsum(vals, axis=1)
-        partial = np.where(lcp_next > 0, np.take_along_axis(
-            cum, np.maximum(lcp_next - 1, 0)[:, None], axis=1
-        ).ravel(), 0)
-
-        if eval_len <= index.m:
-            valid = index.key_len[idx] >= eval_len
-            full = cum[:, eval_len - 1]
-        else:
-            ds = index.dataset
-            sids = index.sids[idx].astype(np.int64)
-            offs = index.offs[idx].astype(np.int64)
-            long_enough = offs + eval_len <= self.seq_lens[sids]
-            base = ds.starts[sids] + offs
-            ext_pos = base[:, None] + np.arange(index.m, eval_len)[None, :]
-            ext_codes = ds.codes[np.minimum(ext_pos, ds.codes.size - 1)]
-            ext_codes = np.where(long_enough[:, None], ext_codes, len(index.alphabet))
-            clean = (ext_codes < len(index.alphabet)).all(axis=1)
-            valid = (index.key_len[idx] >= index.m) & long_enough & clean
-            ext_vals = self.qtab[
-                np.arange(index.m, eval_len)[None, :], ext_codes
-            ]
-            full = cum[:, index.m - 1] + ext_vals.sum(axis=1)
-
-        accepted = valid & (partial <= eps)
-        stats.residues_scanned += int(step1.sum())
-        stats.residues_scanned += int((eval_len - lcp_next)[accepted].sum())
-        hit = accepted & (full <= eps)
-        return idx[hit], full[hit]
-
-    def scan_arrays(
-        self, lo: int, hi: int
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Per-fragment (step1, partial, full, valid) for one bin, for the
-        sequential k-NN walk whose radius changes mid-bin."""
-        index, w = self.index, self.width
-        lcp_own = np.minimum(index.lcp[lo:hi].astype(np.int64), self.eval_len)
-        lcp_next = np.minimum(index.lcp[lo + 1:hi + 1].astype(np.int64), self.eval_len)
-        step1 = np.maximum(lcp_next - lcp_own, 0)
-        rows = index.letters[lo:hi, :w]
-        vals = self.qtab[np.arange(w)[None, :], rows]
-        cum = np.cumsum(vals, axis=1)
-        partial = np.where(lcp_next > 0, np.take_along_axis(
-            cum, np.maximum(lcp_next - 1, 0)[:, None], axis=1
-        ).ravel(), 0)
-        valid = index.key_len[lo:hi] >= self.eval_len
-        return step1, partial, cum[:, self.eval_len - 1], valid
-
-
-def _candidate_arrays(lbt: LowerBoundTable, depth: int):
-    """Non-root cluster bounds and rank deltas per position < depth."""
-    cand_f, cand_d = [], []
-    for j in range(depth):
-        z = lbt.root_digits[j]
-        cand_f.append(np.delete(lbt.bounds[j], z))
-        cand_d.append(np.delete(lbt.rank_offsets[j], z))
-    return cand_f, cand_d
+    accepted = valid & (partial <= eps)
+    stats.residues_scanned += int(step1.sum())
+    stats.residues_scanned += int((eval_len - lcp_next)[accepted].sum())
+    hit = accepted & (full <= eps)
+    return idx[hit], full[hit]
 
 
 def _collect_bfs(
-    lbt: LowerBoundTable, depth: int, eps: int, stats: SearchStats
-) -> np.ndarray:
-    """Breadth-first enumeration of accepted node ranks at a fixed radius.
+    lbt: LowerBoundTable, depth: int, eps: int, stats: SearchStats,
+    trace: Tracer | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Breadth-first enumeration of accepted nodes at a fixed radius.
 
-    ``depth`` limits substitutions to the first ``depth`` positions; the
-    returned ranks are the nodes' low corners (trailing digits zero).
+    ``depth`` limits substitutions to the first ``depth`` positions.
+    Returns the accepted nodes' ranks (their low corners: trailing
+    digits zero) and bounds.  A ``trace`` receives every accepted node
+    as scanned and every rejected child as pruned, including the
+    children skipped wholesale because the parent's bound plus the
+    position's least non-root bound already exceeds the radius.
     """
-    cand_f, cand_d = _candidate_arrays(lbt, depth)
+    cand_f, cand_d = [], []  # non-root cluster bounds and rank deltas
+    for j in range(depth):
+        other = np.arange(lbt.bounds[j].size) != lbt.root_digits[j]
+        cand_f.append(lbt.bounds[j][other])
+        cand_d.append(lbt.rank_offsets[j][other])
     sec = lbt.second_min
     root = int(
         sum(lbt.root_digits[i] * int(lbt.scheme.radix_weights[i]) for i in range(depth))
     )
     stats.nodes_visited += 1
     root_bound = int(sum(int(lbt.bounds[i][lbt.root_digits[i]]) for i in range(depth)))
-    if root_bound > eps:
-        return np.zeros(0, dtype=np.int64)
-    accepted = [np.array([root], dtype=np.int64)]
     level_u = np.array([root], dtype=np.int64)
     level_d = np.array([root_bound], dtype=np.int64)
+    if root_bound > eps:
+        if trace is not None:
+            trace.record("pruned", lbt.scheme, depth, level_u, level_d)
+        return level_u[:0], level_d[:0]
     level_i = np.array([0], dtype=np.int64)
+    accepted_u, accepted_d = [level_u], [level_d]
+    pruned_u, pruned_d = [], []
     while level_u.size:
         nxt_u, nxt_d, nxt_i = [], [], []
         for j in range(depth):
-            elig = (level_i <= j) & (level_d + sec[j] <= eps)
+            live = level_i <= j
+            elig = live & (level_d + sec[j] <= eps)
+            if trace is not None:  # short-circuited: every child exceeds eps
+                cut = live & ~elig
+                pruned_u.append((level_u[cut, None] + cand_d[j][None, :]).ravel())
+                pruned_d.append((level_d[cut, None] + cand_f[j][None, :]).ravel())
             if not elig.any():
                 continue
             e = level_d[elig, None] + cand_f[j][None, :]
             stats.nodes_visited += e.size
+            u = level_u[elig, None] + cand_d[j][None, :]
             keep = e <= eps
+            if trace is not None:
+                pruned_u.append(u[~keep])
+                pruned_d.append(e[~keep])
             if not keep.any():
                 continue
-            u = (level_u[elig, None] + cand_d[j][None, :])[keep]
-            nxt_u.append(u)
+            nxt_u.append(u[keep])
             nxt_d.append(e[keep])
-            nxt_i.append(np.full(u.size, j + 1, dtype=np.int64))
-            accepted.append(u)
-        if nxt_u:
-            level_u = np.concatenate(nxt_u)
-            level_d = np.concatenate(nxt_d)
-            level_i = np.concatenate(nxt_i)
-        else:
+            nxt_i.append(np.full(nxt_u[-1].size, j + 1, dtype=np.int64))
+        if not nxt_u:
             break
-    return np.concatenate(accepted)
-
-
-def _traverse_recursive(
-    lbt: LowerBoundTable,
-    depth: int,
-    eps_of,
-    process,
-    stats: SearchStats,
-    trace: Tracer | None,
-) -> None:
-    """Depth-first traversal in the reference order: at each node, try
-    substitution positions from the deepest (position depth-1, whose
-    subtree is shallowest) down to the node's first free position."""
-    sec = lbt.second_min
-    bounds = lbt.bounds
-    offsets = lbt.rank_offsets
-    zdig = lbt.root_digits
-    root = int(
-        sum(zdig[i] * int(lbt.scheme.radix_weights[i]) for i in range(depth))
-    )
-    root_bound = int(sum(int(bounds[i][zdig[i]]) for i in range(depth)))
-    stats.nodes_visited += 1
-    if root_bound > eps_of():
-        if trace is not None:
-            trace.prune(tuple(zdig[:depth]), root_bound)
-        return
+        level_u = np.concatenate(nxt_u)
+        level_d = np.concatenate(nxt_d)
+        level_i = np.concatenate(nxt_i)
+        accepted_u.append(level_u)
+        accepted_d.append(level_d)
+    ranks, bounds = np.concatenate(accepted_u), np.concatenate(accepted_d)
     if trace is not None:
-        trace.scan(tuple(zdig[:depth]), root_bound)
-    process(root)
-
-    def check_node(u: int, d: int, i: int, digits: tuple[int, ...]) -> None:
-        for j in range(depth - 1, i - 1, -1):
-            if d + sec[j] <= eps_of():
-                fj, dj = bounds[j], offsets[j]
-                for r in range(len(fj)):
-                    if r == zdig[j]:
-                        continue
-                    e = d + int(fj[r])
-                    stats.nodes_visited += 1
-                    child = digits[:j] + (r,) + digits[j + 1:] if trace else digits
-                    if e <= eps_of():
-                        v = u + int(dj[r])
-                        if trace is not None:
-                            trace.scan(child, e)
-                        process(v)
-                        check_node(v, e, j + 1, child)
-                    elif trace is not None:
-                        trace.prune(child, e)
-            elif trace is not None:
-                fj = bounds[j]
-                for r in range(len(fj)):
-                    if r != zdig[j]:
-                        trace.prune(digits[:j] + (r,) + digits[j + 1:], d + int(fj[r]))
-
-    check_node(root, root_bound, 0, tuple(zdig[:depth]))
+        trace.record("scanned", lbt.scheme, depth, ranks, bounds)
+        trace.record(
+            "pruned", lbt.scheme, depth, np.concatenate(pruned_u), np.concatenate(pruned_d)
+        )
+    return ranks, bounds
 
 
 def _count_nonempty_bins(index: FSIndex, node_ranks: np.ndarray, span: int) -> int:
@@ -342,23 +304,12 @@ def _range_engine(
     t0 = time.perf_counter()
     stats = SearchStats()
     lbt = lower_bound_table(q, index.scheme, depth=depth)
-    ctx = _ScanContext(index, q)
     span = 1 if depth == index.m else int(index.scheme.radix_weights[depth - 1])
-
-    if trace is None:
-        node_ranks = _collect_bfs(lbt, depth, radius, stats)
-    else:
-        collected: list[int] = []
-        _traverse_recursive(lbt, depth, lambda: radius, collected.append, stats, trace)
-        node_ranks = np.array(collected, dtype=np.int64)
-
-    if node_ranks.size == 0:
-        stats.elapsed = time.perf_counter() - t0
-        return HitList(), stats
+    node_ranks, _ = _collect_bfs(lbt, depth, radius, stats, trace)
     stats.bins_scanned += _count_nonempty_bins(index, node_ranks, span)
     starts = index.bins[node_ranks]
     ends = index.bins[node_ranks + span]
-    idx, vals = ctx.scan_spans(starts, ends, radius, stats)
+    idx, vals = _scan_spans(index, q, starts, ends, radius, stats)
     return _finish(index, idx, vals, stats, t0)
 
 
@@ -374,12 +325,12 @@ def process_bin(
     _check_query(index, q)
     t0 = time.perf_counter()
     stats = SearchStats()
-    ctx = _ScanContext(index, q)
     lo, hi = index.bin_slice(u)
     if lo < hi:
         stats.bins_scanned = 1
-    idx, vals = ctx.scan_spans(
-        np.array([lo], dtype=np.int64), np.array([hi], dtype=np.int64), radius, stats
+    idx, vals = _scan_spans(
+        index, q, np.array([lo], dtype=np.int64), np.array([hi], dtype=np.int64),
+        radius, stats,
     )
     return _finish(index, idx, vals, stats, t0)
 
@@ -426,12 +377,19 @@ def short_query_search(
 def knn_search(
     index: FSIndex, q: NormalizedQuery, k: int, all_ties: bool = False
 ) -> tuple[HitList, SearchStats]:
-    """The ``k`` occurrences with smallest query values (branch and bound).
+    """The ``k`` occurrences with smallest query values, best first.
 
-    The radius starts unbounded and shrinks to the largest value held by
-    the bounded max-heap once it is full.  Ties at the final radius keep
-    first-encountered occurrences; ``all_ties`` instead returns every
-    occurrence at the boundary value via a follow-up range search.
+    The breadth-first sweep runs at a candidate radius, starting at the
+    root bound.  Its non-empty bins are scanned in increasing bound
+    order, in chunks of doubling size, each chunk at the current k-th
+    value (unbounded until ``k`` hits are known), until the next bound
+    exceeds that value.  While fewer than ``k`` hits are known or the
+    k-th value exceeds the radius, the radius grows by half, capped at the
+    k-th value, and the sweep repeats; bins within the previous radius
+    were all scanned already and are skipped.  Hits are ordered by
+    (value, seq_id, offset), the order of ``linear_scan_knn``.
+    ``all_ties`` returns every occurrence whose value is at most the k-th
+    value.
     """
     _check_query(index, q)
     if q.m != index.m:
@@ -441,50 +399,37 @@ def knn_search(
     t0 = time.perf_counter()
     stats = SearchStats()
     lbt = lower_bound_table(q, index.scheme)
-    ctx = _ScanContext(index, q)
-
-    heap: list[tuple[int, int, int, int]] = []  # (-value, -order, sid, off)
-    counter = 0
-
-    def eps_of() -> int:
-        return -heap[0][0] if len(heap) >= k else INF_RADIUS
-
-    def process(u: int) -> None:
-        nonlocal counter
-        lo, hi = index.bin_slice(u)
-        if lo == hi:
-            return
-        stats.bins_scanned += 1
-        stats.fragments_scanned += hi - lo
-        step1, partial, full, valid = ctx.scan_arrays(lo, hi)
-        eps = eps_of()
-        for t in range(hi - lo):
-            stats.residues_scanned += int(step1[t])
-            if not valid[t]:
-                continue
-            if partial[t] <= eps:
-                stats.residues_scanned += q.m - min(int(index.lcp[lo + t + 1]), q.m)
-                value = int(full[t])
-                if value <= eps:
-                    counter += 1
-                    entry = (-value, -counter, int(index.sids[lo + t]), int(index.offs[lo + t]))
-                    if len(heap) < k:
-                        heapq.heappush(heap, entry)
-                    elif value < -heap[0][0]:
-                        heapq.heapreplace(heap, entry)
-                    eps = eps_of()
-
-    _traverse_recursive(lbt, index.m, eps_of, process, stats, None)
-
-    if all_ties and heap:
-        radius = -heap[0][0] if len(heap) >= k else INF_RADIUS
-        hits, _ = range_search(index, q, radius)
-        stats.hits = len(hits)
-        stats.elapsed = time.perf_counter() - t0
-        return hits.sorted_by_value(), stats
-
-    entries = sorted(((-nv, -no, s, o) for nv, no, s, o in heap))
-    hits = HitList([(FragmentRef(s, o), v) for v, _, s, o in entries])
-    stats.hits = len(hits)
-    stats.elapsed = time.perf_counter() - t0
-    return hits, stats
+    top = sum(int(b.max()) for b in lbt.bounds)  # every bin's bound is <= top
+    radius = lbt.bound_of(lbt.root_digits)
+    covered = -1  # every non-empty bin with bound <= covered has been scanned
+    kth = INF_RADIUS
+    idx = vals = np.zeros(0, dtype=np.int64)
+    while True:
+        ranks, bounds = _collect_bfs(lbt, index.m, radius, stats)
+        fresh = (bounds > covered) & (index.bins[ranks + 1] > index.bins[ranks])
+        order = np.argsort(bounds[fresh], kind="stable")
+        ranks, bounds = ranks[fresh][order], bounds[fresh][order]
+        pos, size = 0, 1
+        while True:
+            end = min(pos + size, int(np.searchsorted(bounds, kth, side="right")))
+            if end <= pos:
+                break
+            chunk = ranks[pos:end]
+            stats.bins_scanned += chunk.size
+            ci, cv = _scan_spans(
+                index, q, index.bins[chunk], index.bins[chunk + 1], kth, stats
+            )
+            idx, vals = np.concatenate([idx, ci]), np.concatenate([vals, cv])
+            if vals.size >= k:
+                kth = int(np.partition(vals, k - 1)[k - 1])
+                keep = vals <= kth
+                idx, vals = idx[keep], vals[keep]
+            pos, size = end, 2 * size
+        if kth <= radius or radius >= top:
+            break
+        covered = radius
+        radius = min(kth, top, radius + radius // 2 + 1)
+    order = np.lexsort((index.offs[idx], index.sids[idx], vals))
+    if not all_ties:
+        order = order[:k]
+    return _finish(index, idx[order], vals[order], stats, t0)

@@ -170,6 +170,17 @@ class TestSerialization:
         with pytest.raises(fx.IndexFormatError):
             fx.load(p, toy_index.dataset.db)
 
+    def test_other_version_rejected(self, toy_index, tmp_path):
+        p = tmp_path / "v.fsi"
+        toy_index.save(p)
+        blob = bytearray(p.read_bytes())
+        blob[4:8] = (fx.core.FORMAT_VERSION + 1).to_bytes(4, "little")
+        p.write_bytes(bytes(blob))
+        with pytest.raises(fx.IndexFormatError, match="version"):
+            fx.load(p, toy_index.dataset.db)
+        with pytest.raises(fx.IndexFormatError, match="version"):
+            fx.core.read_index_header(p)
+
     def test_header_stats(self, toy_index, tmp_path):
         p = tmp_path / "h.fsi"
         size = toy_index.save(p)

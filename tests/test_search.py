@@ -257,8 +257,8 @@ class TestKnnSearch:
             k = int(rng.integers(1, 12))
             hits, _ = fx.knn_search(index, q, k)
             oracle = fx.linear_scan_knn(ds, f, k)
-            got = sorted(v + q.shift for v in hits.values())
-            assert got == sorted(oracle.values())
+            got = [(r.seq_id, r.offset, v + q.shift) for r, v in hits]
+            assert got == [(r.seq_id, r.offset, v) for r, v in oracle]
 
 
 class TestLongQueries:
