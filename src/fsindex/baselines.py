@@ -106,15 +106,15 @@ class FlatIndex:
 
 def flat_build(ds: FragmentDataset) -> FlatIndex:
     letters = ds.letter_matrix()
-    pad = len(ds.alphabet)
-    keys = _sort_keys(letters, pad)
+    keys = _sort_keys(letters, len(ds.alphabet))
     order = np.lexsort(tuple(keys[:, j] for j in range(ds.m - 1, -1, -1)))
+    del keys
     letters = letters[order]
     key_len = ds.key_lengths()[order]
     n = order.size
     lcp = np.zeros(n + 1, dtype=np.int64)
     if n:
-        raw = _raw_lcp(_sort_keys(letters, pad))
+        raw = _raw_lcp(letters)
         prev_len = np.r_[key_len[:1], key_len[:-1]]
         lcp[:n] = np.minimum(raw, np.minimum(prev_len, key_len))
         lcp[0] = 0

@@ -52,13 +52,14 @@ def _sort_keys(letters: np.ndarray, pad: int) -> np.ndarray:
     return np.where(letters == pad, 0, letters.astype(np.int16) + 1)
 
 
-def _raw_lcp(sorted_letters: np.ndarray) -> np.ndarray:
-    """Shared-prefix length of each row with its predecessor (row 0 -> 0)."""
-    n, m = sorted_letters.shape
+def _raw_lcp(rows: np.ndarray) -> np.ndarray:
+    """Shared-prefix length of each row with its predecessor (row 0 -> 0):
+    the first position where the two differ, or the row width if none."""
+    n, m = rows.shape
     out = np.zeros(n, dtype=np.int64)
     if n > 1:
-        eq = sorted_letters[1:] == sorted_letters[:-1]
-        out[1:] = np.cumprod(eq, axis=1, dtype=np.int64).sum(axis=1)
+        ne = rows[1:] != rows[:-1]
+        out[1:] = np.where(ne.any(axis=1), ne.argmax(axis=1), m)
     return out
 
 
@@ -193,18 +194,20 @@ def build(dataset: FragmentDataset, scheme: PartitionScheme) -> FSIndex:
 
     letters = dataset.letter_matrix()
     ranks = _bin_ranks(scheme, letters)
-    counts = np.bincount(ranks, minlength=n_bins) if n else np.zeros(n_bins, np.int64)
     bins = np.zeros(n_bins + 1, dtype=np.int64)
-    np.cumsum(counts, out=bins[1:])
+    if n:
+        np.cumsum(np.bincount(ranks, minlength=n_bins), out=bins[1:])
 
     keys = _sort_keys(letters, len(dataset.alphabet))
     order = np.lexsort(tuple(keys[:, j] for j in range(scheme.m - 1, -1, -1)) + (ranks,))
+    del keys, ranks
     letters = letters[order]
     key_len = dataset.key_lengths()[order]
 
     lcp = np.zeros(n + 1, dtype=np.uint8)
     if n:
-        raw = _raw_lcp(_sort_keys(letters, len(dataset.alphabet)))
+        # equal letters are equal keys: the lcp needs no second key matrix
+        raw = _raw_lcp(letters)
         prev_len = np.r_[key_len[:1], key_len[:-1]]
         lcp[:n] = np.minimum(raw, np.minimum(prev_len, key_len))
         lcp[bins[:-1]] = 0  # every bin starts a fresh scan
@@ -293,19 +296,19 @@ def load(path, db: SequenceDB) -> FSIndex:
     need = (n_bins + 1) * 8 + n * 8 + (n + 1)
     if len(blob) != need:
         raise IndexFormatError("index arrays truncated or oversized")
-    bins = np.frombuffer(blob, dtype="<i8", count=n_bins + 1).astype(np.int64)
+    # bins and lcp stay read-only views of the file's bytes; each packed
+    # reference is (offset, seq_id) as little-endian uint32 halves
+    bins = np.frombuffer(blob, dtype="<i8", count=n_bins + 1)
     pos = (n_bins + 1) * 8
-    packed = np.frombuffer(blob, dtype="<u8", count=n, offset=pos)
-    pos += n * 8
-    lcp = np.frombuffer(blob, dtype="<u1", count=n + 1, offset=pos).astype(np.uint8)
-    sids = (packed >> np.uint64(32)).astype(np.uint32)
-    offs = (packed & np.uint64(0xFFFFFFFF)).astype(np.uint32)
+    refs = np.frombuffer(blob, dtype="<u4", count=2 * n, offset=pos).reshape(n, 2)
+    offs = refs[:, 0].astype(np.uint32)
+    sids = refs[:, 1].astype(np.uint32)
+    lcp = np.frombuffer(blob, dtype="<u1", count=n + 1, offset=pos + n * 8)
 
     codes, starts = encode_db(db, alphabet)
-    seq_lens = np.diff(starts)
     if n and (sids >= len(db)).any():
         raise IndexFormatError("fragment reference outside the sequence set")
-    if n and (offs.astype(np.int64) >= seq_lens[sids]).any():
+    if n and (offs >= np.diff(starts)[sids]).any():
         raise IndexFormatError("fragment offset outside its sequence")
     dataset = FragmentDataset(
         db=db,
@@ -321,7 +324,7 @@ def load(path, db: SequenceDB) -> FSIndex:
     )
     letters = dataset.letter_matrix()  # the dataset's rows are in frag order
     key_len = dataset.key_lengths()
-    for arr in (bins, lcp, letters, key_len):
+    for arr in (sids, offs, letters, key_len):
         arr.flags.writeable = False
     return FSIndex(
         dataset=dataset,

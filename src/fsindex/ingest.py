@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from typing import Iterable, NamedTuple
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .alphabet import Alphabet, STANDARD_ALPHABET
 
@@ -138,17 +139,24 @@ class FragmentDataset:
 
     def letter_matrix(self) -> np.ndarray:
         """(n, m) codes in extraction order; positions past a short suffix
-        hold the pad code len(alphabet)."""
+        hold the pad code len(alphabet).
+
+        One row gather over the width-``m`` windows of the code array,
+        with ``m`` pad codes appended so the last sequence's windows stay
+        in bounds; only suffix rows shorter than ``m`` need their tail
+        (which runs into the next sequence) reset to the pad code.
+        """
         pad = len(self.alphabet)
-        n, m = self.n, self.m
-        out = np.full((n, m), pad, dtype=np.uint8)
-        if n == 0:
-            return out
-        base = self.starts[self.sids] + self.offs
-        klen = self.key_lengths()
-        for j in range(m):
-            live = klen > j
-            out[live, j] = self.codes[base[live] + j]
+        m = self.m
+        padded = np.concatenate([self.codes, np.full(m, pad, dtype=np.uint8)])
+        out = sliding_window_view(padded, m)[self.starts[self.sids] + self.offs]
+        if self.suffix_mode:
+            klen = self.key_lengths()
+            short = np.flatnonzero(klen < m)
+            if short.size:
+                rows = out[short]
+                rows[np.arange(m)[None, :] >= klen[short, None]] = pad
+                out[short] = rows
         return out
 
 

@@ -33,6 +33,7 @@ from .ingest import FragmentRef
 from .query import LowerBoundTable, NormalizedQuery, lower_bound_table
 
 INF_RADIUS = int(np.iinfo(np.int64).max)
+_GATHER_CELLS = 1 << 20  # bin offsets per gather when counting subtree bins
 
 
 @dataclass
@@ -266,12 +267,15 @@ def _collect_bfs(
     return ranks, bounds
 
 
-def _count_nonempty_bins(index: FSIndex, node_ranks: np.ndarray, span: int) -> int:
-    if span == 1:
-        return int((index.bins[node_ranks + 1] > index.bins[node_ranks]).sum())
+def _count_nonempty_bins(bins: np.ndarray, node_ranks: np.ndarray, span: int) -> int:
+    """Non-empty bins among each node's ``span`` consecutive ranks, gathered
+    for a block of nodes at a time to bound the temporary's size."""
+    cols = np.arange(span + 1)
+    step = max(1, _GATHER_CELLS // (span + 1))
     total = 0
-    for u in node_ranks:
-        total += int((np.diff(index.bins[u:u + span + 1]) > 0).sum())
+    for i in range(0, node_ranks.size, step):
+        offsets = bins[node_ranks[i:i + step, None] + cols]
+        total += int((offsets[:, 1:] > offsets[:, :-1]).sum())
     return total
 
 
@@ -306,9 +310,12 @@ def _range_engine(
     lbt = lower_bound_table(q, index.scheme, depth=depth)
     span = 1 if depth == index.m else int(index.scheme.radix_weights[depth - 1])
     node_ranks, _ = _collect_bfs(lbt, depth, radius, stats, trace)
-    stats.bins_scanned += _count_nonempty_bins(index, node_ranks, span)
     starts = index.bins[node_ranks]
     ends = index.bins[node_ranks + span]
+    if span == 1:
+        stats.bins_scanned += int((ends > starts).sum())
+    else:
+        stats.bins_scanned += _count_nonempty_bins(index.bins, node_ranks, span)
     idx, vals = _scan_spans(index, q, starts, ends, radius, stats)
     return _finish(index, idx, vals, stats, t0)
 

@@ -1,6 +1,8 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -251,9 +253,11 @@ class TestBenchCommand:
         assert row.rng.bins_scanned == 2
 
     def test_console_script_entry_point(self, workdir):
+        # the child imports fsindex from the same source tree as this process
+        src = Path(fx.__file__).resolve().parent.parent
         proc = subprocess.run(
             [sys.executable, "-m", "fsindex.cli", "stats", "--index", str(workdir / "db.fsi")],
-            capture_output=True, text=True,
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)},
         )
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["fragments"] == 22

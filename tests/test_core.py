@@ -124,6 +124,25 @@ class TestBuild:
         assert index.bin_size(u_ba) == 1
 
 
+class TestRawLcp:
+    @staticmethod
+    def reference(rows):
+        n, m = rows.shape
+        out = [0] * n
+        for i in range(1, n):
+            out[i] = next((j for j in range(m) if rows[i, j] != rows[i - 1, j]), m)
+        return out
+
+    def test_matches_per_row_loop(self):
+        rng = np.random.default_rng(41)
+        for n, m in [(0, 3), (1, 4), (2, 1), (300, 5)]:
+            rows = rng.integers(0, 3, size=(n, m)).astype(np.uint8)
+            for keys in (rows, rows[np.lexsort(rows.T[::-1])]):
+                assert fx.core._raw_lcp(keys).tolist() == self.reference(keys)
+        # sorted, 300 rows over 3**5 keys hold equal neighbours
+        assert (fx.core._raw_lcp(keys) == m).any()
+
+
 class TestSerialization:
     def test_roundtrip_bitexact_and_equal_results(self, toy_index, toy_d, tmp_path):
         p1 = tmp_path / "a.fsi"
@@ -196,5 +215,14 @@ class TestSerialization:
 class TestImmutability:
     def test_arrays_read_only(self, toy_index):
         for arr in (toy_index.bins, toy_index.lcp, toy_index.letters, toy_index.sids):
+            with pytest.raises(ValueError):
+                arr[0] = 0
+
+    def test_loaded_arrays_read_only(self, toy_index, tmp_path):
+        path = tmp_path / "r.fsi"
+        toy_index.save(path)
+        loaded = fx.load(path, toy_index.dataset.db)
+        for arr in (loaded.bins, loaded.lcp, loaded.letters, loaded.sids, loaded.offs,
+                    loaded.key_len):
             with pytest.raises(ValueError):
                 arr[0] = 0

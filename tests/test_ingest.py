@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import fsindex as fx
+from conftest import random_db
 
 
 class TestParseFasta:
@@ -101,6 +102,42 @@ class TestExtractFragments:
             fx.extract_fragments(db, 0)
         with pytest.raises(ValueError):
             fx.extract_fragments(db, 3, suffix_mode=True, floor=9)
+
+
+class TestLetterMatrix:
+    @staticmethod
+    def reference(ds):
+        """Row by row from the fragment texts, pad code past short tails."""
+        out = np.full((ds.n, ds.m), len(ds.alphabet), dtype=np.uint8)
+        for row, (sid, off) in enumerate(zip(ds.sids, ds.offs)):
+            text = ds.fragment_text(int(sid), int(off), ds.m)
+            out[row, :len(text)] = ds.alphabet.encode(text)
+        return out
+
+    @pytest.mark.parametrize("suffix_mode", [False, True])
+    def test_matches_per_row_reference(self, toy_alpha, suffix_mode):
+        rng = np.random.default_rng(31)
+        m = 6
+        db = random_db(rng, toy_alpha, n_seqs=30, min_len=1, max_len=20, bad_rate=0.05)
+        # the last sequence's windows run up to the end of the code array
+        db = fx.SequenceDB(records=db.records + (("last", "dcbadcba"),))
+        ds = fx.extract_fragments(db, m, alphabet=toy_alpha, suffix_mode=suffix_mode)
+        ends = ds.offs + m >= ds.seq_lengths[ds.sids]
+        assert (ends & (ds.sids == len(db) - 1)).any()
+        if suffix_mode:  # tails shorter than m, in short and long sequences
+            assert (ds.key_lengths() < m).any()
+            assert (ds.seq_lengths < m).any()
+        got = ds.letter_matrix()
+        assert got.dtype == np.uint8 and got.shape == (ds.n, m)
+        assert np.array_equal(got, self.reference(ds))
+
+    @pytest.mark.parametrize("suffix_mode", [False, True])
+    def test_no_fragments(self, toy_alpha, suffix_mode):
+        db = fx.SequenceDB(records=(("s", "ab"),))
+        ds = fx.extract_fragments(db, 3, alphabet=toy_alpha, suffix_mode=suffix_mode,
+                                  floor=3)
+        assert ds.n == 0
+        assert ds.letter_matrix().shape == (0, 3)
 
 
 class TestSampleQueries:

@@ -352,6 +352,38 @@ class TestShortQueries:
             hits, _ = fx.short_query_search(index, q, eps)
             assert hits_as_set(hits) == self.short_oracle(ds, toy_d, omega, eps)
 
+    @pytest.mark.parametrize("gather_cells", [None, 5])
+    def test_counters_match_bin_oracle(self, monkeypatch, gather_cells):
+        """bins_scanned counts the non-empty bins whose cluster bound over
+        the query's positions is within the radius; fragments_scanned sums
+        their sizes.  A tiny gather size splits the count into blocks."""
+        if gather_cells:
+            monkeypatch.setattr(fx.search, "_GATHER_CELLS", gather_cells)
+        rng = np.random.default_rng(53)
+        alpha, m = fx.STANDARD_ALPHABET, 5
+        db = random_db(rng, alpha, n_seqs=40, min_len=1, max_len=40)
+        ds = fx.extract_fragments(db, m, alphabet=alpha, suffix_mode=True)
+        scheme = random_partition(rng, alpha, m, max_clusters=4)
+        index = fx.build(ds, scheme)
+        sizes = np.diff(index.bins)
+        nonempty = np.flatnonzero(sizes)
+        digits = [scheme.unrank(int(u)) for u in nonempty]
+        for length in range(1, m + 1):
+            q = fx.normalize(random_query(rng, alpha, length, "pssm"))
+            cluster_min = [
+                [min(int(q.base.tables[j][alpha.ordinal(c)]) for c in cluster)
+                 for cluster in scheme.clusters[j]]
+                for j in range(length)
+            ]
+            bounds = np.array(
+                [sum(cluster_min[j][d[j]] for j in range(length)) for d in digits]
+            )
+            for eps in (0, 10, 25, 50, 100):
+                _, stats = fx.short_query_search(index, q, eps)
+                inside = bounds <= eps
+                assert stats.bins_scanned == int(inside.sum())
+                assert stats.fragments_scanned == int(sizes[nonempty][inside].sum())
+
     def test_short_suffixes_participate(self, toy_alpha, toy_d, toy_scheme):
         db = fx.SequenceDB(records=(("r", "dcba"),))
         ds = fx.extract_fragments(db, 3, alphabet=toy_alpha, suffix_mode=True)
