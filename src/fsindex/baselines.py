@@ -161,7 +161,13 @@ class FibrePartition:
 
 
 def fibre_partition(ds: FragmentDataset, s: ScoreMatrix) -> FibrePartition:
-    letters = ds.letter_matrix()
+    return _fibre_partition(ds, s, ds.letter_matrix())
+
+
+def _fibre_partition(
+    ds: FragmentDataset, s: ScoreMatrix, letters: np.ndarray
+) -> FibrePartition:
+    """``fibre_partition`` over the dataset's already built letter matrix."""
     rows = np.flatnonzero(_valid_rows(ds, ds.m))
     diag = np.r_[np.diagonal(s.values), 0]
     w = diag[letters[:, :ds.m]].sum(axis=1)
@@ -195,9 +201,8 @@ def fibre_range_query(
     codes = ds.alphabet.encode(omega)
     w_omega = int(np.diagonal(s.values)[codes].sum())
 
-    part = fibre_partition(ds, s)
     letters = ds.letter_matrix()
-    pad = len(ds.alphabet)
+    part = _fibre_partition(ds, s, letters)
     rho2_ext = np.hstack([rho2, np.zeros((rho2.shape[0], 1), dtype=np.int64)])
     per_pos = rho2_ext[codes]  # (m, |alphabet|+1)
 

@@ -4,20 +4,24 @@ The implicit search tree is never materialized: the root is the bin
 whose per-position cluster lower bounds are minimal, and each child
 substitutes one cluster at one position, at strictly increasing
 positions along any path, so every bin is reached exactly once.  A node
-is pruned when its bound exceeds the radius; accepted bins are scanned
-with shared-prefix (lcp) reuse and early rejection of partial sums.
+is pruned when its bound exceeds the radius or when its subtree, a
+contiguous block of bin ranks, holds no fragment; accepted bins are
+scanned with shared-prefix (lcp) reuse and early rejection of partial
+sums.  Pruning an empty subtree is exact: it holds no hits.
 
 One traversal serves every search: a vectorized breadth-first sweep at
 a fixed radius that returns the accepted nodes with their bounds and,
-given a ``Tracer``, records the scanned and pruned nodes.  Range,
-longer- and shorter-query searches scan every accepted node; k-NN
-search scans them best first, in increasing bound order.  One span-scan
-kernel evaluates every scanned frag-array span, for the index and for
-the flat baseline.
+given a ``Tracer``, records the scanned and pruned nodes, empty
+subtrees among the pruned.  Range, longer- and shorter-query searches
+scan every accepted node; k-NN search scans them best first, in
+increasing bound order.  One span-scan kernel evaluates every scanned
+frag-array span, for the index and for the flat baseline.
 
 Scan counters (bins/fragments/residues scanned) follow the reference
 scan's cost model exactly; the vectorized implementation may touch more
 cells internally but reports what the sequential algorithm would do.
+``nodes_visited`` counts the bounds the traversal evaluated, including
+those of children then dropped as empty.
 """
 
 from __future__ import annotations
@@ -163,60 +167,107 @@ def _scan_spans(
     lcp_next = np.minimum(index.lcp[idx + 1].astype(np.int64), eval_len)
     step1 = np.maximum(lcp_next - lcp_own, 0)
 
-    rows = index.letters[idx, :w]
-    vals = qtab[np.arange(w)[None, :], rows]
-    cum = np.cumsum(vals, axis=1)
+    # qtab[j, letters[i, j]] as one flat take
+    cols = np.arange(w) * qtab.shape[1]
+    cum = np.cumsum(np.take(qtab, index.letters[idx, :w] + cols), axis=1)
     partial = np.where(lcp_next > 0, np.take_along_axis(
         cum, np.maximum(lcp_next - 1, 0)[:, None], axis=1
     ).ravel(), 0)
+    checkpoint = partial <= eps
 
     if eval_len <= m:
-        valid = index.key_len[idx] >= eval_len
-        full = cum[:, eval_len - 1]
+        accepted = checkpoint & (index.key_len[idx] >= eval_len)
+        hit = np.flatnonzero(accepted & (cum[:, eval_len - 1] <= eps))
+        vals = cum[hit, eval_len - 1]
     else:
-        ds = index.dataset
-        pad = len(ds.alphabet)
-        sids = index.sids[idx].astype(np.int64)
-        offs = index.offs[idx].astype(np.int64)
-        long_enough = offs + eval_len <= ds.seq_lengths[sids]
-        base = ds.starts[sids] + offs
-        ext_pos = base[:, None] + np.arange(m, eval_len)[None, :]
-        ext_codes = ds.codes[np.minimum(ext_pos, ds.codes.size - 1)]
-        ext_codes = np.where(long_enough[:, None], ext_codes, pad)
-        clean = (ext_codes < pad).all(axis=1)
-        valid = (index.key_len[idx] >= m) & long_enough & clean
-        ext_vals = qtab[np.arange(m, eval_len)[None, :], ext_codes]
-        full = cum[:, m - 1] + ext_vals.sum(axis=1)
-
-    accepted = valid & (partial <= eps)
+        accepted, hit, vals = _extend_long(
+            index, qtab, idx, checkpoint & (index.key_len[idx] >= m), cum[:, m - 1],
+            eval_len, eps,
+        )
     stats.residues_scanned += int(step1.sum())
     stats.residues_scanned += int((eval_len - lcp_next)[accepted].sum())
-    hit = accepted & (full <= eps)
-    return idx[hit], full[hit]
+    return idx[hit], vals
+
+
+def _extend_long(
+    index, qtab: np.ndarray, idx: np.ndarray, candidate: np.ndarray, head: np.ndarray,
+    eval_len: int, eps: int,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Positions past the stored rows for a query longer than them.
+
+    ``candidate`` marks the rows past the checkpoint with a full stored
+    key; only those read their extension, because only there does its
+    validity (a full, clean window in the sequence) decide the charge.
+    ``head`` is each row's value over the stored positions; normalized
+    tables are non-negative, so only rows with ``head <= eps`` can hit
+    and only they sum their extension.  Returns the accepted mask and
+    the hits' positions in ``idx`` and values.
+    """
+    ds = index.dataset
+    m = index.letters.shape[1]
+    rows = np.flatnonzero(candidate)
+    sids = index.sids[idx[rows]].astype(np.int64)
+    offs = index.offs[idx[rows]].astype(np.int64)
+    long_enough = offs + eval_len <= ds.seq_lengths[sids]
+    rows = rows[long_enough]
+    base = ds.starts[sids[long_enough]] + offs[long_enough]
+    # one gather per extension position: a 2-D gather plus a reduction
+    # along its short axis takes several times as long
+    ext = [ds.codes[base + p] for p in range(m, eval_len)]
+    clean = np.ones(base.size, dtype=bool)
+    for codes in ext:
+        clean &= codes < len(ds.alphabet)
+    keep = np.flatnonzero(clean)
+    rows = rows[keep]
+    accepted = np.zeros(idx.size, dtype=bool)
+    accepted[rows] = True
+    near = head[rows] <= eps
+    rows, keep = rows[near], keep[near]
+    vals = head[rows]
+    for p, codes in enumerate(ext, start=m):
+        vals = vals + qtab[p, codes[keep]]
+    hit = vals <= eps
+    return accepted, rows[hit], vals[hit]
 
 
 def _collect_bfs(
-    lbt: LowerBoundTable, depth: int, eps: int, stats: SearchStats,
+    lbt: LowerBoundTable, bins: np.ndarray, depth: int, eps: int, stats: SearchStats,
     trace: Tracer | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Breadth-first enumeration of accepted nodes at a fixed radius.
 
-    ``depth`` limits substitutions to the first ``depth`` positions.
-    Returns the accepted nodes' ranks (their low corners: trailing
-    digits zero) and bounds.  A ``trace`` receives every accepted node
-    as scanned and every rejected child as pruned, including the
-    children skipped wholesale because the parent's bound plus the
-    position's least non-root bound already exceeds the radius.
+    ``depth`` limits substitutions to the first ``depth`` positions.  The
+    root is accepted when its bound is within the radius, and a child
+    when its bound is and its subtree holds a fragment: a child made by
+    substituting at position ``j`` keeps the root's digits after ``j``,
+    so its subtree is the rank block ``[lo, lo + w_j)`` (``w_j`` the
+    radix weight of ``j``), and two lookups in ``bins``, the index's bin
+    offsets, tell whether it is empty.  Only children whose bound passed
+    are looked up, and empty subtrees are never expanded.
+    ``stats.nodes_visited`` counts every bound evaluated, empty
+    children's included: pruning lowers it only by the descendants of
+    empty subtrees, which are never evaluated.
+
+    Returns the accepted nodes' ranks (digits past ``depth`` zero) and
+    bounds.  A ``trace`` receives every accepted node as scanned and
+    every rejected child as pruned: those whose bound exceeds the radius,
+    including the children skipped wholesale because the parent's bound
+    plus the position's least non-root bound already exceeds it, and
+    those whose subtree is empty.
     """
+    weights = lbt.scheme.radix_weights
     cand_f, cand_d = [], []  # non-root cluster bounds and rank deltas
     for j in range(depth):
         other = np.arange(lbt.bounds[j].size) != lbt.root_digits[j]
         cand_f.append(lbt.bounds[j][other])
         cand_d.append(lbt.rank_offsets[j][other])
+    # tails[j]: rank part of the root digits after position j, which every
+    # child substituted at j shares; subtracting it gives the block's start
+    tails = [0] * depth
+    for i in range(depth - 1, 0, -1):
+        tails[i - 1] = tails[i] + lbt.root_digits[i] * int(weights[i])
     sec = lbt.second_min
-    root = int(
-        sum(lbt.root_digits[i] * int(lbt.scheme.radix_weights[i]) for i in range(depth))
-    )
+    root = tails[0] + lbt.root_digits[0] * int(weights[0])
     stats.nodes_visited += 1
     root_bound = int(sum(int(lbt.bounds[i][lbt.root_digits[i]]) for i in range(depth)))
     level_u = np.array([root], dtype=np.int64)
@@ -231,25 +282,31 @@ def _collect_bfs(
     while level_u.size:
         nxt_u, nxt_d, nxt_i = [], [], []
         for j in range(depth):
-            live = level_i <= j
-            elig = live & (level_d + sec[j] <= eps)
+            # a level lists its nodes by first free position, so the nodes
+            # that may substitute at j are a prefix
+            live = int(np.searchsorted(level_i, j, side="right"))
+            live_u, live_d = level_u[:live], level_d[:live]
+            elig = live_d + sec[j] <= eps
             if trace is not None:  # short-circuited: every child exceeds eps
-                cut = live & ~elig
-                pruned_u.append((level_u[cut, None] + cand_d[j][None, :]).ravel())
-                pruned_d.append((level_d[cut, None] + cand_f[j][None, :]).ravel())
+                cut = ~elig
+                pruned_u.append((live_u[cut, None] + cand_d[j][None, :]).ravel())
+                pruned_d.append((live_d[cut, None] + cand_f[j][None, :]).ravel())
             if not elig.any():
                 continue
-            e = level_d[elig, None] + cand_f[j][None, :]
+            e = live_d[elig, None] + cand_f[j][None, :]
             stats.nodes_visited += e.size
-            u = level_u[elig, None] + cand_d[j][None, :]
+            u = live_u[elig, None] + cand_d[j][None, :]
             keep = e <= eps
+            u_in, e_in = u[keep], e[keep]
+            lo = u_in - tails[j]
+            full = bins[lo + int(weights[j])] > bins[lo]
             if trace is not None:
-                pruned_u.append(u[~keep])
-                pruned_d.append(e[~keep])
-            if not keep.any():
+                pruned_u += [u[~keep], u_in[~full]]
+                pruned_d += [e[~keep], e_in[~full]]
+            if not full.any():
                 continue
-            nxt_u.append(u[keep])
-            nxt_d.append(e[keep])
+            nxt_u.append(u_in[full])
+            nxt_d.append(e_in[full])
             nxt_i.append(np.full(nxt_u[-1].size, j + 1, dtype=np.int64))
         if not nxt_u:
             break
@@ -309,7 +366,7 @@ def _range_engine(
     stats = SearchStats()
     lbt = lower_bound_table(q, index.scheme, depth=depth)
     span = 1 if depth == index.m else int(index.scheme.radix_weights[depth - 1])
-    node_ranks, _ = _collect_bfs(lbt, depth, radius, stats, trace)
+    node_ranks, _ = _collect_bfs(lbt, index.bins, depth, radius, stats, trace)
     starts = index.bins[node_ranks]
     ends = index.bins[node_ranks + span]
     if span == 1:
@@ -412,7 +469,7 @@ def knn_search(
     kth = INF_RADIUS
     idx = vals = np.zeros(0, dtype=np.int64)
     while True:
-        ranks, bounds = _collect_bfs(lbt, index.m, radius, stats)
+        ranks, bounds = _collect_bfs(lbt, index.bins, index.m, radius, stats)
         fresh = (bounds > covered) & (index.bins[ranks + 1] > index.bins[ranks])
         order = np.argsort(bounds[fresh], kind="stable")
         ranks, bounds = ranks[fresh][order], bounds[fresh][order]

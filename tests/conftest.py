@@ -118,10 +118,15 @@ def reference_span_scan(index: fx.FSIndex, lo: int, hi: int,
     """Literal sequential transcription of the bin-scan procedure.
 
     Returns (hits as (frag_row, value), residues evaluated).  Used as the
-    cost-model oracle for the vectorized scanner.
+    cost-model oracle for the vectorized scanner.  A query longer than
+    the rows reads positions past them from the dataset's codes; a row
+    whose occurrence has no full window of clean letters is skipped after
+    the checkpoint.
     """
     m_eval = q.m
     qt = q.base.tables
+    ds = index.dataset
+    m = index.letters.shape[1]
     cd = [0] * (m_eval + 1)
     hits = []
     residues = 0
@@ -132,7 +137,18 @@ def reference_span_scan(index: fx.FSIndex, lo: int, hi: int,
         for j in range(lcp_own, lcp_next):
             cd[j + 1] = cd[j] + int(qt[j, row[j]])
             residues += 1
-        valid = int(index.key_len[i]) >= m_eval
+        valid = int(index.key_len[i]) >= min(m_eval, m)
+        if m_eval > m:
+            sid, off = int(index.sids[i]), int(index.offs[i])
+            start = int(ds.starts[sid]) + off
+            window = [int(c) for c in ds.codes[start:start + m_eval]]
+            valid = (
+                valid
+                and start + m_eval <= int(ds.starts[sid + 1])
+                and all(c < len(ds.alphabet) for c in window)
+            )
+            if valid:
+                row = window
         if valid and cd[lcp_next] <= eps:
             for j in range(lcp_next, m_eval):
                 cd[j + 1] = cd[j] + int(qt[j, row[j]])

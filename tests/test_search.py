@@ -128,6 +128,98 @@ class TestProcessBin:
                 assert got == want
                 assert stats.residues_scanned == ref_residues
 
+    def test_long_query_matches_reference_scan(self, toy_alpha):
+        # suffix-mode indexes over sequences with invalid letters ('x') and
+        # short tails, so some windows hold an 'x' past the stored rows and
+        # some run off their sequence's end
+        rng = np.random.default_rng(83)
+        checked = skipped = 0
+        for trial in range(30):
+            m = int(rng.integers(2, 5))
+            db = random_db(rng, toy_alpha, n_seqs=8, min_len=1, max_len=20, bad_rate=0.08)
+            ds = fx.extract_fragments(db, m, alphabet=toy_alpha, suffix_mode=True)
+            index = fx.build(ds, random_partition(rng, toy_alpha, m, max_clusters=3))
+            q = fx.normalize(random_query(rng, toy_alpha, m + int(rng.integers(1, 4)), "pssm"))
+            eps = int(rng.integers(0, 40))
+            for u in range(index.n_bins):
+                lo, hi = index.bin_slice(u)
+                if lo == hi:
+                    continue
+                hits, stats = fx.process_bin(index, u, q, eps)
+                ref_hits, ref_residues = reference_span_scan(index, lo, hi, q, eps)
+                got = sorted((r.seq_id, r.offset, v) for r, v in hits)
+                want = sorted(
+                    (int(index.sids[i]), int(index.offs[i]), v) for i, v in ref_hits
+                )
+                assert got == want
+                assert stats.residues_scanned == ref_residues
+                assert stats.fragments_scanned == hi - lo
+                checked += 1
+                skipped += sum(
+                    int(index.offs[i]) + q.m > int(ds.seq_lengths[index.sids[i]])
+                    for i in range(lo, hi)
+                )
+        assert checked > 100 and skipped > 0
+
+
+class TestEmptySubtreePruning:
+    """The worked example's query on an index holding three bins.
+
+    Under ``toy_scheme`` a bin's rank is 4*d0 + 2*d1 + d2.  The query
+    "abd" has bounds [[0, 7], [8, 0], [8, 0]] and root (0, 1, 1); its
+    tree is (0,1,1) -> {(1,1,1) via position 0, (0,0,1) via 1, (0,1,0)
+    via 2}, (1,1,1) -> {(1,0,1), (1,1,0)}, (0,0,1) -> {(0,0,0)},
+    (1,0,1) -> {(1,0,0)}.  The index fills ranks 0, 2 and 3 only, so the
+    subtree of (1,1,1), ranks [4, 8), is empty.
+    """
+
+    @pytest.fixture(scope="class")
+    def sparse(self, toy_alpha, toy_scheme):
+        db = fx.SequenceDB(records=(("x", "aaa"), ("y", "aba"), ("z", "cbd")))
+        ds = fx.extract_fragments(db, 3, alphabet=toy_alpha)
+        index = fx.build(ds, toy_scheme)
+        filled = {u for u in range(index.n_bins) if index.bin_size(u)}
+        assert filled == {0, 2, 3}
+        return ds, index
+
+    @pytest.mark.parametrize(
+        "radius, scanned, pruned, nodes",
+        [
+            # 23 = 7 + 8 + 8 accepts every bound: only the empty subtree
+            # of (1,1,1) is pruned, and its three descendants are never
+            # evaluated (8 bounds without pruning)
+            (23, {(0, 1, 1), (0, 0, 1), (0, 1, 0), (0, 0, 0)}, {(1, 1, 1)}, 5),
+            # (1,1,1) passes its bound (7) but is empty; (0,0,1) and
+            # (0,1,0) are cut by their bound (8) unevaluated
+            (7, {(0, 1, 1)}, {(1, 1, 1), (0, 0, 1), (0, 1, 0)}, 2),
+        ],
+    )
+    def test_golden_scan_prune_and_nodes(
+        self, sparse, toy_d, toy_scheme, radius, scanned, pruned, nodes
+    ):
+        ds, index = sparse
+        f = fx.distance_query(toy_d, "abd")
+        q = fx.normalize(f)
+        tr = fx.Tracer()
+        hits, stats = fx.range_search(index, q, radius, trace=tr)
+        assert tr.scanned_digits() == scanned
+        assert tr.pruned_digits() == pruned
+        assert stats.nodes_visited == nodes
+        root = fx.lower_bound_table(q, toy_scheme).root_digits
+
+        def holds_fragment(node):
+            return any(
+                index.bin_size(toy_scheme.rank(d))
+                for d in subtree_digits(root, node, toy_scheme)
+            )
+
+        for node, bound in tr.pruned:
+            assert bound > radius or not holds_fragment(node)
+        for node, bound in tr.scanned:
+            assert bound <= radius and holds_fragment(node)
+        assert hits.as_multiset() == fx.linear_scan_range(ds, f, radius).as_multiset()
+        assert fx.range_search(index, q, radius)[1].nodes_visited == nodes
+
 
 class TestRangeSearch:
     def test_engines_agree_and_match_oracle(self, toy_alpha):
