@@ -21,18 +21,14 @@ import numpy as np
 from .alphabet import ScoreMatrix, check_quasi_metric, distance_from_score
 from .ingest import FragmentDataset, FragmentRef
 from .query import NormalizedQuery, QueryFunction
-from .search import HitList, SearchStats, _scan_spans
-from .core import _raw_lcp, _sort_keys
-
-
-def _valid_rows(ds: FragmentDataset, m: int) -> np.ndarray:
-    return ds.key_lengths() >= m
+from .search import HitList, SearchStats, _finish, _scan_spans
+from .core import _sorted_run
 
 
 def _dataset_values(ds: FragmentDataset, q: QueryFunction) -> tuple[np.ndarray, np.ndarray]:
     """(row indices, values) of every occurrence long enough to evaluate."""
     letters = ds.letter_matrix()
-    rows = np.flatnonzero(_valid_rows(ds, q.m))
+    rows = np.flatnonzero(ds.key_lengths() >= q.m)
     if rows.size == 0:
         return rows, np.zeros(0, dtype=np.int64)
     qtab = np.hstack([q.tables, np.zeros((q.m, 1), dtype=np.int64)])
@@ -91,34 +87,24 @@ def linear_scan_knn(ds: FragmentDataset, q: QueryFunction, k: int) -> HitList:
 
 @dataclass(frozen=True)
 class FlatIndex:
-    """All fragments in one lexicographic run with shared-prefix lengths."""
+    """All fragments in one lexicographic run, in the index's row layout."""
 
     dataset: FragmentDataset
-    order: np.ndarray    # (n,) permutation of extraction order
+    sids: np.ndarray     # (n,) uint32, sorted order
+    offs: np.ndarray     # (n,) uint32, sorted order
     letters: np.ndarray  # (n, m) codes in sorted order
-    key_len: np.ndarray
-    lcp: np.ndarray      # (n+1,)
+    lcp: np.ndarray      # (n+1,) uint8
 
     @property
     def n(self) -> int:
-        return int(self.order.size)
+        return int(self.sids.size)
 
 
 def flat_build(ds: FragmentDataset) -> FlatIndex:
-    letters = ds.letter_matrix()
-    keys = _sort_keys(letters, len(ds.alphabet))
-    order = np.lexsort(tuple(keys[:, j] for j in range(ds.m - 1, -1, -1)))
-    del keys
-    letters = letters[order]
-    key_len = ds.key_lengths()[order]
-    n = order.size
-    lcp = np.zeros(n + 1, dtype=np.int64)
-    if n:
-        raw = _raw_lcp(letters)
-        prev_len = np.r_[key_len[:1], key_len[:-1]]
-        lcp[:n] = np.minimum(raw, np.minimum(prev_len, key_len))
-        lcp[0] = 0
-    return FlatIndex(dataset=ds, order=order, letters=letters, key_len=key_len, lcp=lcp)
+    order, letters, lcp = _sorted_run(ds.letter_matrix(), len(ds.alphabet))
+    return FlatIndex(
+        dataset=ds, sids=ds.sids[order], offs=ds.offs[order], letters=letters, lcp=lcp
+    )
 
 
 def flat_search(
@@ -137,13 +123,7 @@ def flat_search(
         flat, q, np.array([0], dtype=np.int64), np.array([flat.n], dtype=np.int64),
         radius, stats,
     )
-    entries = [
-        (FragmentRef(int(ds.sids[r]), int(ds.offs[r])), int(v))
-        for r, v in zip(flat.order[idx], vals)
-    ]
-    stats.hits = len(entries)
-    stats.elapsed = time.perf_counter() - t0
-    return HitList(entries), stats
+    return _finish(flat, idx, vals, stats, t0)
 
 
 @dataclass(frozen=True)
@@ -168,7 +148,7 @@ def _fibre_partition(
     ds: FragmentDataset, s: ScoreMatrix, letters: np.ndarray
 ) -> FibrePartition:
     """``fibre_partition`` over the dataset's already built letter matrix."""
-    rows = np.flatnonzero(_valid_rows(ds, ds.m))
+    rows = np.flatnonzero(ds.key_lengths() >= ds.m)
     diag = np.r_[np.diagonal(s.values), 0]
     w = diag[letters[:, :ds.m]].sum(axis=1)
     fibres = {

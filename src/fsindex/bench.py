@@ -142,7 +142,6 @@ def run_bench(
     radius: int | None = None,
     check_oracle: bool = False,
     include_flat: bool = False,
-    no_assert: bool = False,
 ) -> BenchReport:
     """Run the harness over ``queries``.
 
@@ -181,7 +180,7 @@ def run_bench(
                 expect = linear_scan_range(index.dataset, f, row.radius)
                 got = {(r.seq_id, r.offset, v + q.shift) for r, v in hits}
                 want = {(r.seq_id, r.offset, v) for r, v in expect}
-                if got != want and not no_assert:
+                if got != want:
                     raise OracleMismatch(
                         f"query {fragment!r} k={k}: index returned {len(got)} hits, "
                         f"scan returned {len(want)}"

@@ -208,7 +208,6 @@ def cmd_bench(args) -> int:
             radius=args.radius,
             check_oracle=args.oracle,
             include_flat=args.baseline_flat,
-            no_assert=args.no_assert,
         )
     except OracleMismatch as exc:
         print(f"oracle mismatch: {exc}", file=sys.stderr)
@@ -302,7 +301,6 @@ def make_parser() -> argparse.ArgumentParser:
     kr.add_argument("--k-list", help="comma-separated k values (kNN-then-range protocol)")
     kr.add_argument("--radius", type=int, help="fixed range radius instead")
     p.add_argument("--oracle", action="store_true", help="cross-check hits per query")
-    p.add_argument("--no-assert", action="store_true")
     p.add_argument("--baseline-flat", action="store_true")
     p.add_argument("--out", help="TSV path; aggregates go to <out>.json")
     p.set_defaults(func=cmd_bench)

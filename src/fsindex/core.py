@@ -1,13 +1,16 @@
 """The fragment index: bin-bucketed, per-bin sorted fragment references.
 
 Construction is counting sort over bin ranks followed by one stable
-lexicographic sort and a shared-prefix (lcp) pass.  Three arrays result:
+lexicographic sort and a shared-prefix (lcp) pass, ``_sorted_run``, which
+the flat baseline shares.  The arrays that result:
 
 * ``frag`` - fragment references ordered by (bin rank, fragment letters);
 * ``bin``  - N+1 offsets into ``frag``, one per bin rank plus a sentinel;
 * ``lcp``  - n+1 shared-prefix lengths between neighbouring fragments,
   forced to 0 at every bin's first slot and after the last fragment, so
-  a bin scan never reuses state it did not compute.
+  a bin scan never reuses state it did not compute;
+* ``letters`` - each fragment's first ``m`` letter codes in frag order; a
+  key shorter than ``m`` ends where its pad codes (``len(alphabet)``) start.
 
 The index is immutable after construction and safe to share across
 concurrent searches.
@@ -22,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .alphabet import Alphabet, PartitionScheme, parse_partition
-from .ingest import FragmentDataset, FragmentRef, SequenceDB, encode_db
+from .ingest import FragmentDataset, SequenceDB, encode_db
 
 MAGIC = b"FSIX"
 FORMAT_VERSION = 1
@@ -52,15 +55,38 @@ def _sort_keys(letters: np.ndarray, pad: int) -> np.ndarray:
     return np.where(letters == pad, 0, letters.astype(np.int16) + 1)
 
 
-def _raw_lcp(rows: np.ndarray) -> np.ndarray:
+def _raw_lcp(rows: np.ndarray, pad: int | None = None) -> np.ndarray:
     """Shared-prefix length of each row with its predecessor (row 0 -> 0):
-    the first position where the two differ, or the row width if none."""
+    the first position where the two differ or, given ``pad``, hold the
+    pad code; the row width if none."""
     n, m = rows.shape
     out = np.zeros(n, dtype=np.int64)
     if n > 1:
-        ne = rows[1:] != rows[:-1]
-        out[1:] = np.where(ne.any(axis=1), ne.argmax(axis=1), m)
+        stop = rows[1:] != rows[:-1]
+        if pad is not None:
+            stop |= rows[1:] == pad
+        out[1:] = np.where(stop.any(axis=1), stop.argmax(axis=1), m)
     return out
+
+
+def _sorted_run(
+    letters: np.ndarray, pad: int, ranks: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Sort rows lexicographically, the pad code first, grouped by
+    ``ranks`` when given.  Returns the order, the sorted rows and their
+    (n+1,) uint8 lcp: each row's shared key prefix with its predecessor,
+    0 for the first row and after the last."""
+    n, m = letters.shape
+    if m > np.iinfo(np.uint8).max:
+        raise ValueError(f"fragment length {m} exceeds the uint8 lcp limit 255")
+    keys = _sort_keys(letters, pad)
+    cols = tuple(keys[:, j] for j in range(m - 1, -1, -1))
+    order = np.lexsort(cols if ranks is None else cols + (ranks,))
+    del keys
+    letters = letters[order]
+    lcp = np.zeros(n + 1, dtype=np.uint8)
+    lcp[:n] = _raw_lcp(letters, pad)
+    return order, letters, lcp
 
 
 @dataclass(frozen=True)
@@ -74,7 +100,10 @@ class FSIndex:
     offs: np.ndarray     # (n,) uint32, frag order
     lcp: np.ndarray      # (n+1,) uint8
     letters: np.ndarray  # (n, m) uint8 codes, frag order; pad = |alphabet|
-    key_len: np.ndarray  # (n,) int64 = min(fragment length, m)
+
+    def __post_init__(self):
+        for arr in (self.bins, self.sids, self.offs, self.lcp, self.letters):
+            arr.flags.writeable = False
 
     @property
     def m(self) -> int:
@@ -105,9 +134,6 @@ class FSIndex:
     def empty_bins(self) -> int:
         return int((np.diff(self.bins) == 0).sum())
 
-    def ref(self, j: int) -> FragmentRef:
-        return FragmentRef(int(self.sids[j]), int(self.offs[j]))
-
     def audit(self) -> None:
         """Verify every structural invariant; raises AssertionError on failure."""
         n, m = self.n, self.m
@@ -125,27 +151,27 @@ class FSIndex:
             np.arange(self.n_bins), np.diff(bins).astype(np.int64)
         )
         assert np.array_equal(ranks, expected), "fragment in the wrong bin"
-        keys = _sort_keys(self.letters, len(self.alphabet))
+        # key lengths from the sequence set, not from the letters
+        pad = len(self.alphabet)
+        key_len = np.minimum(self.dataset.seq_lengths[self.sids] - self.offs, m)
+        assert np.array_equal(
+            self.letters == pad, np.arange(m)[None, :] >= key_len[:, None]
+        ), "letters not padded exactly past each key"
+        keys = _sort_keys(self.letters, pad)
         raw = _raw_lcp(keys)
-        capped = np.minimum(raw, np.minimum.reduce(
-            [np.r_[self.key_len[:1], self.key_len[:-1]], self.key_len]
-        ))
+        capped = np.minimum(raw, np.minimum(np.r_[key_len[:1], key_len[:-1]], key_len))
         bin_first = np.zeros(n, dtype=bool)
         starts = bins[:-1][np.diff(bins) > 0]
         bin_first[starts] = True
-        # lexicographic order within each bin: rows either share a full
-        # prefix and then grow, or differ first at a position where the
-        # predecessor's key is smaller
-        interior = ~bin_first
-        idx = np.flatnonzero(interior)
+        # lexicographic order within each bin: neighbours are equal keys
+        # or first differ where the predecessor's sort key is smaller (a
+        # shorter key's pad sorts first)
+        idx = np.flatnonzero(~bin_first)
         if idx.size:
             r = raw[idx]
-            full = r >= np.minimum(self.key_len[idx - 1], self.key_len[idx])
-            shorter_first = self.key_len[idx - 1] <= self.key_len[idx]
-            ok_full = full & shorter_first
             pos = np.minimum(r, m - 1)
-            ok_diff = ~full & (keys[idx - 1, pos] < keys[idx, pos])
-            assert (ok_full | ok_diff).all(), "bin not in lexicographic order"
+            ok = (r == m) | (keys[idx - 1, pos] < keys[idx, pos])
+            assert ok.all(), "bin not in lexicographic order"
         expect_lcp = np.where(bin_first, 0, capped)
         assert np.array_equal(lcp[:n], expect_lcp), "lcp values incorrect"
 
@@ -195,37 +221,17 @@ def build(dataset: FragmentDataset, scheme: PartitionScheme) -> FSIndex:
     letters = dataset.letter_matrix()
     ranks = _bin_ranks(scheme, letters)
     bins = np.zeros(n_bins + 1, dtype=np.int64)
-    if n:
-        np.cumsum(np.bincount(ranks, minlength=n_bins), out=bins[1:])
-
-    keys = _sort_keys(letters, len(dataset.alphabet))
-    order = np.lexsort(tuple(keys[:, j] for j in range(scheme.m - 1, -1, -1)) + (ranks,))
-    del keys, ranks
-    letters = letters[order]
-    key_len = dataset.key_lengths()[order]
-
-    lcp = np.zeros(n + 1, dtype=np.uint8)
-    if n:
-        # equal letters are equal keys: the lcp needs no second key matrix
-        raw = _raw_lcp(letters)
-        prev_len = np.r_[key_len[:1], key_len[:-1]]
-        lcp[:n] = np.minimum(raw, np.minimum(prev_len, key_len))
-        lcp[bins[:-1]] = 0  # every bin starts a fresh scan
-    for arr in (bins, lcp, letters, key_len):
-        arr.flags.writeable = False
-    sids = dataset.sids[order]
-    offs = dataset.offs[order]
-    sids.flags.writeable = False
-    offs.flags.writeable = False
+    np.cumsum(np.bincount(ranks, minlength=n_bins), out=bins[1:])
+    order, letters, lcp = _sorted_run(letters, len(dataset.alphabet), ranks)
+    lcp[bins[:-1]] = 0  # every bin starts a fresh scan
     return FSIndex(
         dataset=dataset,
         scheme=scheme,
         bins=bins,
-        sids=sids,
-        offs=offs,
+        sids=dataset.sids[order],
+        offs=dataset.offs[order],
         lcp=lcp,
         letters=letters,
-        key_len=key_len,
     )
 
 
@@ -315,17 +321,12 @@ def load(path, db: SequenceDB) -> FSIndex:
         alphabet=alphabet,
         m=m,
         suffix_mode=suffix_mode,
-        floor=1 if suffix_mode else m,
         sids=sids,
         offs=offs,
         rejected=0,  # unknown post hoc; manifest comes from extraction
         codes=codes,
         starts=starts,
     )
-    letters = dataset.letter_matrix()  # the dataset's rows are in frag order
-    key_len = dataset.key_lengths()
-    for arr in (sids, offs, letters, key_len):
-        arr.flags.writeable = False
     return FSIndex(
         dataset=dataset,
         scheme=scheme,
@@ -333,6 +334,5 @@ def load(path, db: SequenceDB) -> FSIndex:
         sids=sids,
         offs=offs,
         lcp=lcp,
-        letters=letters,
-        key_len=key_len,
+        letters=dataset.letter_matrix(),  # the dataset's rows are in frag order
     )

@@ -98,16 +98,15 @@ class FragmentDataset:
     """All valid fragment occurrences of a SequenceDB.
 
     In fixed mode each fragment is a clean width-``m`` window.  In suffix
-    mode each fragment is a sequence tail of length >= ``floor`` whose
-    first ``min(length, m)`` letters are clean; longer tails may extend
-    past ``m`` (used by longer-than-index queries).
+    mode each fragment is a sequence tail (at least the extraction
+    floor long) whose first ``min(length, m)`` letters are clean; longer
+    tails may extend past ``m`` (used by longer-than-index queries).
     """
 
     db: SequenceDB
     alphabet: Alphabet
     m: int
     suffix_mode: bool
-    floor: int
     sids: np.ndarray  # (n,) uint32 sequence ordinals, extraction order
     offs: np.ndarray  # (n,) uint32 start offsets
     rejected: int
@@ -122,9 +121,6 @@ class FragmentDataset:
     def seq_lengths(self) -> np.ndarray:
         return np.diff(self.starts)
 
-    def refs(self) -> list[FragmentRef]:
-        return [FragmentRef(int(s), int(o)) for s, o in zip(self.sids, self.offs)]
-
     def fragment_text(self, seq_id: int, offset: int, length: int | None = None) -> str:
         seq = self.db.residues(seq_id)
         end = len(seq) if length is None else offset + length
@@ -132,10 +128,7 @@ class FragmentDataset:
 
     def key_lengths(self) -> np.ndarray:
         """Per fragment: min(suffix length, m); always m in fixed mode."""
-        if not self.suffix_mode:
-            return np.full(self.n, self.m, dtype=np.int64)
-        lens = self.seq_lengths[self.sids] - self.offs
-        return np.minimum(lens, self.m).astype(np.int64)
+        return np.minimum(self.seq_lengths[self.sids] - self.offs, self.m)
 
     def letter_matrix(self) -> np.ndarray:
         """(n, m) codes in extraction order; positions past a short suffix
@@ -226,7 +219,6 @@ def extract_fragments(
         alphabet=alphabet,
         m=m,
         suffix_mode=suffix_mode,
-        floor=floor if suffix_mode else m,
         sids=sids,
         offs=offs,
         rejected=possible - sids.size,

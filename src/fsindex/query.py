@@ -23,7 +23,6 @@ class QueryFunction:
 
     alphabet: Alphabet
     tables: np.ndarray  # (m, |alphabet|) int64, cost orientation (lower is better)
-    provenance: str = "pssm"
 
     def __post_init__(self):
         t = np.asarray(self.tables, dtype=np.int64)
@@ -44,10 +43,6 @@ class QueryFunction:
             raise ValueError(f"fragment length {len(fragment)} != query length {self.m}")
         codes = self.alphabet.encode(fragment)
         return int(self.tables[np.arange(self.m), codes].sum())
-
-    def evaluate_codes(self, codes: np.ndarray) -> np.ndarray:
-        """Values for a batch of code rows, shape (k, m) -> (k,)."""
-        return self.tables[np.arange(self.m), codes].sum(axis=1)
 
 
 @dataclass(frozen=True)
@@ -73,17 +68,17 @@ class NormalizedQuery:
 def distance_query(d: DistanceMatrix, omega: str) -> QueryFunction:
     """Query retrieving fragments by distance from ``omega``: f_i(a) = D(omega_i, a)."""
     codes = d.alphabet.encode(omega)
-    return QueryFunction(d.alphabet, d.values[codes], provenance="distance")
+    return QueryFunction(d.alphabet, d.values[codes])
 
 
 def pssm_query(columns, alphabet: Alphabet) -> QueryFunction:
     """Query from a position-specific table in cost orientation (lower = better)."""
-    return QueryFunction(alphabet, np.asarray(columns), provenance="pssm")
+    return QueryFunction(alphabet, np.asarray(columns))
 
 
 def pssm_from_scores(columns, alphabet: Alphabet) -> QueryFunction:
     """Convert a score-oriented position-specific table (higher = better)."""
-    return QueryFunction(alphabet, -np.asarray(columns), provenance="pssm")
+    return QueryFunction(alphabet, -np.asarray(columns))
 
 
 def parse_pssm(text: str, alphabet: Alphabet, orientation: str = "cost") -> QueryFunction:
@@ -126,7 +121,7 @@ def similarity_threshold_to_radius(s: ScoreMatrix, omega: str, threshold: int) -
 def normalize(f: QueryFunction) -> NormalizedQuery:
     """Subtract each position's minimum so tables are non-negative."""
     mins = f.tables.min(axis=1)
-    base = QueryFunction(f.alphabet, f.tables - mins[:, None], provenance=f.provenance)
+    base = QueryFunction(f.alphabet, f.tables - mins[:, None])
     return NormalizedQuery(base=base, shift=int(mins.sum()))
 
 
@@ -148,10 +143,6 @@ class LowerBoundTable:
     root_digits: tuple[int, ...]
     second_min: tuple[int, ...]
     rank_offsets: tuple[np.ndarray, ...]
-
-    @property
-    def root_rank(self) -> int:
-        return self.scheme.rank(self.root_digits)
 
     def bound_of(self, digits) -> int:
         """Lower bound for the query over the bin with the given digits."""

@@ -148,8 +148,9 @@ def _scan_spans(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Cost-model scan of frag-array spans at a fixed radius.
 
-    ``index`` is an ``FSIndex`` or a ``FlatIndex``: rows of ``letters``,
-    ``key_len`` and ``lcp`` in scan order.  A query longer than the rows
+    ``index`` is an ``FSIndex`` or a ``FlatIndex``: rows of ``letters``
+    and ``lcp`` in scan order.  A row's key reaches position ``j`` when
+    its letter there is not the pad code.  A query longer than the rows
     also reads ``sids``, ``offs`` and ``dataset`` to evaluate the
     positions past them.  Returns (row indices, values) of hits and
     updates the fragment and residue counters exactly as the sequential
@@ -168,21 +169,22 @@ def _scan_spans(
     step1 = np.maximum(lcp_next - lcp_own, 0)
 
     # qtab[j, letters[i, j]] as one flat take
+    rows = index.letters[idx, :w]
     cols = np.arange(w) * qtab.shape[1]
-    cum = np.cumsum(np.take(qtab, index.letters[idx, :w] + cols), axis=1)
+    cum = np.cumsum(np.take(qtab, rows + cols), axis=1)
+    reach = rows[:, w - 1] < len(index.dataset.alphabet)  # the key reaches w
     partial = np.where(lcp_next > 0, np.take_along_axis(
         cum, np.maximum(lcp_next - 1, 0)[:, None], axis=1
     ).ravel(), 0)
     checkpoint = partial <= eps
 
     if eval_len <= m:
-        accepted = checkpoint & (index.key_len[idx] >= eval_len)
+        accepted = checkpoint & reach
         hit = np.flatnonzero(accepted & (cum[:, eval_len - 1] <= eps))
         vals = cum[hit, eval_len - 1]
     else:
         accepted, hit, vals = _extend_long(
-            index, qtab, idx, checkpoint & (index.key_len[idx] >= m), cum[:, m - 1],
-            eval_len, eps,
+            index, qtab, idx, checkpoint & reach, cum[:, m - 1], eval_len, eps
         )
     stats.residues_scanned += int(step1.sum())
     stats.residues_scanned += int((eval_len - lcp_next)[accepted].sum())
@@ -342,8 +344,9 @@ def _check_query(index: FSIndex, q: NormalizedQuery) -> None:
 
 
 def _finish(
-    index: FSIndex, idx: np.ndarray, vals: np.ndarray, stats: SearchStats, t0: float
+    index, idx: np.ndarray, vals: np.ndarray, stats: SearchStats, t0: float
 ) -> tuple[HitList, SearchStats]:
+    """Hits for rows ``idx`` of an ``FSIndex`` or ``FlatIndex``."""
     hits = HitList(
         [
             (FragmentRef(int(index.sids[j]), int(index.offs[j])), int(v))

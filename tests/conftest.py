@@ -137,9 +137,9 @@ def reference_span_scan(index: fx.FSIndex, lo: int, hi: int,
         for j in range(lcp_own, lcp_next):
             cd[j + 1] = cd[j] + int(qt[j, row[j]])
             residues += 1
-        valid = int(index.key_len[i]) >= min(m_eval, m)
+        sid, off = int(index.sids[i]), int(index.offs[i])
+        valid = int(ds.seq_lengths[sid]) - off >= min(m_eval, m)
         if m_eval > m:
-            sid, off = int(index.sids[i]), int(index.offs[i])
             start = int(ds.starts[sid]) + off
             window = [int(c) for c in ds.codes[start:start + m_eval]]
             valid = (

@@ -75,6 +75,15 @@ class TestFlatIndex:
         # one amortized evaluation plus the forced final-row re-evaluation
         assert stats.residues_scanned == 2 * 3
 
+    def test_lcp_width_limit(self):
+        # the lcp is uint8: a shared prefix of 255 letters fits, 256 would wrap
+        db = fx.SequenceDB(records=(("r", "A" * 300),))
+        flat = fx.flat_build(fx.extract_fragments(db, 255))
+        assert flat.lcp[1:flat.n].tolist() == [255] * (flat.n - 1)
+        ds = fx.extract_fragments(db, 256)
+        with pytest.raises(ValueError, match="255"):
+            fx.flat_build(ds)
+
 
 class TestFibreDecomposition:
     def test_partition_covers_dataset(self, toy_cube, toy_s):

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import fsindex as fx
+import fsindex.bench
 from fsindex.bench import distance_query_factory, run_bench
 from fsindex.cli import main
 
@@ -218,6 +219,22 @@ class TestBenchCommand:
             "--query-mode", "windows", "--radius", "25", "--oracle",
         ])
         assert rc == 0
+
+    def test_oracle_mismatch_exit_code(self, workdir, monkeypatch, capsys):
+        search = fsindex.bench.range_search
+
+        def drop_first_hit(*args, **kwargs):
+            hits, stats = search(*args, **kwargs)
+            return fx.HitList(hits.entries[1:]), stats
+
+        monkeypatch.setattr(fsindex.bench, "range_search", drop_first_hit)
+        rc = main([
+            "bench", "--index", str(workdir / "db.fsi"), "--fasta", str(workdir / "db.fa"),
+            "--matrix", "BLOSUM62", "--queries", "2", "--seed", "11",
+            "--k-list", "3", "--oracle",
+        ])
+        assert rc == 2
+        assert "oracle mismatch" in capsys.readouterr().err
 
     def test_aggregates_recomputable_from_rows(self, workdir):
         db = fx.parse_fasta((workdir / "db.fa").read_text())

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 
 import numpy as np
@@ -124,6 +125,21 @@ class TestBuild:
         assert index.bin_size(u_ba) == 1
 
 
+    def test_audit_rejects_letter_past_key(self, toy_alpha, toy_scheme):
+        rng = np.random.default_rng(9)
+        db = random_db(rng, toy_alpha, n_seqs=10, min_len=1, max_len=25)
+        ds = fx.extract_fragments(db, 3, alphabet=toy_alpha, suffix_mode=True)
+        index = fx.build(ds, toy_scheme)
+        index.audit()
+        # a short key's last cell holds the pad code; "a" shares its digit,
+        # so only the padding check can tell
+        row = int(np.flatnonzero(index.letters[:, 2] == len(toy_alpha))[0])
+        letters = index.letters.copy()
+        letters[row, 2] = toy_alpha.ordinal("a")
+        with pytest.raises(AssertionError, match="padded"):
+            dataclasses.replace(index, letters=letters).audit()
+
+
 class TestRawLcp:
     @staticmethod
     def reference(rows):
@@ -222,7 +238,6 @@ class TestImmutability:
         path = tmp_path / "r.fsi"
         toy_index.save(path)
         loaded = fx.load(path, toy_index.dataset.db)
-        for arr in (loaded.bins, loaded.lcp, loaded.letters, loaded.sids, loaded.offs,
-                    loaded.key_len):
+        for arr in (loaded.bins, loaded.lcp, loaded.letters, loaded.sids, loaded.offs):
             with pytest.raises(ValueError):
                 arr[0] = 0
