@@ -375,15 +375,23 @@ class PartitionScheme:
             raise ValueError("cluster digit out of range")
         return int((digits * self.radix_weights).sum())
 
+    def ranks(self, letters: np.ndarray) -> np.ndarray:
+        """Bin ranks of the rows of an (n, m) letter-code matrix (pad ranks 0)."""
+        table, weights = self._rank_of, self.radix_weights
+        ranks = np.zeros(letters.shape[0], dtype=np.int64)
+        for i in range(self.m):  # one expression: no n-long temporary outlives a step
+            ranks += table[i, letters[:, i]].astype(np.int64) * int(weights[i])
+        return ranks
+
+    def digits_of(self, ranks: np.ndarray, depth: int) -> np.ndarray:
+        """(n, depth) array: the first ``depth`` cluster digits of n bin ranks."""
+        ranks = np.asarray(ranks, dtype=np.int64)
+        return (ranks[:, None] // self.radix_weights[:depth]) % self.sizes[:depth]
+
     def unrank(self, u: int) -> tuple[int, ...]:
         if not 0 <= u < self.n_bins:
             raise ValueError(f"bin rank {u} out of range")
-        out = []
-        for i in range(self.m):
-            w = int(self.radix_weights[i])
-            out.append(u // w)
-            u %= w
-        return tuple(out)
+        return tuple(self.digits_of([u], self.m)[0].tolist())
 
 
 def parse_partition(spec: str, alphabet: Alphabet, m: int) -> PartitionScheme:

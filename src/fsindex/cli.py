@@ -31,7 +31,7 @@ from .query import (
     parse_pssm,
     similarity_threshold_to_radius,
 )
-from .search import knn_search, long_query_search, range_search, short_query_search
+from .search import knn_search, range_search
 
 
 def _load_matrix(spec: str, alphabet: Alphabet):
@@ -151,10 +151,6 @@ def cmd_search(args) -> int:
     q = normalize(f)
 
     if args.k is not None:
-        if f.m != index.m:
-            raise ValueError(
-                f"k-NN queries need length {index.m}, got {f.m}"
-            )
         hits, stats = knn_search(index, q, args.k, all_ties=args.all_ties)
     else:
         if args.similarity_threshold is not None:
@@ -165,13 +161,7 @@ def cmd_search(args) -> int:
             )
         else:
             radius = args.radius
-        base_radius = radius - q.shift
-        if f.m == index.m:
-            hits, stats = range_search(index, q, base_radius)
-        elif f.m > index.m:
-            hits, stats = long_query_search(index, q, base_radius)
-        else:
-            hits, stats = short_query_search(index, q, base_radius)
+        hits, stats = range_search(index, q, radius - q.shift)
     _spot_audit(index, hits, f, q.shift)
     _format_hits(index, hits, q.shift, args.format, args.out, stats, query_len=f.m)
     return 0

@@ -41,15 +41,6 @@ def bin_of(scheme: PartitionScheme, fragment: str) -> int:
     return scheme.rank(scheme.digits(fragment))
 
 
-def _bin_ranks(scheme: PartitionScheme, letters: np.ndarray) -> np.ndarray:
-    """Vectorized bin ranks for an (n, m) letter-code matrix (pad code ranks 0)."""
-    table = scheme.digit_table()
-    ranks = np.zeros(letters.shape[0], dtype=np.int64)
-    for i in range(scheme.m):
-        ranks += table[i, letters[:, i]].astype(np.int64) * int(scheme.radix_weights[i])
-    return ranks
-
-
 def _sort_keys(letters: np.ndarray, pad: int) -> np.ndarray:
     """Letter codes shifted so the pad code of short suffixes sorts first."""
     return np.where(letters == pad, 0, letters.astype(np.int16) + 1)
@@ -145,7 +136,7 @@ class FSIndex:
         assert lcp[0] == 0 and lcp[n] == 0
         if n == 0:
             return
-        ranks = _bin_ranks(self.scheme, self.letters)
+        ranks = self.scheme.ranks(self.letters)
         # each fragment must sit inside the bin of its own rank
         expected = np.repeat(
             np.arange(self.n_bins), np.diff(bins).astype(np.int64)
@@ -178,7 +169,7 @@ class FSIndex:
     # -- serialization ----------------------------------------------------
 
     def save(self, path) -> int:
-        """Write the index file; returns the byte count."""
+        """Write the index file, replacing any old one whole; returns the byte count."""
         header = _HEADER.pack(
             MAGIC,
             FORMAT_VERSION,
@@ -192,19 +183,27 @@ class FSIndex:
         packed = (self.sids.astype(np.uint64) << np.uint64(32)) | self.offs.astype(
             np.uint64
         )
-        blob = b"".join(
-            [
-                header,
-                struct.pack("<I", len(alpha)), alpha,
-                struct.pack("<I", len(spec)), spec,
-                self.bins.astype("<i8").tobytes(),
-                packed.astype("<u8").tobytes(),
-                self.lcp.astype("<u1").tobytes(),
-            ]
-        )
-        with open(path, "wb") as fh:
-            fh.write(blob)
-        return len(blob)
+        parts = [
+            header,
+            struct.pack("<I", len(alpha)), alpha,
+            struct.pack("<I", len(spec)), spec,
+            self.bins.astype("<i8", copy=False),
+            packed.astype("<u8", copy=False),
+            self.lcp.astype("<u1", copy=False),
+        ]
+        # written beside the target, then renamed over it: a failed write
+        # leaves any previous file whole
+        tmp = f"{os.fspath(path)}.{os.urandom(6).hex()}.tmp"
+        try:
+            with open(tmp, "xb") as fh:
+                fh.writelines(parts)
+                size = fh.tell()
+            os.replace(tmp, path)
+        except BaseException:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
+            raise
+        return size
 
 
 def build(dataset: FragmentDataset, scheme: PartitionScheme) -> FSIndex:
@@ -219,7 +218,7 @@ def build(dataset: FragmentDataset, scheme: PartitionScheme) -> FSIndex:
         raise MemoryError(f"{n_bins} bins exceed the in-memory budget")
 
     letters = dataset.letter_matrix()
-    ranks = _bin_ranks(scheme, letters)
+    ranks = scheme.ranks(letters)
     bins = np.zeros(n_bins + 1, dtype=np.int64)
     np.cumsum(np.bincount(ranks, minlength=n_bins), out=bins[1:])
     order, letters, lcp = _sorted_run(letters, len(dataset.alphabet), ranks)

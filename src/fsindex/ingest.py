@@ -155,15 +155,21 @@ class FragmentDataset:
 
 def encode_db(db: SequenceDB, alphabet: Alphabet) -> tuple[np.ndarray, np.ndarray]:
     """Concatenate residue codes; letters outside the alphabet map to
-    the invalid code len(alphabet)."""
-    lut = np.full(256, len(alphabet), dtype=np.uint8)
-    for i, c in enumerate(alphabet.letters):
-        lut[ord(c)] = i
-    blobs = [np.frombuffer(res.encode("latin-1"), dtype=np.uint8) for _, res in db.records]
+    the invalid code len(alphabet), which is also the pad code.  Codes are
+    uint8, so an alphabet holds at most 255 letters, each within latin-1."""
+    invalid = len(alphabet)
+    if invalid > 255:
+        raise ValueError(f"alphabet of {invalid} letters: uint8 codes allow at most 255")
+    outside = [c for c in alphabet.letters if ord(c) > 255]
+    if outside:
+        raise ValueError(f"alphabet letter {outside[0]!r} is outside latin-1")
+    lut = np.full(257, invalid, dtype=np.uint8)  # entry 256: any code point past latin-1
+    lut[[ord(c) for c in alphabet.letters]] = np.arange(invalid)
+    residues = [res for _, res in db.records]
     starts = np.zeros(len(db) + 1, dtype=np.int64)
-    np.cumsum([b.size for b in blobs], out=starts[1:])
-    codes = lut[np.concatenate(blobs)] if blobs else np.zeros(0, dtype=np.uint8)
-    return codes, starts
+    np.cumsum([len(res) for res in residues], out=starts[1:])
+    text = "".join(residues).encode("utf-32-le", "surrogatepass")
+    return lut[np.minimum(np.frombuffer(text, dtype="<u4"), 256)], starts
 
 
 def extract_fragments(

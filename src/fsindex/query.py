@@ -165,31 +165,21 @@ def lower_bound_table(
         raise ValueError(f"depth {depth} out of range for query {q.m} / scheme {scheme.m}")
     if q.alphabet != scheme.alphabet:
         raise ValueError("query and scheme alphabets differ")
-    bounds: list[np.ndarray] = []
-    root: list[int] = []
-    second: list[int] = []
-    offsets: list[np.ndarray] = []
-    for i in range(depth):
-        table = q.base.tables[i]
-        per_cluster = np.array(
-            [min(table[scheme.alphabet.ordinal(a)] for a in cluster)
-             for cluster in scheme.clusters[i]],
-            dtype=np.int64,
-        )
-        z = int(np.argmin(per_cluster))  # argmin ties break to the lowest rank
-        others = np.delete(per_cluster, z)
-        w = int(scheme.radix_weights[i])
-        per_cluster.flags.writeable = False
-        bounds.append(per_cluster)
-        root.append(z)
-        second.append(int(others.min()))
-        delta = (np.arange(len(per_cluster), dtype=np.int64) - z) * w
-        delta.flags.writeable = False
-        offsets.append(delta)
+    n, sizes = len(scheme.alphabet), scheme.sizes[:depth]
+    # minima[i, r]: least entry of position i's table in cluster r; int64 max past its clusters
+    minima = np.full((depth, int(sizes.max())), np.iinfo(np.int64).max, dtype=np.int64)
+    np.minimum.at(
+        minima,
+        (np.repeat(np.arange(depth), n), scheme.digit_table()[:depth, :n].ravel()),
+        q.base.tables[:depth].ravel(),
+    )
+    root = minima.argmin(axis=1)  # argmin ties break to the lowest rank
+    deltas = (np.arange(minima.shape[1]) - root[:, None]) * scheme.radix_weights[:depth, None]
+    minima.flags.writeable = deltas.flags.writeable = False
     return LowerBoundTable(
         scheme=scheme,
-        bounds=tuple(bounds),
-        root_digits=tuple(root),
-        second_min=tuple(second),
-        rank_offsets=tuple(offsets),
+        bounds=tuple(minima[i, :size] for i, size in enumerate(sizes)),
+        root_digits=tuple(root.tolist()),
+        second_min=tuple(np.sort(minima, axis=1)[:, 1].tolist()),
+        rank_offsets=tuple(deltas[i, :size] for i, size in enumerate(sizes)),
     )

@@ -12,10 +12,11 @@ sums.  Pruning an empty subtree is exact: it holds no hits.
 One traversal serves every search: a vectorized breadth-first sweep at
 a fixed radius that returns the accepted nodes with their bounds and,
 given a ``Tracer``, records the scanned and pruned nodes, empty
-subtrees among the pruned.  Range, longer- and shorter-query searches
-scan every accepted node; k-NN search scans them best first, in
-increasing bound order.  One span-scan kernel evaluates every scanned
-frag-array span, for the index and for the flat baseline.
+subtrees among the pruned.  Range search, at any query length, scans
+every accepted node; k-NN search scans them best first, in increasing
+bound order.  One block scan turns accepted nodes into frag-array spans,
+and one span-scan kernel evaluates every span, for the index and for the
+flat baseline.
 
 Scan counters (bins/fragments/residues scanned) follow the reference
 scan's cost model exactly; the vectorized implementation may touch more
@@ -95,14 +96,12 @@ class Tracer:
     ) -> None:
         """Add nodes of ``kind`` ("scanned" or "pruned"), identified by
         their first ``depth`` digits."""
-        self._nodes[kind].append(
-            (scheme.radix_weights[:depth], scheme.sizes[:depth], ranks, bounds)
-        )
+        self._nodes[kind].append((scheme, depth, ranks, bounds))
 
     def _pairs(self, kind: str) -> list[tuple[tuple[int, ...], int]]:
         out = []
-        for weights, sizes, ranks, bounds in self._nodes[kind]:
-            digits = (ranks[:, None] // weights[None, :]) % sizes[None, :]
+        for scheme, depth, ranks, bounds in self._nodes[kind]:
+            digits = scheme.digits_of(ranks, depth)
             out.extend(zip(map(tuple, digits.tolist()), bounds.tolist()))
         return out
 
@@ -358,26 +357,20 @@ def _finish(
     return hits, stats
 
 
-def _range_engine(
-    index: FSIndex,
-    q: NormalizedQuery,
-    radius: int,
-    depth: int,
-    trace: Tracer | None,
-) -> tuple[HitList, SearchStats]:
-    t0 = time.perf_counter()
-    stats = SearchStats()
-    lbt = lower_bound_table(q, index.scheme, depth=depth)
-    span = 1 if depth == index.m else int(index.scheme.radix_weights[depth - 1])
-    node_ranks, _ = _collect_bfs(lbt, index.bins, depth, radius, stats, trace)
-    starts = index.bins[node_ranks]
-    ends = index.bins[node_ranks + span]
-    if span == 1:
+def _scan_blocks(
+    index: FSIndex, q: NormalizedQuery, ranks: np.ndarray, width: int, eps: int,
+    stats: SearchStats,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Scan the bins of the rank blocks ``[r, r + width)``, one per rank
+    ``r``: each block is one contiguous frag-array span.  Counts the
+    blocks' non-empty bins and returns the hits as ``_scan_spans`` does."""
+    starts = index.bins[ranks]
+    ends = index.bins[ranks + width]
+    if width == 1:
         stats.bins_scanned += int((ends > starts).sum())
     else:
-        stats.bins_scanned += _count_nonempty_bins(index.bins, node_ranks, span)
-    idx, vals = _scan_spans(index, q, starts, ends, radius, stats)
-    return _finish(index, idx, vals, stats, t0)
+        stats.bins_scanned += _count_nonempty_bins(index.bins, ranks, width)
+    return _scan_spans(index, q, starts, ends, eps, stats)
 
 
 def process_bin(
@@ -392,53 +385,54 @@ def process_bin(
     _check_query(index, q)
     t0 = time.perf_counter()
     stats = SearchStats()
-    lo, hi = index.bin_slice(u)
-    if lo < hi:
-        stats.bins_scanned = 1
-    idx, vals = _scan_spans(
-        index, q, np.array([lo], dtype=np.int64), np.array([hi], dtype=np.int64),
-        radius, stats,
-    )
+    idx, vals = _scan_blocks(index, q, np.array([u], dtype=np.int64), 1, radius, stats)
     return _finish(index, idx, vals, stats, t0)
 
 
 def range_search(
     index: FSIndex, q: NormalizedQuery, radius: int, trace: Tracer | None = None
 ) -> tuple[HitList, SearchStats]:
-    """All occurrences whose (normalized) query value is <= ``radius``."""
+    """All occurrences whose (normalized) query value is <= ``radius``.
+
+    A suffix-mode index takes a query of any length, and the traversal
+    substitutes at its first ``min(q.m, index.m)`` positions.  A longer
+    query's scan evaluates all its positions and skips occurrences with
+    no full-length window.  A shorter query's accepted node stands for
+    its whole subtree, one block of consecutive bin ranks.
+    """
     _check_query(index, q)
-    if q.m != index.m:
-        raise ValueError(f"query length {q.m} != index length {index.m}")
-    return _range_engine(index, q, radius, index.m, trace)
+    if q.m != index.m and not index.suffix_mode:
+        raise ValueError(f"length-{q.m} query on a length-{index.m} index needs suffix mode")
+    t0 = time.perf_counter()
+    stats = SearchStats()
+    depth = min(q.m, index.m)
+    lbt = lower_bound_table(q, index.scheme, depth=depth)
+    node_ranks, _ = _collect_bfs(lbt, index.bins, depth, radius, stats, trace)
+    width = int(index.scheme.radix_weights[depth - 1])
+    idx, vals = _scan_blocks(index, q, node_ranks, width, radius, stats)
+    return _finish(index, idx, vals, stats, t0)
 
 
 def long_query_search(
     index: FSIndex, q: NormalizedQuery, radius: int
 ) -> tuple[HitList, SearchStats]:
-    """Range search with a query longer than the index: the traversal
-    prunes on the first ``index.m`` positions, the scan evaluates all
-    query positions and skips occurrences with no full-length window."""
-    _check_query(index, q)
+    """``range_search`` for a query at least as long as the index."""
     if q.m < index.m:
         raise ValueError(f"query length {q.m} shorter than index length {index.m}")
     if not index.suffix_mode:
         raise ValueError("longer-than-index queries need a suffix-mode index")
-    return _range_engine(index, q, radius, index.m, None)
+    return range_search(index, q, radius)
 
 
 def short_query_search(
     index: FSIndex, q: NormalizedQuery, radius: int
 ) -> tuple[HitList, SearchStats]:
-    """Range search with a query shorter than the index: the traversal
-    stops at the query's depth and each accepted node's whole subtree is
-    one contiguous frag-array span (high-order digits are fixed, so
-    descendant bins have consecutive ranks)."""
-    _check_query(index, q)
+    """``range_search`` for a query at most as long as the index."""
     if q.m > index.m:
         raise ValueError(f"query length {q.m} exceeds index length {index.m}")
     if not index.suffix_mode:
         raise ValueError("shorter-than-index queries need a suffix-mode index")
-    return _range_engine(index, q, radius, q.m, None)
+    return range_search(index, q, radius)
 
 
 def knn_search(
@@ -481,11 +475,7 @@ def knn_search(
             end = min(pos + size, int(np.searchsorted(bounds, kth, side="right")))
             if end <= pos:
                 break
-            chunk = ranks[pos:end]
-            stats.bins_scanned += chunk.size
-            ci, cv = _scan_spans(
-                index, q, index.bins[chunk], index.bins[chunk + 1], kth, stats
-            )
+            ci, cv = _scan_blocks(index, q, ranks[pos:end], 1, kth, stats)
             idx, vals = np.concatenate([idx, ci]), np.concatenate([vals, cv])
             if vals.size >= k:
                 kth = int(np.partition(vals, k - 1)[k - 1])

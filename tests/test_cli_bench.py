@@ -139,6 +139,23 @@ class TestSearchCommand:
         out = capsys.readouterr().out
         assert "MKVLATT" in out
 
+    def test_short_query_on_suffix_index(self, workdir, tmp_path, capsys):
+        idx = tmp_path / "suffix.fsi"
+        assert main([
+            "build", "--fasta", str(workdir / "db.fa"), "--matrix", "BLOSUM62",
+            "--partition", PARTITION, "-m", "6", "--suffix-mode", "--out", str(idx),
+        ]) == 0
+        capsys.readouterr()
+        rc = main([
+            "search", "--index", str(idx), "--fasta", str(workdir / "db.fa"),
+            "--matrix", "BLOSUM62", "--query", "MKV", "--radius", "0",
+        ])
+        assert rc == 0
+        out = capsys.readouterr().out
+        # s1 and s2 hold MKV; s3 is the three-letter tail MKV itself
+        starts = sorted(line.split("\t")[:3] for line in out.splitlines()[1:-1])
+        assert starts == [["s1", "0", "MKV"], ["s2", "12", "MKV"], ["s3", "0", "MKV"]]
+
     def test_length_mismatch_without_suffix_mode_errors(self, workdir, capsys):
         rc = main([
             "search", "--index", str(workdir / "db.fsi"), "--fasta", str(workdir / "db.fa"),

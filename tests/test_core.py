@@ -192,6 +192,51 @@ class TestSerialization:
             == fx.range_search(loaded, q, 9)[0].as_multiset()
         )
 
+    def test_residue_outside_latin1_roundtrip(self, tmp_path):
+        db = fx.parse_fasta(">s\nMKV\u03a9KVML\n")
+        scheme = fx.parse_partition("TSAN,ILVM,KR,DEQ,WFYH,GPC", fx.STANDARD_ALPHABET, 3)
+        index = fx.build(fx.extract_fragments(db, 3), scheme)
+        path = tmp_path / "u.fsi"
+        index.save(path)
+        loaded = fx.load(path, db)
+        loaded.audit()
+        assert np.array_equal(loaded.letters, index.letters)
+
+    def test_failed_save_keeps_old_file(self, toy_index, tmp_path, monkeypatch):
+        path = tmp_path / "old.fsi"
+        toy_index.save(path)
+        before = path.read_bytes()
+
+        class FailingWriter:
+            """A file that writes half of the first buffer it is given, then fails."""
+
+            def __init__(self, fh):
+                self.fh = fh
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fh.close()
+
+            def write(self, data):
+                view = memoryview(data).cast("B")
+                self.fh.write(view[: view.nbytes // 2])
+                raise OSError("no space left on device")
+
+            def writelines(self, buffers):
+                for data in buffers:
+                    self.write(data)
+
+        real_open = open
+        monkeypatch.setattr(
+            fx.core, "open", lambda *a, **k: FailingWriter(real_open(*a, **k)), raising=False
+        )
+        with pytest.raises(OSError, match="no space"):
+            toy_index.save(path)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["old.fsi"]
+
     def test_bad_magic_rejected(self, tmp_path):
         p = tmp_path / "junk.fsi"
         p.write_bytes(b"NOPE" + b"\0" * 64)

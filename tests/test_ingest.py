@@ -103,6 +103,26 @@ class TestExtractFragments:
         with pytest.raises(ValueError):
             fx.extract_fragments(db, 3, suffix_mode=True, floor=9)
 
+    def test_residue_outside_latin1_is_invalid(self):
+        # one more letter outside the alphabet: windows covering it are lost
+        db = fx.parse_fasta(">s\nMKV\u03a9KVML\n")
+        ds = fx.extract_fragments(db, 3)
+        texts = {ds.fragment_text(int(s), int(o), 3) for s, o in zip(ds.sids, ds.offs)}
+        assert texts == {"MKV", "KVM", "VML"}
+        assert ds.rejected == 3
+
+    def test_alphabet_letter_outside_latin1_rejected(self):
+        db = fx.parse_fasta(">s\nACAC\n")
+        with pytest.raises(ValueError, match="latin-1"):
+            fx.extract_fragments(db, 2, alphabet=fx.Alphabet("AC\u03a9"))
+
+    def test_alphabet_size_limit(self):
+        db = fx.SequenceDB(records=(("s", "\x00\x01\xfe\xff"),))
+        ds = fx.extract_fragments(db, 2, alphabet=fx.Alphabet("".join(map(chr, range(255)))))
+        assert ds.offs.tolist() == [0, 1]  # 255 letters fit; "\xff" is invalid
+        with pytest.raises(ValueError, match="255"):
+            fx.extract_fragments(db, 2, alphabet=fx.Alphabet("".join(map(chr, range(256)))))
+
 
 class TestLetterMatrix:
     @staticmethod

@@ -79,8 +79,14 @@ def test_longer_and_shorter_queries(case, data, radius):
     f = pssm(data.draw, length)
     q = fx.normalize(f)
     search = fx.long_query_search if length > index.m else fx.short_query_search
-    hits, _ = search(index, q, radius - q.shift)
+    hits, stats = search(index, q, radius - q.shift)
     assert rows(hits, q.shift) == rows(fx.linear_scan_range(ds, f, radius), 0)
+
+    counters = [getattr(stats, c) for c in COUNTERS]
+    for trace in (None, fx.Tracer()):
+        same_hits, same = fx.range_search(index, q, radius - q.shift, trace=trace)
+        assert rows(same_hits, 0) == rows(hits, 0)
+        assert [getattr(same, c) for c in COUNTERS] == counters
 
 
 @SETTINGS
