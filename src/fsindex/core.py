@@ -1,11 +1,15 @@
-"""The fragment index: bin-bucketed, per-bin sorted fragment references.
+"""The fragment index: occupancy bits and per-bin sorted fragment references.
 
-Construction is counting sort over bin ranks followed by one stable
-lexicographic sort and a shared-prefix (lcp) pass, ``_sorted_run``, which
-the flat baseline shares.  The arrays that result:
+Construction is one stable lexicographic sort grouped by bin rank and a
+shared-prefix (lcp) pass, ``_sorted_run``, which the flat baseline
+shares; bins start where the sorted ranks change.  The arrays that result:
 
 * ``frag`` - fragment references ordered by (bin rank, fragment letters);
-* ``bin``  - N+1 offsets into ``frag``, one per bin rank plus a sentinel;
+* ``occupancy`` - per position ``j``, 64-bit words with a bit per aligned
+  block of ``radix_weights[j]`` ranks, set when the block holds a
+  fragment: the last level has a bit per bin;
+* ``bins`` - offsets into ``frag`` of the non-empty bins, then ``n``; a
+  bin's entry is a rank over the last level's bits;
 * ``lcp``  - n+1 shared-prefix lengths between neighbouring fragments,
   forced to 0 at every bin's first slot and after the last fragment, so
   a bin scan never reuses state it did not compute;
@@ -18,9 +22,11 @@ concurrent searches.
 
 from __future__ import annotations
 
+import hashlib
+import io
 import os
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -28,8 +34,13 @@ from .alphabet import Alphabet, PartitionScheme, parse_partition
 from .ingest import FragmentDataset, SequenceDB, encode_db
 
 MAGIC = b"FSIX"
-FORMAT_VERSION = 1
-_HEADER = struct.Struct("<4sIIQQB")  # magic, version, m, n, bins, suffix flag
+FORMAT_VERSION = 2
+# magic, version, m, n, bins, non-empty bins, largest bin, alphabet and
+# partition text bytes, suffix flag, digest of the encoded sequence set
+_HEADER = struct.Struct("<4sIIQQQQIIB32s")
+# the arrays after the header, in file order; the first starts 8-byte aligned
+_ARRAYS = (("occupancy", "<u8"), ("bins", "<u4"), ("sids", "<u4"), ("offs", "<u4"),
+           ("lcp", "<u1"), ("letters", "<u1"))
 
 
 class IndexFormatError(ValueError):
@@ -80,21 +91,54 @@ def _sorted_run(
     return order, letters, lcp
 
 
+def _level_words(scheme: PartitionScheme) -> list[int]:
+    """64-bit words per occupancy level: one bit per block, one spare."""
+    return [scheme.n_bins // int(w) // 64 + 1 for w in scheme.radix_weights]
+
+
+def _occupancy(scheme: PartitionScheme, filled: np.ndarray) -> np.ndarray:
+    """Every level's bits for the non-empty bin ranks ``filled``, concatenated."""
+    sizes = _level_words(scheme)
+    bits = np.zeros(64 * sum(sizes), dtype=bool)
+    for start, w in zip(np.cumsum([0, *sizes]), scheme.radix_weights):
+        bits[64 * start + filled // int(w)] = True
+    return np.packbits(bits, bitorder="little").view("<u8")
+
+
+def _set_bits(words: np.ndarray) -> np.ndarray:
+    return np.flatnonzero(np.unpackbits(words.view(np.uint8), bitorder="little"))
+
+
+def _sequence_digest(codes: np.ndarray, starts: np.ndarray) -> bytes:
+    """blake2b of an encoded sequence set: sequence boundaries, then codes."""
+    data = starts.astype("<i8").tobytes() + codes.tobytes()
+    return hashlib.blake2b(data, digest_size=32).digest()
+
+
 @dataclass(frozen=True)
 class FSIndex:
     """Immutable search index over a fragment dataset."""
 
     dataset: FragmentDataset
     scheme: PartitionScheme
-    bins: np.ndarray     # (N+1,) int64 offsets into the frag arrays
+    occupancy: np.ndarray  # "<u8" words, the levels' bitmaps in position order
+    bins: np.ndarray     # (non-empty bins + 1,) uint32 offsets into the frag arrays
     sids: np.ndarray     # (n,) uint32, frag order
     offs: np.ndarray     # (n,) uint32, frag order
     lcp: np.ndarray      # (n+1,) uint8
     letters: np.ndarray  # (n, m) uint8 codes, frag order; pad = |alphabet|
+    # derived: each level's view of ``occupancy``; the set bits before each last-level word
+    levels: tuple = field(init=False, repr=False, compare=False)
+    _counts: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        for arr in (self.bins, self.sids, self.offs, self.lcp, self.letters):
+        for arr in (self.occupancy, self.bins, self.sids, self.offs, self.lcp, self.letters):
             arr.flags.writeable = False
+        cuts = np.cumsum([0, *_level_words(self.scheme)])
+        levels = tuple(self.occupancy[a:b] for a, b in zip(cuts, cuts[1:]))
+        counts = np.cumsum(np.bitwise_count(levels[-1]), dtype=np.int64)
+        object.__setattr__(self, "levels", levels)
+        object.__setattr__(self, "_counts", np.r_[0, counts])
 
     @property
     def m(self) -> int:
@@ -116,44 +160,62 @@ class FSIndex:
     def suffix_mode(self) -> bool:
         return self.dataset.suffix_mode
 
+    def occupied(self, level: int, blocks: np.ndarray) -> np.ndarray:
+        """Whether each aligned block of ``radix_weights[level]`` ranks holds a fragment."""
+        words = self.levels[level][blocks >> 6]
+        return (words >> (blocks & 63).astype(np.uint64)) & np.uint64(1) != 0
+
+    def nonempty_below(self, ranks) -> np.ndarray:
+        """Non-empty bins ranked below each of ``ranks`` (0..N), the index
+        into ``bins`` of the rank's frag offset: a count per word plus a popcount."""
+        word = ranks >> 6
+        mask = (np.uint64(1) << (ranks & 63).astype(np.uint64)) - np.uint64(1)
+        return self._counts[word] + np.bitwise_count(self.levels[-1][word] & mask)
+
     def bin_slice(self, u: int) -> tuple[int, int]:
-        return int(self.bins[u]), int(self.bins[u + 1])
+        lo, hi = self.bins[self.nonempty_below(np.array([u, u + 1]))]
+        return int(lo), int(hi)
 
     def bin_size(self, u: int) -> int:
-        return int(self.bins[u + 1] - self.bins[u])
+        lo, hi = self.bin_slice(u)
+        return hi - lo
 
     def empty_bins(self) -> int:
-        return int((np.diff(self.bins) == 0).sum())
+        return self.n_bins - (self.bins.size - 1)
 
     def audit(self) -> None:
         """Verify every structural invariant; raises AssertionError on failure."""
         n, m = self.n, self.m
         bins, lcp = self.bins, self.lcp
-        assert bins.shape == (self.n_bins + 1,)
+        assert [lv.size for lv in self.levels] == _level_words(self.scheme)
+        filled = _set_bits(self.levels[-1])
+        assert bins.shape == (filled.size + 1,), "one bin offset per occupied bin"
         assert bins[0] == 0 and bins[-1] == n, "bin offsets must span the frag array"
-        assert (np.diff(bins) >= 0).all(), "bin offsets must be non-decreasing"
+        sizes = np.diff(bins.astype(np.int64))
+        assert (sizes > 0).all(), "occupied bins must hold fragments"
+        for j, w in enumerate(self.scheme.radix_weights):
+            blocks = np.unique(filled // int(w))
+            assert np.array_equal(_set_bits(self.levels[j]), blocks), f"level {j} bits wrong"
         assert lcp.shape == (n + 1,)
         assert lcp[0] == 0 and lcp[n] == 0
         if n == 0:
             return
         ranks = self.scheme.ranks(self.letters)
         # each fragment must sit inside the bin of its own rank
-        expected = np.repeat(
-            np.arange(self.n_bins), np.diff(bins).astype(np.int64)
-        )
-        assert np.array_equal(ranks, expected), "fragment in the wrong bin"
+        assert np.array_equal(ranks, np.repeat(filled, sizes)), "fragment in the wrong bin"
         # key lengths from the sequence set, not from the letters
         pad = len(self.alphabet)
         key_len = np.minimum(self.dataset.seq_lengths[self.sids] - self.offs, m)
         assert np.array_equal(
             self.letters == pad, np.arange(m)[None, :] >= key_len[:, None]
         ), "letters not padded exactly past each key"
+        own = replace(self.dataset, sids=self.sids, offs=self.offs).letter_matrix()
+        assert np.array_equal(self.letters, own), "letters differ from the sequence set"
         keys = _sort_keys(self.letters, pad)
         raw = _raw_lcp(keys)
         capped = np.minimum(raw, np.minimum(np.r_[key_len[:1], key_len[:-1]], key_len))
         bin_first = np.zeros(n, dtype=bool)
-        starts = bins[:-1][np.diff(bins) > 0]
-        bin_first[starts] = True
+        bin_first[bins[:-1]] = True
         # lexicographic order within each bin: neighbours are equal keys
         # or first differ where the predecessor's sort key is smaller (a
         # shorter key's pad sorts first)
@@ -170,27 +232,16 @@ class FSIndex:
 
     def save(self, path) -> int:
         """Write the index file, replacing any old one whole; returns the byte count."""
-        header = _HEADER.pack(
-            MAGIC,
-            FORMAT_VERSION,
-            self.m,
-            self.n,
-            self.n_bins,
-            1 if self.suffix_mode else 0,
-        )
         alpha = self.alphabet.letters.encode()
         spec = self.scheme.spec_string.encode()
-        packed = (self.sids.astype(np.uint64) << np.uint64(32)) | self.offs.astype(
-            np.uint64
-        )
-        parts = [
-            header,
-            struct.pack("<I", len(alpha)), alpha,
-            struct.pack("<I", len(spec)), spec,
-            self.bins.astype("<i8", copy=False),
-            packed.astype("<u8", copy=False),
-            self.lcp.astype("<u1", copy=False),
-        ]
+        largest = int(np.diff(self.bins.astype(np.int64)).max(initial=0))
+        head = _HEADER.pack(
+            MAGIC, FORMAT_VERSION, self.m, self.n, self.n_bins, self.bins.size - 1,
+            largest, len(alpha), len(spec), 1 if self.suffix_mode else 0,
+            _sequence_digest(self.dataset.codes, self.dataset.starts),
+        ) + alpha + spec
+        parts = [head, bytes(-len(head) % 8)]
+        parts += [getattr(self, name).astype(t, copy=False) for name, t in _ARRAYS]
         # written beside the target, then renamed over it: a failed write
         # leaves any previous file whole
         tmp = f"{os.fspath(path)}.{os.urandom(6).hex()}.tmp"
@@ -207,30 +258,28 @@ class FSIndex:
 
 
 def build(dataset: FragmentDataset, scheme: PartitionScheme) -> FSIndex:
-    """Construct the index: count bin sizes, place fragments, sort, lcp."""
+    """Construct the index: sort by (bin rank, letters), lcp, occupancy bits."""
     if scheme.alphabet != dataset.alphabet:
         raise ValueError("dataset and scheme alphabets differ")
     if scheme.m != dataset.m:
         raise ValueError(f"scheme length {scheme.m} != dataset length {dataset.m}")
     n, n_bins = dataset.n, scheme.n_bins
-    # N int64 counters; refuse absurd schemes before allocating
+    # a bit per bin at the last level; refuse absurd schemes before allocating
     if n_bins > 1 << 34:
         raise MemoryError(f"{n_bins} bins exceed the in-memory budget")
+    if n > np.iinfo(np.uint32).max:
+        raise ValueError(f"{n} fragments exceed the uint32 bin offsets")
 
     letters = dataset.letter_matrix()
     ranks = scheme.ranks(letters)
-    bins = np.zeros(n_bins + 1, dtype=np.int64)
-    np.cumsum(np.bincount(ranks, minlength=n_bins), out=bins[1:])
     order, letters, lcp = _sorted_run(letters, len(dataset.alphabet), ranks)
-    lcp[bins[:-1]] = 0  # every bin starts a fresh scan
+    ranks = ranks[order]
+    first = np.flatnonzero(np.diff(ranks, prepend=-1))  # each occupied bin's first row
+    lcp[first] = 0  # every bin starts a fresh scan
     return FSIndex(
-        dataset=dataset,
-        scheme=scheme,
-        bins=bins,
-        sids=dataset.sids[order],
-        offs=dataset.offs[order],
-        lcp=lcp,
-        letters=letters,
+        dataset=dataset, scheme=scheme, occupancy=_occupancy(scheme, ranks[first]),
+        bins=np.append(first, n).astype(np.uint32), sids=dataset.sids[order],
+        offs=dataset.offs[order], lcp=lcp, letters=letters,
     )
 
 
@@ -241,97 +290,73 @@ def _read_exact(fh, size: int) -> bytes:
     return data
 
 
-def _read_text(fh) -> str:
-    (size,) = struct.unpack("<I", _read_exact(fh, 4))
-    return _read_exact(fh, size).decode()
-
-
 def _read_header(fh) -> dict:
-    """Parse and check an index file's header, leaving ``fh`` at the bin table."""
-    magic, version, m, n, n_bins, suffix_flag = _HEADER.unpack(
-        _read_exact(fh, _HEADER.size)
-    )
-    if magic != MAGIC:
+    """Parse and check an index file's header, leaving ``fh`` at its end."""
+    raw = fh.read(_HEADER.size)
+    if raw[:4] != MAGIC:
         raise IndexFormatError("not an index file (bad magic)")
+    if len(raw) != _HEADER.size:
+        raise IndexFormatError("truncated index file")
+    _, version, m, n, n_bins, nonempty, largest, alpha_len, spec_len, suffix_flag, digest = (
+        _HEADER.unpack(raw)
+    )
     if version != FORMAT_VERSION:
         raise IndexFormatError(f"unsupported index version {version}")
     return {
-        "version": version,
-        "fragment_length": m,
-        "fragments": n,
-        "bins": n_bins,
-        "suffix_mode": bool(suffix_flag),
-        "alphabet": _read_text(fh),
-        "partition": _read_text(fh),
+        "version": version, "fragment_length": m, "fragments": n, "bins": n_bins,
+        "empty_bins": n_bins - nonempty, "largest_bin": largest,
+        "mean_bin_size": float(n / n_bins) if n_bins else 0.0,
+        "suffix_mode": bool(suffix_flag), "sequence_digest": digest.hex(),
+        "alphabet": _read_exact(fh, alpha_len).decode(),
+        "partition": _read_exact(fh, spec_len).decode(),
     }
 
 
 def read_index_header(path) -> dict:
-    """Header fields plus bin-occupancy numbers, read from the header and
-    the bin table only."""
-    with open(path, "rb") as fh:
-        info = _read_header(fh)
-        n, n_bins = info["fragments"], info["bins"]
-        bins = np.frombuffer(_read_exact(fh, (n_bins + 1) * 8), dtype="<i8")
-        file_bytes = os.fstat(fh.fileno()).st_size
-    sizes = np.diff(bins)
-    info.update(
-        empty_bins=int((sizes == 0).sum()),
-        largest_bin=int(sizes.max()) if sizes.size else 0,
-        mean_bin_size=float(n / n_bins) if n_bins else 0.0,
-        file_bytes=file_bytes,
-    )
-    return info
+    """The header's fields and the file's size, read from the header only."""
+    with open(path, "rb", buffering=0) as fh:
+        return dict(_read_header(fh), file_bytes=os.fstat(fh.fileno()).st_size)
 
 
 def load(path, db: SequenceDB) -> FSIndex:
     """Load an index file; ``db`` must be the sequence set it was built from."""
-    # Unbuffered: after the small header reads, a buffered reader's
-    # read() of the rest copies it in chunks, twice as slow as readall().
+    # One unbuffered read of the whole file; every array stays a read-only
+    # view of its bytes, the occupancy words 8-byte aligned as in the file.
     with open(path, "rb", buffering=0) as fh:
-        info = _read_header(fh)
         blob = fh.read()
+    head = io.BytesIO(blob)
+    info = _read_header(head)
     m, n, n_bins = info["fragment_length"], info["fragments"], info["bins"]
-    suffix_mode = info["suffix_mode"]
+    nonempty = n_bins - info["empty_bins"]
     alphabet = Alphabet(info["alphabet"])
     scheme = parse_partition(info["partition"], alphabet, m)
     if scheme.n_bins != n_bins:
         raise IndexFormatError("bin count disagrees with partition spec")
 
-    need = (n_bins + 1) * 8 + n * 8 + (n + 1)
-    if len(blob) != need:
+    pos = head.tell() + -head.tell() % 8
+    counts = (sum(_level_words(scheme)), nonempty + 1, n, n, n + 1, n * m)
+    if len(blob) != pos + sum(np.dtype(t).itemsize * c for (_, t), c in zip(_ARRAYS, counts)):
         raise IndexFormatError("index arrays truncated or oversized")
-    # bins and lcp stay read-only views of the file's bytes; each packed
-    # reference is (offset, seq_id) as little-endian uint32 halves
-    bins = np.frombuffer(blob, dtype="<i8", count=n_bins + 1)
-    pos = (n_bins + 1) * 8
-    refs = np.frombuffer(blob, dtype="<u4", count=2 * n, offset=pos).reshape(n, 2)
-    offs = refs[:, 0].astype(np.uint32)
-    sids = refs[:, 1].astype(np.uint32)
-    lcp = np.frombuffer(blob, dtype="<u1", count=n + 1, offset=pos + n * 8)
+    arrays = {}
+    for (name, dtype), count in zip(_ARRAYS, counts):
+        arrays[name] = np.frombuffer(blob, dtype=dtype, count=count, offset=pos)
+        pos += arrays[name].nbytes
+    arrays["letters"] = arrays["letters"].reshape(n, m)
+    sids, offs = arrays["sids"], arrays["offs"]
 
     codes, starts = encode_db(db, alphabet)
+    if _sequence_digest(codes, starts).hex() != info["sequence_digest"]:
+        raise IndexFormatError("index built from a different sequence set")
     if n and (sids >= len(db)).any():
         raise IndexFormatError("fragment reference outside the sequence set")
     if n and (offs >= np.diff(starts)[sids]).any():
         raise IndexFormatError("fragment offset outside its sequence")
+    # rejected windows are unknown post hoc; the manifest comes from extraction
     dataset = FragmentDataset(
-        db=db,
-        alphabet=alphabet,
-        m=m,
-        suffix_mode=suffix_mode,
-        sids=sids,
-        offs=offs,
-        rejected=0,  # unknown post hoc; manifest comes from extraction
-        codes=codes,
-        starts=starts,
+        db=db, alphabet=alphabet, m=m, suffix_mode=info["suffix_mode"], sids=sids,
+        offs=offs, rejected=0, codes=codes, starts=starts,
     )
-    return FSIndex(
-        dataset=dataset,
-        scheme=scheme,
-        bins=bins,
-        sids=sids,
-        offs=offs,
-        lcp=lcp,
-        letters=dataset.letter_matrix(),  # the dataset's rows are in frag order
-    )
+    index = FSIndex(dataset=dataset, scheme=scheme, **arrays)
+    if index._counts[-1] != nonempty:
+        raise IndexFormatError("occupancy bits disagree with the bin count")
+    return index

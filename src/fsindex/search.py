@@ -38,7 +38,6 @@ from .ingest import FragmentRef
 from .query import LowerBoundTable, NormalizedQuery, lower_bound_table
 
 INF_RADIUS = int(np.iinfo(np.int64).max)
-_GATHER_CELLS = 1 << 20  # bin offsets per gather when counting subtree bins
 
 
 @dataclass
@@ -232,19 +231,19 @@ def _extend_long(
 
 
 def _collect_bfs(
-    lbt: LowerBoundTable, bins: np.ndarray, depth: int, eps: int, stats: SearchStats,
+    lbt: LowerBoundTable, index: FSIndex, depth: int, eps: int, stats: SearchStats,
     trace: Tracer | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Breadth-first enumeration of accepted nodes at a fixed radius.
 
     ``depth`` limits substitutions to the first ``depth`` positions.  The
     root is accepted when its bound is within the radius, and a child
-    when its bound is and its subtree holds a fragment: a child made by
-    substituting at position ``j`` keeps the root's digits after ``j``,
-    so its subtree is the rank block ``[lo, lo + w_j)`` (``w_j`` the
-    radix weight of ``j``), and two lookups in ``bins``, the index's bin
-    offsets, tell whether it is empty.  Only children whose bound passed
-    are looked up, and empty subtrees are never expanded.
+    when its bound is and its subtree holds a fragment: a child ``u``
+    substituted at position ``j`` keeps the root's digits after ``j``,
+    worth less than ``w_j``, the radix weight of ``j``, so bit
+    ``u // w_j`` of the index's level-``j`` occupancy tells whether its
+    subtree is empty.  Only children whose bound passed are looked up,
+    and empty subtrees are never expanded.
     ``stats.nodes_visited`` counts every bound evaluated, empty
     children's included: pruning lowers it only by the descendants of
     empty subtrees, which are never evaluated.
@@ -262,15 +261,9 @@ def _collect_bfs(
         other = np.arange(lbt.bounds[j].size) != lbt.root_digits[j]
         cand_f.append(lbt.bounds[j][other])
         cand_d.append(lbt.rank_offsets[j][other])
-    # tails[j]: rank part of the root digits after position j, which every
-    # child substituted at j shares; subtracting it gives the block's start
-    tails = [0] * depth
-    for i in range(depth - 1, 0, -1):
-        tails[i - 1] = tails[i] + lbt.root_digits[i] * int(weights[i])
-    sec = lbt.second_min
-    root = tails[0] + lbt.root_digits[0] * int(weights[0])
+    root = sum(d * int(w) for d, w in zip(lbt.root_digits, weights))
     stats.nodes_visited += 1
-    root_bound = int(sum(int(lbt.bounds[i][lbt.root_digits[i]]) for i in range(depth)))
+    root_bound = lbt.bound_of(lbt.root_digits)
     level_u = np.array([root], dtype=np.int64)
     level_d = np.array([root_bound], dtype=np.int64)
     if root_bound > eps:
@@ -287,7 +280,7 @@ def _collect_bfs(
             # that may substitute at j are a prefix
             live = int(np.searchsorted(level_i, j, side="right"))
             live_u, live_d = level_u[:live], level_d[:live]
-            elig = live_d + sec[j] <= eps
+            elig = live_d + lbt.second_min[j] <= eps
             if trace is not None:  # short-circuited: every child exceeds eps
                 cut = ~elig
                 pruned_u.append((live_u[cut, None] + cand_d[j][None, :]).ravel())
@@ -299,8 +292,7 @@ def _collect_bfs(
             u = live_u[elig, None] + cand_d[j][None, :]
             keep = e <= eps
             u_in, e_in = u[keep], e[keep]
-            lo = u_in - tails[j]
-            full = bins[lo + int(weights[j])] > bins[lo]
+            full = index.occupied(j, u_in // int(weights[j]))
             if trace is not None:
                 pruned_u += [u[~keep], u_in[~full]]
                 pruned_d += [e[~keep], e_in[~full]]
@@ -325,18 +317,6 @@ def _collect_bfs(
     return ranks, bounds
 
 
-def _count_nonempty_bins(bins: np.ndarray, node_ranks: np.ndarray, span: int) -> int:
-    """Non-empty bins among each node's ``span`` consecutive ranks, gathered
-    for a block of nodes at a time to bound the temporary's size."""
-    cols = np.arange(span + 1)
-    step = max(1, _GATHER_CELLS // (span + 1))
-    total = 0
-    for i in range(0, node_ranks.size, step):
-        offsets = bins[node_ranks[i:i + step, None] + cols]
-        total += int((offsets[:, 1:] > offsets[:, :-1]).sum())
-    return total
-
-
 def _check_query(index: FSIndex, q: NormalizedQuery) -> None:
     if q.alphabet != index.alphabet:
         raise ValueError("query and index alphabets differ")
@@ -346,12 +326,8 @@ def _finish(
     index, idx: np.ndarray, vals: np.ndarray, stats: SearchStats, t0: float
 ) -> tuple[HitList, SearchStats]:
     """Hits for rows ``idx`` of an ``FSIndex`` or ``FlatIndex``."""
-    hits = HitList(
-        [
-            (FragmentRef(int(index.sids[j]), int(index.offs[j])), int(v))
-            for j, v in zip(idx, vals)
-        ]
-    )
+    refs = zip(index.sids[idx].tolist(), index.offs[idx].tolist())
+    hits = HitList([(FragmentRef(s, o), v) for (s, o), v in zip(refs, vals.tolist())])
     stats.hits = len(hits)
     stats.elapsed = time.perf_counter() - t0
     return hits, stats
@@ -363,13 +339,11 @@ def _scan_blocks(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Scan the bins of the rank blocks ``[r, r + width)``, one per rank
     ``r``: each block is one contiguous frag-array span.  Counts the
-    blocks' non-empty bins and returns the hits as ``_scan_spans`` does."""
-    starts = index.bins[ranks]
-    ends = index.bins[ranks + width]
-    if width == 1:
-        stats.bins_scanned += int((ends > starts).sum())
-    else:
-        stats.bins_scanned += _count_nonempty_bins(index.bins, ranks, width)
+    blocks' non-empty bins, a difference of two ranks over the occupancy
+    bits, and returns the hits as ``_scan_spans`` does."""
+    lo, hi = index.nonempty_below(ranks), index.nonempty_below(ranks + width)
+    stats.bins_scanned += int((hi - lo).sum())
+    starts, ends = index.bins[lo].astype(np.int64), index.bins[hi].astype(np.int64)
     return _scan_spans(index, q, starts, ends, eps, stats)
 
 
@@ -407,7 +381,7 @@ def range_search(
     stats = SearchStats()
     depth = min(q.m, index.m)
     lbt = lower_bound_table(q, index.scheme, depth=depth)
-    node_ranks, _ = _collect_bfs(lbt, index.bins, depth, radius, stats, trace)
+    node_ranks, _ = _collect_bfs(lbt, index, depth, radius, stats, trace)
     width = int(index.scheme.radix_weights[depth - 1])
     idx, vals = _scan_blocks(index, q, node_ranks, width, radius, stats)
     return _finish(index, idx, vals, stats, t0)
@@ -466,8 +440,8 @@ def knn_search(
     kth = INF_RADIUS
     idx = vals = np.zeros(0, dtype=np.int64)
     while True:
-        ranks, bounds = _collect_bfs(lbt, index.bins, index.m, radius, stats)
-        fresh = (bounds > covered) & (index.bins[ranks + 1] > index.bins[ranks])
+        ranks, bounds = _collect_bfs(lbt, index, index.m, radius, stats)
+        fresh = (bounds > covered) & index.occupied(index.m - 1, ranks)
         order = np.argsort(bounds[fresh], kind="stable")
         ranks, bounds = ranks[fresh][order], bounds[fresh][order]
         pos, size = 0, 1

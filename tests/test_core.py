@@ -60,11 +60,11 @@ class TestBuild:
         assert ds.n == 0
         index = fx.build(ds, toy_scheme)
         index.audit()
-        assert index.bins.tolist() == [0] * 9
+        assert [index.bin_slice(u) for u in range(8)] == [(0, 0)] * 8
         assert index.lcp.tolist() == [0]
 
     def test_full_cube_fills_every_bin_evenly(self, toy_index):
-        assert np.diff(toy_index.bins).tolist() == [8] * 8
+        assert [toy_index.bin_size(u) for u in range(8)] == [8] * 8
 
     def test_duplicates_share_full_prefix(self, toy_alpha, toy_scheme):
         db = fx.SequenceDB(records=(("r", "aaaa"),))
@@ -119,8 +119,8 @@ class TestBuild:
         index = fx.build(ds, scheme)
         index.audit()
         # tail "a": digits (0, 0, 0) via rank-0 padding; tail "ba": (1, 0, 0)
-        a_bin = index.bins[0:2]
-        assert a_bin[1] - a_bin[0] == 1
+        lo, hi = index.bin_slice(0)
+        assert hi - lo == 1
         u_ba = scheme.rank((1, 0, 0))
         assert index.bin_size(u_ba) == 1
 
@@ -138,6 +138,16 @@ class TestBuild:
         letters[row, 2] = toy_alpha.ordinal("a")
         with pytest.raises(AssertionError, match="padded"):
             dataclasses.replace(index, letters=letters).audit()
+
+    def test_audit_rejects_letters_of_other_sequences(self, toy_index, toy_scheme):
+        # a letter swapped within its cluster keeps every rank and pad code
+        alpha = toy_index.alphabet
+        letters = toy_index.letters.copy()
+        old = alpha.letters[letters[0, 0]]
+        new = next(c for c in toy_scheme.cluster_of(0, old) if c != old)
+        letters[0, 0] = alpha.ordinal(new)
+        with pytest.raises(AssertionError, match="sequence set"):
+            dataclasses.replace(toy_index, letters=letters).audit()
 
 
 class TestRawLcp:
@@ -260,6 +270,26 @@ class TestSerialization:
             fx.load(p, toy_index.dataset.db)
         with pytest.raises(fx.IndexFormatError, match="version"):
             fx.core.read_index_header(p)
+
+    def test_other_sequence_set_rejected(self, tmp_path):
+        # A and S share a cluster, so both sets fill the same bins with
+        # the same counts; only the digest of the sequences tells them apart
+        scheme = fx.parse_partition("TSAN,ILVM,KR,DEQ,WFYH,GPC", fx.STANDARD_ALPHABET, 9)
+        path = tmp_path / "a.fsi"
+        built_on = fx.SequenceDB(records=(("s", "A" * 300),))
+        fx.build(fx.extract_fragments(built_on, 9), scheme).save(path)
+        fx.load(path, built_on).audit()
+        with pytest.raises(fx.IndexFormatError, match="sequence set"):
+            fx.load(path, fx.SequenceDB(records=(("s", "S" * 300),)))
+
+    def test_header_stats_need_only_the_header(self, toy_index, tmp_path):
+        p = tmp_path / "h.fsi"
+        toy_index.save(p)
+        full = fx.core.read_index_header(p)
+        end = (fx.core._HEADER.size + len(toy_index.alphabet.letters.encode())
+               + len(toy_index.scheme.spec_string.encode()))
+        p.write_bytes(p.read_bytes()[:end])
+        assert fx.core.read_index_header(p) == dict(full, file_bytes=end)
 
     def test_header_stats(self, toy_index, tmp_path):
         p = tmp_path / "h.fsi"

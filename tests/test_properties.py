@@ -4,8 +4,12 @@ Indexes are random and mostly empty: fine per-position partitions (up to
 six clusters of seven letters) over a few short sequences, some with letters
 outside the alphabet, in fixed and suffix mode.  Every search must equal
 ``linear_scan_range``/``linear_scan_knn``, and a range search must scan
-exactly the non-empty bins whose bound is within the radius.
+exactly the non-empty bins whose bound is within the radius.  A saved
+index must load back to the same file, bins and answers.
 """
+
+import os
+import tempfile
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
@@ -99,3 +103,32 @@ def test_knn_lists(case, data, k):
     got = [(v + q.shift, r.seq_id, r.offset) for r, v in hits]
     want = [(v, r.seq_id, r.offset) for r, v in fx.linear_scan_knn(ds, f, k)]
     assert got == want
+
+
+@SETTINGS
+@given(case=indexes(), data=st.data(), radius=st.integers(-3, 60), k=st.integers(1, 6))
+def test_save_load_search(case, data, radius, k):
+    ds, index = case
+    with tempfile.TemporaryDirectory() as tmp:
+        first, again = os.path.join(tmp, "a.fsi"), os.path.join(tmp, "b.fsi")
+        index.save(first)
+        loaded = fx.load(first, ds.db)
+        loaded.save(again)
+        with open(first, "rb") as a, open(again, "rb") as b:
+            assert a.read() == b.read()
+
+    ranks = index.scheme.ranks(ds.letter_matrix())
+    sizes = np.bincount(ranks, minlength=index.n_bins)
+    for ix in (index, loaded):
+        assert [ix.bin_size(u) for u in range(ix.n_bins)] == sizes.tolist()
+        assert ix.empty_bins() == int((sizes == 0).sum())
+        for j, w in enumerate(index.scheme.radix_weights):
+            bits = np.unpackbits(ix.levels[j].view(np.uint8), bitorder="little")
+            assert np.flatnonzero(bits).tolist() == np.unique(ranks // w).tolist()
+
+    q = fx.normalize(pssm(data.draw, index.m))
+    for search in (lambda ix: fx.range_search(ix, q, radius - q.shift),
+                   lambda ix: fx.knn_search(ix, q, k)):
+        (hits, stats), (same_hits, same) = search(index), search(loaded)
+        assert list(same_hits) == list(hits)
+        assert [getattr(same, c) for c in COUNTERS] == [getattr(stats, c) for c in COUNTERS]

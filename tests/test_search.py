@@ -444,20 +444,17 @@ class TestShortQueries:
             hits, _ = fx.short_query_search(index, q, eps)
             assert hits_as_set(hits) == self.short_oracle(ds, toy_d, omega, eps)
 
-    @pytest.mark.parametrize("gather_cells", [None, 5])
-    def test_counters_match_bin_oracle(self, monkeypatch, gather_cells):
+    def test_counters_match_bin_oracle(self):
         """bins_scanned counts the non-empty bins whose cluster bound over
         the query's positions is within the radius; fragments_scanned sums
-        their sizes.  A tiny gather size splits the count into blocks."""
-        if gather_cells:
-            monkeypatch.setattr(fx.search, "_GATHER_CELLS", gather_cells)
+        their sizes."""
         rng = np.random.default_rng(53)
         alpha, m = fx.STANDARD_ALPHABET, 5
         db = random_db(rng, alpha, n_seqs=40, min_len=1, max_len=40)
         ds = fx.extract_fragments(db, m, alphabet=alpha, suffix_mode=True)
         scheme = random_partition(rng, alpha, m, max_clusters=4)
         index = fx.build(ds, scheme)
-        sizes = np.diff(index.bins)
+        sizes = np.array([index.bin_size(u) for u in range(index.n_bins)])
         nonempty = np.flatnonzero(sizes)
         digits = [scheme.unrank(int(u)) for u in nonempty]
         for length in range(1, m + 1):
