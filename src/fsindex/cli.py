@@ -22,7 +22,6 @@ from .alphabet import (
     parse_partition,
     parse_score_matrix,
 )
-from .bench import OracleMismatch, distance_query_factory, run_bench
 from .core import build, load, read_index_header
 from .ingest import dataset_manifest, extract_fragments, parse_fasta, sample_queries
 from .query import (
@@ -168,6 +167,9 @@ def cmd_search(args) -> int:
 
 
 def cmd_bench(args) -> int:
+    # imported here: a cold ``search`` needs neither the harness nor ``statistics``
+    from .bench import OracleMismatch, distance_query_factory, run_bench
+
     index = _open_index(args)
     matrix = _load_matrix(args.matrix, index.alphabet)
     d = distance_from_score(matrix)

@@ -266,7 +266,7 @@ def build(dataset: FragmentDataset, scheme: PartitionScheme) -> FSIndex:
     n, n_bins = dataset.n, scheme.n_bins
     # a bit per bin at the last level; refuse absurd schemes before allocating
     if n_bins > 1 << 34:
-        raise MemoryError(f"{n_bins} bins exceed the in-memory budget")
+        raise ValueError(f"{n_bins} bins exceed the in-memory budget of 2^34")
     if n > np.iinfo(np.uint32).max:
         raise ValueError(f"{n} fragments exceed the uint32 bin offsets")
 
@@ -342,7 +342,13 @@ def load(path, db: SequenceDB) -> FSIndex:
         arrays[name] = np.frombuffer(blob, dtype=dtype, count=count, offset=pos)
         pos += arrays[name].nbytes
     arrays["letters"] = arrays["letters"].reshape(n, m)
-    sids, offs = arrays["sids"], arrays["offs"]
+    sids, offs, bins = arrays["sids"], arrays["offs"], arrays["bins"]
+    if n and arrays["letters"].max() > len(alphabet):
+        raise IndexFormatError("letter code past the pad code")
+    if arrays["lcp"].max() > m:
+        raise IndexFormatError("shared prefix longer than the fragments")
+    if bins[0] != 0 or bins[-1] != n or (bins[1:] <= bins[:-1]).any():
+        raise IndexFormatError("bin offsets not increasing from 0 to the fragment count")
 
     codes, starts = encode_db(db, alphabet)
     if _sequence_digest(codes, starts).hex() != info["sequence_digest"]:

@@ -9,14 +9,14 @@ contiguous block of bin ranks, holds no fragment; accepted bins are
 scanned with shared-prefix (lcp) reuse and early rejection of partial
 sums.  Pruning an empty subtree is exact: it holds no hits.
 
-One traversal serves every search: a vectorized breadth-first sweep at
-a fixed radius that returns the accepted nodes with their bounds and,
+One traversal serves every search: a vectorized sweep over positions
+at a fixed radius that returns the accepted nodes with their bounds and,
 given a ``Tracer``, records the scanned and pruned nodes, empty
 subtrees among the pruned.  Range search, at any query length, scans
 every accepted node; k-NN search scans them best first, in increasing
-bound order.  One block scan turns accepted nodes into frag-array spans,
-and one span-scan kernel evaluates every span, for the index and for the
-flat baseline.
+(bound, rank) order.  One block scan turns accepted nodes into
+frag-array spans, and one span-scan kernel evaluates every span, for the
+index and for the flat baseline.
 
 Scan counters (bins/fragments/residues scanned) follow the reference
 scan's cost model exactly; the vectorized implementation may touch more
@@ -230,23 +230,27 @@ def _extend_long(
     return accepted, rows[hit], vals[hit]
 
 
-def _collect_bfs(
+def _sweep(
     lbt: LowerBoundTable, index: FSIndex, depth: int, eps: int, stats: SearchStats,
     trace: Tracer | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Breadth-first enumeration of accepted nodes at a fixed radius.
+    """The accepted nodes at a fixed radius, by one sweep over positions.
 
     ``depth`` limits substitutions to the first ``depth`` positions.  The
-    root is accepted when its bound is within the radius, and a child
-    when its bound is and its subtree holds a fragment: a child ``u``
-    substituted at position ``j`` keeps the root's digits after ``j``,
-    worth less than ``w_j``, the radix weight of ``j``, so bit
-    ``u // w_j`` of the index's level-``j`` occupancy tells whether its
-    subtree is empty.  Only children whose bound passed are looked up,
-    and empty subtrees are never expanded.
-    ``stats.nodes_visited`` counts every bound evaluated, empty
-    children's included: pruning lowers it only by the descendants of
-    empty subtrees, which are never evaluated.
+    root is accepted when its bound is within the radius.  A child
+    substitutes one non-root cluster at a position after its parent's
+    last substitution, so the nodes that may substitute at position ``j``
+    are exactly the root and the nodes accepted at earlier positions: step
+    ``j`` of the sweep expands every node accepted so far and appends the
+    accepted children.  A child is accepted when its bound is within the
+    radius and its subtree holds a fragment: a child ``u`` substituted at
+    position ``j`` keeps the root's digits after ``j``, worth less than
+    ``w_j``, the radix weight of ``j``, so bit ``u // w_j`` of the index's
+    level-``j`` occupancy tells whether its subtree is empty.  Only
+    children whose bound passed are looked up, and empty subtrees are
+    never expanded.  ``stats.nodes_visited`` counts every bound evaluated,
+    empty children's included: pruning lowers it only by the descendants
+    of empty subtrees, which are never evaluated.
 
     Returns the accepted nodes' ranks (digits past ``depth`` zero) and
     bounds.  A ``trace`` receives every accepted node as scanned and
@@ -256,59 +260,33 @@ def _collect_bfs(
     those whose subtree is empty.
     """
     weights = lbt.scheme.radix_weights
-    cand_f, cand_d = [], []  # non-root cluster bounds and rank deltas
-    for j in range(depth):
-        other = np.arange(lbt.bounds[j].size) != lbt.root_digits[j]
-        cand_f.append(lbt.bounds[j][other])
-        cand_d.append(lbt.rank_offsets[j][other])
     root = sum(d * int(w) for d, w in zip(lbt.root_digits, weights))
     stats.nodes_visited += 1
-    root_bound = lbt.bound_of(lbt.root_digits)
-    level_u = np.array([root], dtype=np.int64)
-    level_d = np.array([root_bound], dtype=np.int64)
-    if root_bound > eps:
+    ranks = np.array([root], dtype=np.int64)
+    bounds = np.array([lbt.bound_of(lbt.root_digits)], dtype=np.int64)
+    if bounds[0] > eps:
         if trace is not None:
-            trace.record("pruned", lbt.scheme, depth, level_u, level_d)
-        return level_u[:0], level_d[:0]
-    level_i = np.array([0], dtype=np.int64)
-    accepted_u, accepted_d = [level_u], [level_d]
+            trace.record("pruned", lbt.scheme, depth, ranks, bounds)
+        return ranks[:0], bounds[:0]
     pruned_u, pruned_d = [], []
-    while level_u.size:
-        nxt_u, nxt_d, nxt_i = [], [], []
-        for j in range(depth):
-            # a level lists its nodes by first free position, so the nodes
-            # that may substitute at j are a prefix
-            live = int(np.searchsorted(level_i, j, side="right"))
-            live_u, live_d = level_u[:live], level_d[:live]
-            elig = live_d + lbt.second_min[j] <= eps
-            if trace is not None:  # short-circuited: every child exceeds eps
-                cut = ~elig
-                pruned_u.append((live_u[cut, None] + cand_d[j][None, :]).ravel())
-                pruned_d.append((live_d[cut, None] + cand_f[j][None, :]).ravel())
-            if not elig.any():
-                continue
-            e = live_d[elig, None] + cand_f[j][None, :]
-            stats.nodes_visited += e.size
-            u = live_u[elig, None] + cand_d[j][None, :]
-            keep = e <= eps
-            u_in, e_in = u[keep], e[keep]
-            full = index.occupied(j, u_in // int(weights[j]))
-            if trace is not None:
-                pruned_u += [u[~keep], u_in[~full]]
-                pruned_d += [e[~keep], e_in[~full]]
-            if not full.any():
-                continue
-            nxt_u.append(u_in[full])
-            nxt_d.append(e_in[full])
-            nxt_i.append(np.full(nxt_u[-1].size, j + 1, dtype=np.int64))
-        if not nxt_u:
-            break
-        level_u = np.concatenate(nxt_u)
-        level_d = np.concatenate(nxt_d)
-        level_i = np.concatenate(nxt_i)
-        accepted_u.append(level_u)
-        accepted_d.append(level_d)
-    ranks, bounds = np.concatenate(accepted_u), np.concatenate(accepted_d)
+    for j in range(depth):
+        other = np.arange(lbt.bounds[j].size) != lbt.root_digits[j]
+        cand_f, cand_d = lbt.bounds[j][other], lbt.rank_offsets[j][other]
+        elig = bounds + lbt.second_min[j] <= eps
+        if trace is not None:  # short-circuited: every child exceeds eps
+            pruned_u.append((ranks[~elig, None] + cand_d).ravel())
+            pruned_d.append((bounds[~elig, None] + cand_f).ravel())
+        e = bounds[elig, None] + cand_f
+        stats.nodes_visited += e.size
+        u = ranks[elig, None] + cand_d
+        keep = e <= eps
+        u_in, e_in = u[keep], e[keep]
+        full = index.occupied(j, u_in // int(weights[j]))
+        if trace is not None:
+            pruned_u += [u[~keep], u_in[~full]]
+            pruned_d += [e[~keep], e_in[~full]]
+        ranks = np.concatenate([ranks, u_in[full]])
+        bounds = np.concatenate([bounds, e_in[full]])
     if trace is not None:
         trace.record("scanned", lbt.scheme, depth, ranks, bounds)
         trace.record(
@@ -381,7 +359,7 @@ def range_search(
     stats = SearchStats()
     depth = min(q.m, index.m)
     lbt = lower_bound_table(q, index.scheme, depth=depth)
-    node_ranks, _ = _collect_bfs(lbt, index, depth, radius, stats, trace)
+    node_ranks, _ = _sweep(lbt, index, depth, radius, stats, trace)
     width = int(index.scheme.radix_weights[depth - 1])
     idx, vals = _scan_blocks(index, q, node_ranks, width, radius, stats)
     return _finish(index, idx, vals, stats, t0)
@@ -414,10 +392,10 @@ def knn_search(
 ) -> tuple[HitList, SearchStats]:
     """The ``k`` occurrences with smallest query values, best first.
 
-    The breadth-first sweep runs at a candidate radius, starting at the
-    root bound.  Its non-empty bins are scanned in increasing bound
-    order, in chunks of doubling size, each chunk at the current k-th
-    value (unbounded until ``k`` hits are known), until the next bound
+    The sweep over positions runs at a candidate radius, starting at the
+    root bound.  Its non-empty bins are scanned in increasing (bound,
+    rank) order, in chunks of doubling size, each chunk at the current
+    k-th value (unbounded until ``k`` hits are known), until the next bound
     exceeds that value.  While fewer than ``k`` hits are known or the
     k-th value exceeds the radius, the radius grows by half, capped at the
     k-th value, and the sweep repeats; bins within the previous radius
@@ -440,9 +418,9 @@ def knn_search(
     kth = INF_RADIUS
     idx = vals = np.zeros(0, dtype=np.int64)
     while True:
-        ranks, bounds = _collect_bfs(lbt, index, index.m, radius, stats)
+        ranks, bounds = _sweep(lbt, index, index.m, radius, stats)
         fresh = (bounds > covered) & index.occupied(index.m - 1, ranks)
-        order = np.argsort(bounds[fresh], kind="stable")
+        order = np.lexsort((ranks[fresh], bounds[fresh]))
         ranks, bounds = ranks[fresh][order], bounds[fresh][order]
         pos, size = 0, 1
         while True:

@@ -72,6 +72,15 @@ class TestBuildCommand:
         assert rc == 1
         assert "'C'" in capsys.readouterr().err
 
+    def test_too_many_bins_is_an_input_error(self, workdir, tmp_path, capsys):
+        rc = main([
+            "build", "--fasta", str(workdir / "db.fa"), "--matrix", "BLOSUM62",
+            "--partition", "A,R,N,D,C,Q,E,G,H,I,L,K,M,F,P,S,T,W,YV", "-m", "12",
+            "--out", str(tmp_path / "x.fsi"),
+        ])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("error:")
+
     def test_usage_error_exit_code(self):
         assert main(["build", "--fasta", "x"]) == 1
 
@@ -285,6 +294,18 @@ class TestBenchCommand:
         row = report.rows[0]
         assert row.radius == 7
         assert row.rng.bins_scanned == 2
+
+    def test_cli_import_leaves_the_harness_out(self):
+        # a cold search process imports the CLI; the bench harness is for ``bench`` only
+        src = Path(fx.__file__).resolve().parent.parent
+        code = ("import sys, fsindex.cli; "
+                "print(sorted({'fsindex.bench', 'statistics'} & set(sys.modules)))")
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": str(src)},
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
 
     def test_console_script_entry_point(self, workdir):
         # the child imports fsindex from the same source tree as this process

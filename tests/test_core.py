@@ -282,6 +282,29 @@ class TestSerialization:
         with pytest.raises(fx.IndexFormatError, match="sequence set"):
             fx.load(path, fx.SequenceDB(records=(("s", "S" * 300),)))
 
+    @pytest.mark.parametrize("name, row, value, match", [
+        ("letters", 5, 5, "pad"),       # the toy pad code is 4
+        ("lcp", 5, 4, "prefix"),        # m = 3
+        ("bins", 8, 65, "bin offsets"),  # n = 64
+        ("bins", 3, 16, "bin offsets"),  # bins[2] == 16: an empty bin
+    ])
+    def test_array_values_checked(self, toy_index, tmp_path, name, row, value, match):
+        p = tmp_path / "x.fsi"
+        toy_index.save(p)
+        blob = bytearray(p.read_bytes())
+        head = (fx.core._HEADER.size + len(toy_index.alphabet.letters.encode())
+                + len(toy_index.scheme.spec_string.encode()))
+        pos = head + -head % 8
+        for arr, dtype in fx.core._ARRAYS:
+            if arr == name:
+                break
+            pos += getattr(toy_index, arr).astype(dtype).nbytes
+        size = np.dtype(dtype).itemsize
+        blob[pos + row * size: pos + (row + 1) * size] = np.array([value], dtype).tobytes()
+        p.write_bytes(bytes(blob))
+        with pytest.raises(fx.IndexFormatError, match=match):
+            fx.load(p, toy_index.dataset.db)
+
     def test_header_stats_need_only_the_header(self, toy_index, tmp_path):
         p = tmp_path / "h.fsi"
         toy_index.save(p)

@@ -4,8 +4,10 @@ Indexes are random and mostly empty: fine per-position partitions (up to
 six clusters of seven letters) over a few short sequences, some with letters
 outside the alphabet, in fixed and suffix mode.  Every search must equal
 ``linear_scan_range``/``linear_scan_knn``, and a range search must scan
-exactly the non-empty bins whose bound is within the radius.  A saved
-index must load back to the same file, bins and answers.
+exactly the non-empty bins whose bound is within the radius.  The
+traversal must evaluate, scan and prune the nodes a recursive walk of the
+implicit tree does.  A saved index must load back to the same file, bins
+and answers.
 """
 
 import os
@@ -91,6 +93,61 @@ def test_longer_and_shorter_queries(case, data, radius):
         same_hits, same = fx.range_search(index, q, radius - q.shift, trace=trace)
         assert rows(same_hits, 0) == rows(hits, 0)
         assert [getattr(same, c) for c in COUNTERS] == counters
+
+
+def tree_walk(lbt, scheme, filled, depth: int, eps: int):
+    """(bounds evaluated, scanned, pruned) of a recursive walk of the implicit
+    tree: each child substitutes one non-root cluster at a position after its
+    parent's last substitution.  ``filled`` holds every digit prefix of the
+    non-empty bins."""
+    root = tuple(lbt.root_digits)
+    scanned, pruned = [], []
+    evaluated = 1
+
+    def visit(node, bound, first):
+        nonlocal evaluated
+        scanned.append((node, bound))
+        for j in range(first, depth):
+            children = [node[:j] + (r,) + node[j + 1:]
+                        for r in range(scheme.sizes[j]) if r != root[j]]
+            if bound + lbt.second_min[j] > eps:  # no child can be within the radius
+                pruned.extend((c, lbt.bound_of(c)) for c in children)
+                continue
+            for c in children:
+                evaluated += 1
+                b = lbt.bound_of(c)
+                if b <= eps and c[:j + 1] in filled:
+                    visit(c, b, j + 1)
+                else:
+                    pruned.append((c, b))
+
+    bound = lbt.bound_of(root)
+    if bound <= eps:
+        visit(root, bound, 0)
+    else:
+        pruned.append((root, bound))
+    return evaluated, sorted(scanned), sorted(pruned)
+
+
+@SETTINGS
+@given(case=indexes(), data=st.data(), eps=st.integers(-2, 50))
+def test_traversal_matches_tree_walk(case, data, eps):
+    ds, index = case
+    lengths = range(1, index.m + 3) if index.suffix_mode else [index.m]
+    q = fx.normalize(pssm(data.draw, data.draw(st.sampled_from(lengths))))
+    depth = min(q.m, index.m)
+    filled = set()  # every digit prefix of every non-empty bin
+    for u in np.unique(index.scheme.ranks(ds.letter_matrix())).tolist():
+        digits = tuple(index.scheme.unrank(u))
+        filled.update(digits[:j] for j in range(1, index.m + 1))
+    lbt = fx.lower_bound_table(q, index.scheme, depth=depth)
+    evaluated, scanned, pruned = tree_walk(lbt, index.scheme, filled, depth, eps)
+
+    trace = fx.Tracer()
+    _, stats = fx.range_search(index, q, eps, trace=trace)
+    assert stats.nodes_visited == evaluated
+    assert sorted(trace.scanned) == scanned
+    assert sorted(trace.pruned) == pruned
 
 
 @SETTINGS
