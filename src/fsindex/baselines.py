@@ -1,14 +1,17 @@
 """Ground-truth scans and comparison access methods.
 
 ``linear_scan_range``/``linear_scan_knn`` evaluate the query on every
-occurrence and define correctness for the index searches.  ``FlatIndex``
-is the suffix-array-style baseline: one lexicographically sorted run of
-all fragments scanned with the same shared-prefix machinery as a single
-huge bin.  ``fibre_range_query`` answers a distance query by splitting
-the dataset into constant-self-score fibres, on which the doubled
-symmetrized distance is a metric, and running one metric range query per
-fibre with a shifted radius; its agreement with the direct scan is the
-correctness check for the weight/symmetrization algebra.
+occurrence whose window of the query's length is clean, at any query
+length on a suffix-mode dataset, and define correctness for the index
+searches.  ``FlatIndex`` is the suffix-array-style baseline: one
+lexicographically sorted run of all fragments scanned with the same
+shared-prefix machinery as a single huge bin.  ``fibre_range_query``
+answers a distance query through the constant-self-score fibres, on
+which the doubled symmetrized distance is a metric: each row is kept
+within its own fibre's shifted radius.  Its agreement with the direct
+scan is the correctness check for the weight/symmetrization algebra.
+The oracles and the fibre weights and distances all come from one
+window gather, ``_evaluate``.
 """
 
 from __future__ import annotations
@@ -17,6 +20,7 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .alphabet import ScoreMatrix, check_quasi_metric, distance_from_score
 from .ingest import FragmentDataset, FragmentRef
@@ -25,64 +29,44 @@ from .search import HitList, SearchStats, _finish, _scan_spans
 from .core import _sorted_run
 
 
-def _dataset_values(ds: FragmentDataset, q: QueryFunction) -> tuple[np.ndarray, np.ndarray]:
-    """(row indices, values) of every occurrence long enough to evaluate."""
-    letters = ds.letter_matrix()
-    rows = np.flatnonzero(ds.key_lengths() >= q.m)
-    if rows.size == 0:
-        return rows, np.zeros(0, dtype=np.int64)
-    qtab = np.hstack([q.tables, np.zeros((q.m, 1), dtype=np.int64)])
-    vals = qtab[np.arange(q.m)[None, :], letters[rows, :q.m]].sum(axis=1)
-    return rows, vals
+def _evaluate(ds: FragmentDataset, tables: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(rows, values) of every occurrence whose window of ``len(tables)``
+    letters lies inside its sequence and holds no invalid letter, the value
+    being the sum of ``tables[i, letter_i]`` over that window.
+
+    One row gather over the windows of the code array, with pad codes
+    appended so the last sequence's windows stay in bounds; a window that
+    runs past its own sequence is dropped by its length.
+    """
+    width, pad = len(tables), len(ds.alphabet)
+    if width > ds.m and not ds.suffix_mode:
+        raise ValueError("query longer than fixed-mode fragments")
+    padded = np.concatenate([ds.codes, np.full(width, pad, dtype=np.uint8)])
+    windows = sliding_window_view(padded, width)[ds.starts[ds.sids] + ds.offs]
+    inside = ds.seq_lengths[ds.sids] - ds.offs >= width
+    rows = np.flatnonzero(inside & (windows < pad).all(axis=1))
+    return rows, tables[np.arange(width), windows[rows]].sum(axis=1)
+
+
+def _hits(ds: FragmentDataset, rows: np.ndarray, vals: np.ndarray) -> HitList:
+    refs = zip(ds.sids[rows].tolist(), ds.offs[rows].tolist())
+    return HitList([(FragmentRef(s, o), v) for (s, o), v in zip(refs, vals.tolist())])
 
 
 def linear_scan_range(ds: FragmentDataset, q: QueryFunction, radius: int) -> HitList:
     """Exhaustive oracle: full evaluation of every occurrence."""
-    if q.m > ds.m and not ds.suffix_mode:
-        raise ValueError("query longer than fixed-mode fragments")
-    if q.m > ds.m:
-        return _linear_scan_long(ds, q, radius)
-    rows, vals = _dataset_values(ds, q)
+    rows, vals = _evaluate(ds, q.tables)
     keep = vals <= radius
-    return HitList(
-        [
-            (FragmentRef(int(ds.sids[r]), int(ds.offs[r])), int(v))
-            for r, v in zip(rows[keep], vals[keep])
-        ]
-    )
-
-
-def _linear_scan_long(ds: FragmentDataset, q: QueryFunction, radius: int) -> HitList:
-    """Oracle for queries longer than the dataset width: evaluate every
-    occurrence whose full-length window exists and is clean."""
-    pad = len(ds.alphabet)
-    lens = ds.seq_lengths[ds.sids] - ds.offs
-    rows = np.flatnonzero(lens >= q.m)
-    out = []
-    qtab = np.hstack([q.tables, np.zeros((q.m, 1), dtype=np.int64)])
-    for r in rows:
-        base = int(ds.starts[ds.sids[r]] + ds.offs[r])
-        codes = ds.codes[base:base + q.m]
-        if (codes >= pad).any():
-            continue
-        v = int(qtab[np.arange(q.m), codes].sum())
-        if v <= radius:
-            out.append((FragmentRef(int(ds.sids[r]), int(ds.offs[r])), v))
-    return HitList(out)
+    return _hits(ds, rows[keep], vals[keep])
 
 
 def linear_scan_knn(ds: FragmentDataset, q: QueryFunction, k: int) -> HitList:
     """Exhaustive k smallest values, ties broken by (seq_id, offset)."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    rows, vals = _dataset_values(ds, q)
-    order = np.lexsort((ds.offs[rows], ds.sids[rows], vals))[: min(k, rows.size)]
-    return HitList(
-        [
-            (FragmentRef(int(ds.sids[rows[i]]), int(ds.offs[rows[i]])), int(vals[i]))
-            for i in order
-        ]
-    )
+    rows, vals = _evaluate(ds, q.tables)
+    order = np.lexsort((ds.offs[rows], ds.sids[rows], vals))[:k]
+    return _hits(ds, rows[order], vals[order])
 
 
 @dataclass(frozen=True)
@@ -141,20 +125,12 @@ class FibrePartition:
 
 
 def fibre_partition(ds: FragmentDataset, s: ScoreMatrix) -> FibrePartition:
-    return _fibre_partition(ds, s, ds.letter_matrix())
-
-
-def _fibre_partition(
-    ds: FragmentDataset, s: ScoreMatrix, letters: np.ndarray
-) -> FibrePartition:
-    """``fibre_partition`` over the dataset's already built letter matrix."""
-    rows = np.flatnonzero(ds.key_lengths() >= ds.m)
-    diag = np.r_[np.diagonal(s.values), 0]
-    w = diag[letters[:, :ds.m]].sum(axis=1)
-    fibres = {
-        int(z): rows[w[rows] == z] for z in np.unique(w[rows])
-    }
-    return FibrePartition(dataset=ds, rows=rows, weights=w[rows], fibres=fibres)
+    diag = np.diagonal(s.values)
+    rows, w = _evaluate(ds, np.broadcast_to(diag, (ds.m, diag.size)))
+    order = np.argsort(w, kind="stable")
+    zs, firsts = np.unique(w[order], return_index=True)
+    fibres = dict(zip(zs.tolist(), np.split(rows[order], firsts[1:])))
+    return FibrePartition(dataset=ds, rows=rows, weights=w, fibres=fibres)
 
 
 def fibre_range_query(
@@ -163,9 +139,9 @@ def fibre_range_query(
     """Distance ball via the fibre decomposition.
 
     Requires a symmetric score matrix whose derived distance passes the
-    quasi-metric audit.  Each fibre of constant weight ``z`` is scanned
-    with the doubled symmetric distance ``2 rho = D + D^T`` against the
-    doubled shifted radius ``2 eps + (z - w(omega))``; hit values are
+    quasi-metric audit.  Each row of weight ``z`` is kept when its doubled
+    symmetric distance ``2 rho = D + D^T`` to ``omega`` is within its own
+    fibre's doubled shifted radius ``2 eps + (z - w(omega))``; its value is
     recovered from the weight identity ``2 d = 2 rho + w(omega) - z``.
     """
     if not s.is_symmetric:
@@ -177,23 +153,10 @@ def fibre_range_query(
     if len(omega) != ds.m:
         raise ValueError(f"query length {len(omega)} != fragment length {ds.m}")
 
-    rho2 = d.values + d.values.T  # doubled metric symmetrization
     codes = ds.alphabet.encode(omega)
     w_omega = int(np.diagonal(s.values)[codes].sum())
-
-    letters = ds.letter_matrix()
-    part = _fibre_partition(ds, s, letters)
-    rho2_ext = np.hstack([rho2, np.zeros((rho2.shape[0], 1), dtype=np.int64)])
-    per_pos = rho2_ext[codes]  # (m, |alphabet|+1)
-
-    out: list[tuple[FragmentRef, int]] = []
-    for z, rows in sorted(part.fibres.items()):
-        doubled_radius = 2 * radius + (z - w_omega)
-        if doubled_radius < 0:
-            continue  # the shifted metric ball is empty on this fibre
-        vals2 = per_pos[np.arange(ds.m)[None, :], letters[rows, :ds.m]].sum(axis=1)
-        keep = vals2 <= doubled_radius
-        for r, v2 in zip(rows[keep], vals2[keep]):
-            value = (int(v2) + w_omega - z) // 2
-            out.append((FragmentRef(int(ds.sids[r]), int(ds.offs[r])), value))
-    return HitList(out)
+    part = fibre_partition(ds, s)
+    # the same rows as ``part.rows``: every clean window of m letters
+    rows, rho2 = _evaluate(ds, (d.values + d.values.T)[codes])
+    keep = rho2 <= 2 * radius + (part.weights - w_omega)
+    return _hits(ds, rows[keep], (rho2 + w_omega - part.weights)[keep] // 2)

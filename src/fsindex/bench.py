@@ -14,9 +14,10 @@ import statistics
 import time
 from dataclasses import dataclass, field
 
+from .alphabet import DistanceMatrix
 from .baselines import flat_build, flat_search, linear_scan_range
 from .core import FSIndex
-from .query import QueryFunction, distance_query, normalize
+from .query import distance_query, normalize
 from .search import INF_RADIUS, SearchStats, knn_search, range_search
 
 SCHEMA = "fsindex-bench/1"
@@ -137,17 +138,15 @@ class BenchReport:
 def run_bench(
     index: FSIndex,
     queries: list[str],
-    make_query,
+    d: DistanceMatrix,
     k_list: list[int] | None = None,
     radius: int | None = None,
     check_oracle: bool = False,
     include_flat: bool = False,
 ) -> BenchReport:
-    """Run the harness over ``queries``.
-
-    ``make_query(fragment) -> QueryFunction`` supplies the per-query
-    function (distance from the fragment, typically).  With ``k_list``
-    the k-NN-then-range protocol runs per k; with ``radius`` a plain
+    """Run the harness over ``queries``, each searched by its distance
+    under ``d`` from the query fragment.  With ``k_list`` the
+    k-NN-then-range protocol runs per k; with ``radius`` a plain
     fixed-radius range search runs instead.
     """
     if (k_list is None) == (radius is None):
@@ -156,7 +155,7 @@ def run_bench(
     report = BenchReport(m=index.m)
     flat = flat_build(index.dataset) if include_flat else None
     for fragment in queries:
-        f = make_query(fragment)
+        f = distance_query(d, fragment)
         q = normalize(f)
         plans = [(k, None) for k in k_list] if k_list else [(None, radius)]
         for k, eps in plans:
@@ -193,9 +192,3 @@ def run_bench(
     report.elapsed = time.perf_counter() - t0
     return report
 
-
-def distance_query_factory(d_matrix):
-    def make(fragment: str) -> QueryFunction:
-        return distance_query(d_matrix, fragment)
-
-    return make

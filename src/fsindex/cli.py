@@ -168,7 +168,7 @@ def cmd_search(args) -> int:
 
 def cmd_bench(args) -> int:
     # imported here: a cold ``search`` needs neither the harness nor ``statistics``
-    from .bench import OracleMismatch, distance_query_factory, run_bench
+    from .bench import OracleMismatch, run_bench
 
     index = _open_index(args)
     matrix = _load_matrix(args.matrix, index.alphabet)
@@ -195,7 +195,7 @@ def cmd_bench(args) -> int:
         report = run_bench(
             index,
             queries,
-            distance_query_factory(d),
+            d,
             k_list=k_list,
             radius=args.radius,
             check_oracle=args.oracle,

@@ -53,8 +53,10 @@ def bin_of(scheme: PartitionScheme, fragment: str) -> int:
 
 
 def _sort_keys(letters: np.ndarray, pad: int) -> np.ndarray:
-    """Letter codes shifted so the pad code of short suffixes sorts first."""
-    return np.where(letters == pad, 0, letters.astype(np.int16) + 1)
+    """Letter codes shifted so the pad code of short suffixes sorts first.
+    Every letter code is below the pad, which is at most 255, so ``code + 1``
+    still fits in uint8."""
+    return np.where(letters == pad, np.uint8(0), letters + np.uint8(1))
 
 
 def _raw_lcp(rows: np.ndarray, pad: int | None = None) -> np.ndarray:

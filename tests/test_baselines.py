@@ -29,6 +29,20 @@ class TestLinearScans:
         all_sorted = sorted(fx.linear_scan_knn(toy_cube, f, 64).values())
         assert top5 == all_sorted[:5]
 
+    def test_knn_longer_than_fragments(self):
+        db = fx.parse_fasta(">a\nARNDCQEGHILK\n>b\nMKVLATTRSARN\n")
+        f = fx.distance_query(fx.distance_from_score(fx.load_builtin_matrix("BLOSUM62")), "ARNDCQ")
+        suffix = fx.extract_fragments(db, 4, suffix_mode=True)
+        ranked = sorted(
+            fx.linear_scan_range(suffix, f, fx.INF_RADIUS),
+            key=lambda e: (e[1], e[0].seq_id, e[0].offset),
+        )
+        assert len(ranked) == 14
+        assert list(fx.linear_scan_knn(suffix, f, 3)) == ranked[:3]
+        fixed = fx.extract_fragments(db, 4)
+        with pytest.raises(ValueError, match="longer"):
+            fx.linear_scan_knn(fixed, f, 3)
+
 
 class TestFlatIndex:
     def test_structure(self, toy_cube):

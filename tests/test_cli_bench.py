@@ -9,7 +9,7 @@ import pytest
 
 import fsindex as fx
 import fsindex.bench
-from fsindex.bench import distance_query_factory, run_bench
+from fsindex.bench import run_bench
 from fsindex.cli import main
 
 FASTA = """\
@@ -268,7 +268,7 @@ class TestBenchCommand:
         d = fx.distance_from_score(fx.load_builtin_matrix("BLOSUM62"))
         queries = fx.sample_queries(6, 4, seed=2)
         report = run_bench(
-            index, queries, distance_query_factory(d), k_list=[2], check_oracle=True
+            index, queries, d, k_list=[2], check_oracle=True
         )
         agg = report.aggregates()
         assert agg["bins_scanned"]["mean"] == (
@@ -288,7 +288,7 @@ class TestBenchCommand:
         # the 8th-smallest distance from abd over the full cube is 7, so the
         # k=8 protocol reruns the range search at radius 7 and scans 2 bins
         report = run_bench(
-            toy_index, ["abd"], lambda w: fx.distance_query(toy_d, w), k_list=[8],
+            toy_index, ["abd"], toy_d, k_list=[8],
             check_oracle=True,
         )
         row = report.rows[0]

@@ -149,6 +149,32 @@ class TestBuild:
         with pytest.raises(AssertionError, match="sequence set"):
             dataclasses.replace(toy_index, letters=letters).audit()
 
+    def test_widest_alphabet(self):
+        # 255 letters: the pad code is 255 and code 254 sorts as 255
+        alpha = fx.Alphabet("".join(chr(c) for c in range(1, 256)))
+        rng = np.random.default_rng(61)
+        pool = [chr(c) for c in (*range(1, 5), *range(250, 256))] + ["\x00"]
+        seqs = ["".join(rng.choice(pool, int(rng.integers(1, 12)))) for _ in range(12)]
+        db = fx.SequenceDB(records=tuple((f"s{i}", s) for i, s in enumerate(seqs)))
+        ds = fx.extract_fragments(db, 3, alphabet=alpha, suffix_mode=True)
+        halves = (alpha.letters[:128], alpha.letters[128:])
+        scheme = fx.PartitionScheme(alpha, (halves,) * 3, spec_string="halves")
+        index = fx.build(ds, scheme)
+        index.audit()
+        assert (index.letters == 254).any() and (index.letters == 255).any()
+        texts = [ds.fragment_text(int(s), int(o), 3) for s, o in zip(ds.sids, ds.offs)]
+        ranks = scheme.ranks(ds.letter_matrix())
+        # code order is character order here, and a shorter key sorts first
+        ref = sorted(range(ds.n), key=lambda i: (ranks[i], texts[i], i))
+        assert index.sids.tolist() == ds.sids[ref].tolist()
+        assert index.offs.tolist() == ds.offs[ref].tolist()
+        for _ in range(5):
+            f = fx.pssm_query(rng.integers(-5, 10, size=(3, 255)), alpha)
+            q = fx.normalize(f)
+            hits, _ = fx.range_search(index, q, 6 - q.shift)
+            want = fx.linear_scan_range(ds, f, 6)
+            assert sorted((r, v + q.shift) for r, v in hits) == sorted(want)
+
 
 class TestRawLcp:
     @staticmethod

@@ -3,7 +3,8 @@
 Indexes are random and mostly empty: fine per-position partitions (up to
 six clusters of seven letters) over a few short sequences, some with letters
 outside the alphabet, in fixed and suffix mode.  Every search must equal
-``linear_scan_range``/``linear_scan_knn``, and a range search must scan
+``linear_scan_range``/``linear_scan_knn``, which must in turn equal a
+plain loop over the occurrences, and a range search must scan
 exactly the non-empty bins whose bound is within the radius.  The
 traversal must evaluate, scan and prune the nodes a recursive walk of the
 implicit tree does.  A saved index must load back to the same file, bins
@@ -14,6 +15,7 @@ import os
 import tempfile
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 import fsindex as fx
@@ -160,6 +162,26 @@ def test_knn_lists(case, data, k):
     got = [(v + q.shift, r.seq_id, r.offset) for r, v in hits]
     want = [(v, r.seq_id, r.offset) for r, v in fx.linear_scan_knn(ds, f, k)]
     assert got == want
+
+
+@pytest.mark.parametrize("suffix_mode", [False, True])
+@SETTINGS
+@given(data=st.data(), radius=st.integers(-3, 80), k=st.integers(1, 6))
+def test_oracles_match_plain_loop(suffix_mode, data, radius, k):
+    # the oracles against code they share nothing with: one evaluation per
+    # occurrence of its own text
+    ds, _ = data.draw(indexes(suffix_mode=st.just(suffix_mode)))
+    f = pssm(data.draw, data.draw(st.integers(1, ds.m + 3 if ds.suffix_mode else ds.m)))
+    every = []
+    for sid, off in zip(ds.sids.tolist(), ds.offs.tolist()):
+        text = ds.fragment_text(sid, off, f.m)
+        if len(text) == f.m and all(c in ALPHA for c in text):
+            every.append((f.evaluate(text), sid, off))
+    every.sort()
+    assert rows(fx.linear_scan_range(ds, f, radius), 0) == sorted(
+        (sid, off, v) for v, sid, off in every if v <= radius
+    )
+    assert [(v, r.seq_id, r.offset) for r, v in fx.linear_scan_knn(ds, f, k)] == every[:k]
 
 
 @SETTINGS
