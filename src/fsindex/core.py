@@ -93,6 +93,9 @@ def _sorted_run(
     return order, letters, lcp
 
 
+_BIT = np.left_shift(np.uint8(1), np.arange(8, dtype=np.uint8))  # each bit of a byte
+
+
 def _level_words(scheme: PartitionScheme) -> list[int]:
     """64-bit words per occupancy level: one bit per block, one spare."""
     return [scheme.n_bins // int(w) // 64 + 1 for w in scheme.radix_weights]
@@ -163,9 +166,10 @@ class FSIndex:
         return self.dataset.suffix_mode
 
     def occupied(self, level: int, blocks: np.ndarray) -> np.ndarray:
-        """Whether each aligned block of ``radix_weights[level]`` ranks holds a fragment."""
-        words = self.levels[level][blocks >> 6]
-        return (words >> (blocks & 63).astype(np.uint64)) & np.uint64(1) != 0
+        """Whether each aligned block of ``radix_weights[level]`` ranks holds a fragment.
+        The words are little-endian, so bit ``b`` is bit ``b & 7`` of byte ``b >> 3``."""
+        level_bytes = self.levels[level].view(np.uint8)
+        return level_bytes.take(blocks >> 3) & _BIT.take(blocks & 7) != 0
 
     def nonempty_below(self, ranks) -> np.ndarray:
         """Non-empty bins ranked below each of ``ranks`` (0..N), the index

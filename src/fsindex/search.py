@@ -27,6 +27,7 @@ those of children then dropped as empty.
 
 from __future__ import annotations
 
+import functools
 import time
 from dataclasses import dataclass, field
 
@@ -42,7 +43,13 @@ INF_RADIUS = int(np.iinfo(np.int64).max)
 
 @dataclass
 class SearchStats:
-    """Work counters for one search."""
+    """Work counters and phase times for one search.
+
+    The phase times are wall seconds: the lower-bound table, the sweep,
+    turning accepted nodes into frag-array spans, scanning the spans and
+    materializing the hits.  A k-NN search sums them over its sweeps and
+    scan chunks; ``elapsed`` also holds its bookkeeping between them.
+    """
 
     nodes_visited: int = 0
     bins_scanned: int = 0
@@ -50,6 +57,18 @@ class SearchStats:
     residues_scanned: int = 0
     hits: int = 0
     elapsed: float = 0.0
+    table_s: float = 0.0
+    sweep_s: float = 0.0
+    spans_s: float = 0.0
+    scan_s: float = 0.0
+    finish_s: float = 0.0
+
+
+def _lap(stats: SearchStats, phase: str, since: float) -> float:
+    """Add the time since ``since`` to ``phase``; returns the clock."""
+    now = time.perf_counter()
+    setattr(stats, phase, getattr(stats, phase) + now - since)
+    return now
 
 
 @dataclass
@@ -120,18 +139,12 @@ class Tracer:
 
 
 def _multi_arange(starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
-    """Concatenation of arange(s, e) for each span, without a Python loop."""
-    sizes = (ends - starts).astype(np.int64)
-    keep = sizes > 0
-    starts, ends, sizes = starts[keep], ends[keep], sizes[keep]
-    total = int(sizes.sum())
-    if total == 0:
-        return np.zeros(0, dtype=np.int64)
-    out = np.ones(total, dtype=np.int64)
-    out[0] = starts[0]
-    brk = np.cumsum(sizes)[:-1]
-    out[brk] = starts[1:] - ends[:-1] + 1
-    return np.cumsum(out)
+    """Concatenation of arange(s, e) for each span, without a Python loop:
+    output position ``i`` of span ``k`` holds ``i + (s_k - before_k)``,
+    ``before_k`` the sizes of the spans before ``k``."""
+    sizes = ends - starts
+    before = np.cumsum(sizes) - sizes
+    return np.arange(int(sizes.sum())) + np.repeat(starts - before, sizes)
 
 
 def _query_table(q: NormalizedQuery) -> np.ndarray:
@@ -153,39 +166,47 @@ def _scan_spans(
     positions past them.  Returns (row indices, values) of hits and
     updates the fragment and residue counters exactly as the sequential
     bin scan would.
+
+    The rows are gathered once, as one row per position.  Position by
+    position, each row's table value is added to its running sum, kept
+    per position as ``cum[j]``, the row's value over its first ``j``
+    positions; the checkpoint, at which the sequential scan rejects a
+    row early, is the running sum at the prefix the row shares with its
+    successor, read with one gather.
     """
+    t = time.perf_counter()
     idx = _multi_arange(starts, ends)
-    stats.fragments_scanned += idx.size
-    if idx.size == 0:
+    n = idx.size
+    stats.fragments_scanned += n
+    if n == 0:
+        _lap(stats, "scan_s", t)
         return idx, np.zeros(0, dtype=np.int64)
     qtab = _query_table(q)
     m, eval_len = index.letters.shape[1], q.m
     w = min(eval_len, m)  # positions resolvable from stored letters
 
-    lcp_own = np.minimum(index.lcp[idx].astype(np.int64), eval_len)
-    lcp_next = np.minimum(index.lcp[idx + 1].astype(np.int64), eval_len)
-    step1 = np.maximum(lcp_next - lcp_own, 0)
-
-    # qtab[j, letters[i, j]] as one flat take
-    rows = index.letters[idx, :w]
-    cols = np.arange(w) * qtab.shape[1]
-    cum = np.cumsum(np.take(qtab, rows + cols), axis=1)
-    reach = rows[:, w - 1] < len(index.dataset.alphabet)  # the key reaches w
-    partial = np.where(lcp_next > 0, np.take_along_axis(
-        cum, np.maximum(lcp_next - 1, 0)[:, None], axis=1
-    ).ravel(), 0)
-    checkpoint = partial <= eps
+    # lcp <= m, so capping it at w caps it at the query length
+    lcp_own = np.minimum(np.take(index.lcp, idx), w).astype(np.int64)
+    lcp_next = np.minimum(np.take(index.lcp, idx + 1), w).astype(np.int64)
+    rows = np.take(index.letters, idx, axis=0).T.copy()
+    cum = np.empty((w + 1, n), dtype=np.int64)
+    cum[0] = 0
+    for j in range(w):
+        np.add(cum[j], qtab[j].take(rows[j]), out=cum[j + 1])
+    checkpoint = cum.ravel().take(lcp_next * n + np.arange(n)) <= eps
+    reach = rows[w - 1] < len(index.dataset.alphabet)  # the key reaches w
 
     if eval_len <= m:
         accepted = checkpoint & reach
-        hit = np.flatnonzero(accepted & (cum[:, eval_len - 1] <= eps))
-        vals = cum[hit, eval_len - 1]
+        hit = np.flatnonzero(accepted & (cum[w] <= eps))
+        vals = cum[w, hit]
     else:
         accepted, hit, vals = _extend_long(
-            index, qtab, idx, checkpoint & reach, cum[:, m - 1], eval_len, eps
+            index, qtab, idx, checkpoint & reach, cum[w], eval_len, eps
         )
-    stats.residues_scanned += int(step1.sum())
+    stats.residues_scanned += int(np.maximum(lcp_next - lcp_own, 0).sum())
     stats.residues_scanned += int((eval_len - lcp_next)[accepted].sum())
+    _lap(stats, "scan_s", t)
     return idx[hit], vals
 
 
@@ -230,6 +251,18 @@ def _extend_long(
     return accepted, rows[hit], vals[hit]
 
 
+@functools.lru_cache(maxsize=None)
+def _non_root(size: int, root: int) -> tuple[np.ndarray, np.ndarray]:
+    """The clusters other than ``root`` among ``size``, and their offsets
+    from it, read-only.  Cached: a short query's sweep steps are a few
+    dozen nodes each, where every array call counts (at most one entry
+    per cluster of each distinct cluster count)."""
+    others = np.flatnonzero(np.arange(size) != root)
+    deltas = others - root
+    others.flags.writeable = deltas.flags.writeable = False
+    return others, deltas
+
+
 def _sweep(
     lbt: LowerBoundTable, index: FSIndex, depth: int, eps: int, stats: SearchStats,
     trace: Tracer | None = None,
@@ -242,15 +275,18 @@ def _sweep(
     last substitution, so the nodes that may substitute at position ``j``
     are exactly the root and the nodes accepted at earlier positions: step
     ``j`` of the sweep expands every node accepted so far and appends the
-    accepted children.  A child is accepted when its bound is within the
-    radius and its subtree holds a fragment: a child ``u`` substituted at
-    position ``j`` keeps the root's digits after ``j``, worth less than
-    ``w_j``, the radix weight of ``j``, so bit ``u // w_j`` of the index's
-    level-``j`` occupancy tells whether its subtree is empty.  Only
-    children whose bound passed are looked up, and empty subtrees are
-    never expanded.  ``stats.nodes_visited`` counts every bound evaluated,
-    empty children's included: pruning lowers it only by the descendants
-    of empty subtrees, which are never evaluated.
+    accepted children to the frontier, a buffer that grows by doubling.
+    A child is accepted when its bound is within the radius and its
+    subtree holds a fragment.  Every node in the frontier at step ``j``
+    keeps the root's digits from ``j`` on, worth ``tail_j < w_j`` (``w_j``
+    the radix weight of ``j``), so the child substituting cluster ``r``
+    into parent ``p`` roots the aligned block ``b = p // w_j + (r - root_j)``
+    of level ``j`` (one division per parent), bit ``b`` of the index's
+    level-``j`` occupancy tells whether its subtree is empty, and its rank
+    is ``b * w_j + tail_j``.  Empty subtrees are never expanded.
+    ``stats.nodes_visited`` counts every bound evaluated, empty children's
+    included: pruning lowers it only by the descendants of empty
+    subtrees, which are never evaluated.
 
     Returns the accepted nodes' ranks (digits past ``depth`` zero) and
     bounds.  A ``trace`` receives every accepted node as scanned and
@@ -262,31 +298,41 @@ def _sweep(
     weights = lbt.scheme.radix_weights
     root = sum(d * int(w) for d, w in zip(lbt.root_digits, weights))
     stats.nodes_visited += 1
-    ranks = np.array([root], dtype=np.int64)
-    bounds = np.array([lbt.bound_of(lbt.root_digits)], dtype=np.int64)
+    ranks = np.empty(256, dtype=np.int64)
+    bounds = np.empty(256, dtype=np.int64)
+    ranks[0], bounds[0], n = root, lbt.bound_of(lbt.root_digits), 1
     if bounds[0] > eps:
         if trace is not None:
-            trace.record("pruned", lbt.scheme, depth, ranks, bounds)
+            trace.record("pruned", lbt.scheme, depth, ranks[:1], bounds[:1])
         return ranks[:0], bounds[:0]
     pruned_u, pruned_d = [], []
     for j in range(depth):
-        other = np.arange(lbt.bounds[j].size) != lbt.root_digits[j]
-        cand_f, cand_d = lbt.bounds[j][other], lbt.rank_offsets[j][other]
-        elig = bounds + lbt.second_min[j] <= eps
-        if trace is not None:  # short-circuited: every child exceeds eps
-            pruned_u.append((ranks[~elig, None] + cand_d).ravel())
-            pruned_d.append((bounds[~elig, None] + cand_f).ravel())
-        e = bounds[elig, None] + cand_f
+        w = int(weights[j])
+        tail = root % w
+        others, cand_b = _non_root(lbt.bounds[j].size, lbt.root_digits[j])
+        cand_f = lbt.bounds[j].take(others)
+        par = np.flatnonzero(bounds[:n] <= eps - lbt.second_min[j])
+        e = bounds.take(par)[:, None] + cand_f
         stats.nodes_visited += e.size
-        u = ranks[elig, None] + cand_d
-        keep = e <= eps
-        u_in, e_in = u[keep], e[keep]
-        full = index.occupied(j, u_in // int(weights[j]))
+        blk = (ranks.take(par) // w)[:, None] + cand_b
+        accept = (e <= eps) & index.occupied(j, blk)
         if trace is not None:
-            pruned_u += [u[~keep], u_in[~full]]
-            pruned_d += [e[~keep], e_in[~full]]
-        ranks = np.concatenate([ranks, u_in[full]])
-        bounds = np.concatenate([bounds, e_in[full]])
+            cut = np.ones(n, dtype=bool)  # short-circuited: every child exceeds eps
+            cut[par] = False
+            pruned_u += [(ranks[:n][cut, None] + cand_b * w).ravel(), blk[~accept] * w + tail]
+            pruned_d += [(bounds[:n][cut, None] + cand_f).ravel(), e[~accept]]
+        ok = np.flatnonzero(accept)
+        if n + ok.size > ranks.size:
+            size = max(2 * ranks.size, n + ok.size)
+            ranks = np.concatenate([ranks[:n], np.empty(size - n, dtype=np.int64)])
+            bounds = np.concatenate([bounds[:n], np.empty(size - n, dtype=np.int64)])
+        new = ranks[n:n + ok.size]
+        np.take(blk, ok, out=new)
+        new *= w
+        new += tail
+        np.take(e, ok, out=bounds[n:n + ok.size])
+        n += ok.size
+    ranks, bounds = ranks[:n], bounds[:n]
     if trace is not None:
         trace.record("scanned", lbt.scheme, depth, ranks, bounds)
         trace.record(
@@ -304,10 +350,11 @@ def _finish(
     index, idx: np.ndarray, vals: np.ndarray, stats: SearchStats, t0: float
 ) -> tuple[HitList, SearchStats]:
     """Hits for rows ``idx`` of an ``FSIndex`` or ``FlatIndex``."""
+    t = time.perf_counter()
     refs = zip(index.sids[idx].tolist(), index.offs[idx].tolist())
     hits = HitList([(FragmentRef(s, o), v) for (s, o), v in zip(refs, vals.tolist())])
     stats.hits = len(hits)
-    stats.elapsed = time.perf_counter() - t0
+    stats.elapsed = _lap(stats, "finish_s", t) - t0
     return hits, stats
 
 
@@ -318,10 +365,18 @@ def _scan_blocks(
     """Scan the bins of the rank blocks ``[r, r + width)``, one per rank
     ``r``: each block is one contiguous frag-array span.  Counts the
     blocks' non-empty bins, a difference of two ranks over the occupancy
-    bits, and returns the hits as ``_scan_spans`` does."""
-    lo, hi = index.nonempty_below(ranks), index.nonempty_below(ranks + width)
+    bits, and returns the hits as ``_scan_spans`` does.  A block of one
+    bin is kept only if its last-level bit is set, and then spans exactly
+    the next bin."""
+    t = time.perf_counter()
+    if width == 1:
+        lo = index.nonempty_below(ranks[index.occupied(index.m - 1, ranks)])
+        hi = lo + 1
+    else:
+        lo, hi = index.nonempty_below(ranks), index.nonempty_below(ranks + width)
     stats.bins_scanned += int((hi - lo).sum())
     starts, ends = index.bins[lo].astype(np.int64), index.bins[hi].astype(np.int64)
+    _lap(stats, "spans_s", t)
     return _scan_spans(index, q, starts, ends, eps, stats)
 
 
@@ -359,7 +414,9 @@ def range_search(
     stats = SearchStats()
     depth = min(q.m, index.m)
     lbt = lower_bound_table(q, index.scheme, depth=depth)
+    t = _lap(stats, "table_s", t0)
     node_ranks, _ = _sweep(lbt, index, depth, radius, stats, trace)
+    _lap(stats, "sweep_s", t)
     width = int(index.scheme.radix_weights[depth - 1])
     idx, vals = _scan_blocks(index, q, node_ranks, width, radius, stats)
     return _finish(index, idx, vals, stats, t0)
@@ -412,13 +469,16 @@ def knn_search(
     t0 = time.perf_counter()
     stats = SearchStats()
     lbt = lower_bound_table(q, index.scheme)
+    _lap(stats, "table_s", t0)
     top = sum(int(b.max()) for b in lbt.bounds)  # every bin's bound is <= top
     radius = lbt.bound_of(lbt.root_digits)
     covered = -1  # every non-empty bin with bound <= covered has been scanned
     kth = INF_RADIUS
     idx = vals = np.zeros(0, dtype=np.int64)
     while True:
+        t = time.perf_counter()
         ranks, bounds = _sweep(lbt, index, index.m, radius, stats)
+        _lap(stats, "sweep_s", t)
         fresh = (bounds > covered) & index.occupied(index.m - 1, ranks)
         order = np.lexsort((ranks[fresh], bounds[fresh]))
         ranks, bounds = ranks[fresh][order], bounds[fresh][order]

@@ -115,6 +115,19 @@ class TestSearchCommand:
         }
         assert tsv_rows == json_rows and len(json_rows) >= 1
 
+    def test_json_reports_phase_times(self, workdir, capsys):
+        args = [
+            "search", "--index", str(workdir / "db.fsi"), "--fasta", str(workdir / "db.fa"),
+            "--matrix", "BLOSUM62", "--query", "MKVLAT", "--format", "json",
+        ]
+        for mode in (["--radius", "40"], ["--k", "3"]):
+            assert main(args + mode) == 0
+            stats = json.loads(capsys.readouterr().out)["stats"]
+            phases = stats["phases_ms"]
+            assert sorted(phases) == ["finish", "scan", "spans", "sweep", "table"]
+            assert all(v > 0 for v in phases.values())
+            assert sum(phases.values()) <= stats["elapsed_ms"]
+
     def test_similarity_threshold_conversion(self, workdir, capsys):
         # radius = self-score - threshold; check agreement with explicit radius
         s = fx.load_builtin_matrix("BLOSUM62")

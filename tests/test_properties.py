@@ -1,14 +1,15 @@
 """Property-based differential tests against the exhaustive oracles.
 
 Indexes are random and mostly empty: fine per-position partitions (up to
-six clusters of seven letters) over a few short sequences, some with letters
-outside the alphabet, in fixed and suffix mode.  Every search must equal
-``linear_scan_range``/``linear_scan_knn``, which must in turn equal a
-plain loop over the occurrences, and a range search must scan
-exactly the non-empty bins whose bound is within the radius.  The
-traversal must evaluate, scan and prune the nodes a recursive walk of the
-implicit tree does.  A saved index must load back to the same file, bins
-and answers.
+six clusters of seven letters) over a few short sequences, most with a letter
+outside the alphabet after a run of valid ones, in fixed and suffix mode.
+Every search must equal ``linear_scan_range``/``linear_scan_knn``, which
+must in turn equal a plain loop over the occurrences, and a range search,
+at any query length, must scan exactly the non-empty bins whose bound is
+within the radius and evaluate the residues the sequential scan of those
+bins does.  The traversal must evaluate, scan and prune the nodes a
+recursive walk of the implicit tree does.  A saved index must load back
+to the same file, bins and answers.
 """
 
 import os
@@ -19,8 +20,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import fsindex as fx
+from conftest import reference_span_scan
 
 ALPHA = fx.Alphabet("abcdefg")
+MAX_M = 4  # the longest fragments drawn
 COUNTERS = ("nodes_visited", "bins_scanned", "fragments_scanned", "residues_scanned", "hits")
 
 # derandomized, without an example database: the same cases on every run
@@ -37,11 +40,23 @@ def position_spec(draw) -> str:
 
 
 @st.composite
+def sequence(draw) -> str:
+    """A short sequence; in most, an invalid letter past a run of at least
+    ``MAX_M`` valid ones, so that windows longer than the fragments often
+    hold a clean key followed by a letter that drops them."""
+    text = draw(st.text(ALPHA.letters + "x", min_size=1, max_size=12))
+    if draw(st.integers(0, 3)):
+        at = draw(st.integers(0, len(text)))
+        run = draw(st.text(ALPHA.letters, min_size=MAX_M, max_size=MAX_M + 2))
+        text = text[:at] + run + "x" + text[at:]
+    return text
+
+
+@st.composite
 def indexes(draw, suffix_mode=st.booleans()):
-    m = draw(st.integers(2, 4))
+    m = draw(st.integers(2, MAX_M))
     scheme = fx.parse_partition(";".join(draw(position_spec()) for _ in range(m)), ALPHA, m)
-    seqs = draw(st.lists(st.text(ALPHA.letters + "x", min_size=1, max_size=12),
-                         min_size=1, max_size=4))
+    seqs = draw(st.lists(sequence(), min_size=1, max_size=4))
     db = fx.SequenceDB(records=tuple((f"s{i}", s) for i, s in enumerate(seqs)))
     ds = fx.extract_fragments(db, m, alphabet=ALPHA, suffix_mode=draw(suffix_mode))
     return ds, fx.build(ds, scheme)
@@ -54,6 +69,11 @@ def pssm(draw, length: int) -> fx.QueryFunction:
 
 def rows(hits, shift: int) -> list:
     return sorted((r.seq_id, r.offset, v + shift) for r, v in hits)
+
+
+def span_residues(index, q, eps: int, bins) -> int:
+    """Residues the sequential scan evaluates over ``bins``, one span each."""
+    return sum(reference_span_scan(index, *index.bin_slice(u), q, eps)[1] for u in bins)
 
 
 @SETTINGS
@@ -73,6 +93,7 @@ def test_range_hits_and_counters(case, data, radius):
     ]
     assert stats.bins_scanned == len(bins)
     assert stats.fragments_scanned == sum(index.bin_size(u) for u in bins)
+    assert stats.residues_scanned == span_residues(index, q, eps, bins)
 
     traced_hits, traced = fx.range_search(index, q, eps, trace=fx.Tracer())
     assert rows(traced_hits, 0) == rows(hits, 0)
@@ -89,6 +110,17 @@ def test_longer_and_shorter_queries(case, data, radius):
     search = fx.long_query_search if length > index.m else fx.short_query_search
     hits, stats = search(index, q, radius - q.shift)
     assert rows(hits, q.shift) == rows(fx.linear_scan_range(ds, f, radius), 0)
+
+    # the traversal bounds a query on its first min(q.m, m) positions only
+    depth = min(length, index.m)
+    lbt = fx.lower_bound_table(q, index.scheme, depth=depth)
+    bins = [
+        u for u in range(index.n_bins)
+        if index.bin_size(u) and lbt.bound_of(index.scheme.unrank(u)[:depth]) <= radius - q.shift
+    ]
+    assert stats.bins_scanned == len(bins)
+    assert stats.fragments_scanned == sum(index.bin_size(u) for u in bins)
+    assert stats.residues_scanned == span_residues(index, q, radius - q.shift, bins)
 
     counters = [getattr(stats, c) for c in COUNTERS]
     for trace in (None, fx.Tracer()):
