@@ -24,16 +24,6 @@ from .alphabet import (
     symmetrize,
     weight,
 )
-from .baselines import (
-    FibrePartition,
-    FlatIndex,
-    fibre_partition,
-    fibre_range_query,
-    flat_build,
-    flat_search,
-    linear_scan_knn,
-    linear_scan_range,
-)
 from .core import FSIndex, IndexFormatError, bin_of, build, load
 from .ingest import (
     FastaFormatError,
@@ -71,14 +61,28 @@ from .search import (
 
 __version__ = "0.1.0"
 
+# the baselines are for tests and ``bench``; a search process never loads them
+_BASELINES = (
+    "FibrePartition", "FlatIndex", "fibre_partition", "fibre_range_query",
+    "flat_build", "flat_search", "linear_scan_knn", "linear_scan_range",
+)
+
+
+def __getattr__(name: str):
+    if name in _BASELINES:
+        from . import baselines
+
+        return getattr(baselines, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
 __all__ = [
     "Alphabet", "DistanceMatrix", "MatrixFormatError", "PartitionFormatError",
     "PartitionScheme", "QuasiMetricReport", "ScoreMatrix", "STANDARD_ALPHABET",
     "builtin_matrix_names", "check_quasi_metric", "distance_from_score",
     "load_builtin_matrix", "parse_partition", "parse_score_matrix", "symmetrize",
     "weight",
-    "FibrePartition", "FlatIndex", "fibre_partition", "fibre_range_query",
-    "flat_build", "flat_search", "linear_scan_knn", "linear_scan_range",
+    *_BASELINES,
     "FSIndex", "IndexFormatError", "bin_of", "build", "load",
     "FastaFormatError", "FragmentDataset", "FragmentRef", "SequenceDB",
     "dataset_manifest", "extract_fragments", "parse_fasta", "sample_queries",

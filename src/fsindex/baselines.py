@@ -103,10 +103,7 @@ def flat_search(
     if q.m != ds.m:
         raise ValueError(f"query length {q.m} != fragment length {ds.m}")
     stats.bins_scanned = 1 if flat.n else 0
-    idx, vals = _scan_spans(
-        flat, q, np.array([0], dtype=np.int64), np.array([flat.n], dtype=np.int64),
-        radius, stats,
-    )
+    idx, vals = _scan_spans(flat, q, np.arange(flat.n), radius, stats)
     return _finish(flat, idx, vals, stats, t0)
 
 

@@ -121,6 +121,8 @@ def _format_hits(index, hits, shift: int, fmt: str, out: str | None, stats,
         "residues_scanned": stats.residues_scanned,
         "hits": stats.hits,
         "elapsed_ms": 1e3 * stats.elapsed,
+        "sweeps": stats.sweeps,
+        "scan_chunks": stats.scan_chunks,
         "phases_ms": {
             phase: 1e3 * getattr(stats, phase + "_s")
             for phase in ("table", "sweep", "spans", "scan", "finish")

@@ -18,6 +18,13 @@ every accepted node; k-NN search scans them best first, in increasing
 frag-array spans, and one span-scan kernel evaluates every span, for the
 index and for the flat baseline.
 
+Large phases run in pieces on every CPU available to the process: a
+sweep step's children (split by parents), the conversion of accepted
+nodes into spans and the scanned rows, each piece at least ``_MIN_PART``
+children's worth of work.  The caller joins the pieces in order and adds
+up their counters, so results, counters and traces equal an unsplit
+run's; phase times are wall time.
+
 Scan counters (bins/fragments/residues scanned) follow the reference
 scan's cost model exactly; the vectorized implementation may touch more
 cells internally but reports what the sequential algorithm would do.
@@ -28,6 +35,8 @@ those of children then dropped as empty.
 from __future__ import annotations
 
 import functools
+import os
+import threading
 import time
 from dataclasses import dataclass, field
 
@@ -40,15 +49,31 @@ from .query import LowerBoundTable, NormalizedQuery, lower_bound_table
 
 INF_RADIUS = int(np.iinfo(np.int64).max)
 
+# Least work per piece when a phase is split across CPUs, counted in
+# sweep children; a node turned into a span weighs one child and a
+# scanned row _ROW_COST children.  On the 1.1M-fragment corpus a child
+# takes ~20 ns and a row ~80-120 ns, so a piece takes at least ~2.6 ms,
+# against ~0.1-0.3 ms to start and join a thread (with rare waits of
+# several ms for an idle CPU to wake).  Range queries at the 100-NN
+# radius there evaluate at most ~230k children in a step (median ~48k)
+# and scan at most ~36k rows, so they run on one thread.
+_MIN_PART = 1 << 17
+_ROW_COST = 4
+
 
 @dataclass
 class SearchStats:
     """Work counters and phase times for one search.
 
-    The phase times are wall seconds: the lower-bound table, the sweep,
-    turning accepted nodes into frag-array spans, scanning the spans and
-    materializing the hits.  A k-NN search sums them over its sweeps and
-    scan chunks; ``elapsed`` also holds its bookkeeping between them.
+    ``sweeps`` counts the traversals run and ``scan_chunks`` the calls of
+    the span-scan kernel: one each for a range search, more for a k-NN
+    search, which sums every counter and time over them.  The phase times
+    are wall seconds: the lower-bound table, the sweep, turning accepted
+    nodes into frag-array spans, scanning the spans and materializing the
+    hits; ``elapsed`` also holds a k-NN search's bookkeeping between them.
+    A large sweep step, block conversion or scan runs in pieces on every
+    CPU available (``_split``), so its wall time is less than the CPU time
+    it takes; the counters equal those of an unsplit run.
     """
 
     nodes_visited: int = 0
@@ -56,6 +81,8 @@ class SearchStats:
     fragments_scanned: int = 0
     residues_scanned: int = 0
     hits: int = 0
+    sweeps: int = 0
+    scan_chunks: int = 0
     elapsed: float = 0.0
     table_s: float = 0.0
     sweep_s: float = 0.0
@@ -114,11 +141,27 @@ class Tracer:
     ) -> None:
         """Add nodes of ``kind`` ("scanned" or "pruned"), identified by
         their first ``depth`` digits."""
-        self._nodes[kind].append((scheme, depth, ranks, bounds))
+        self._nodes[kind].append((scheme, depth, ranks, bounds, None))
+
+    def record_children(
+        self, scheme: PartitionScheme, depth: int, ranks: np.ndarray, bounds: np.ndarray,
+        limit: int, rank_steps: np.ndarray, bound_steps: np.ndarray,
+    ) -> None:
+        """Add as pruned every child of each node whose bound exceeds
+        ``limit``: child ``i`` of a node has rank ``rank + rank_steps[i]``
+        and bound ``bound + bound_steps[i]``.  The children are formed only
+        when the tracer is read, so the arrays must not change after."""
+        children = (limit, rank_steps, bound_steps)
+        self._nodes["pruned"].append((scheme, depth, ranks, bounds, children))
 
     def _pairs(self, kind: str) -> list[tuple[tuple[int, ...], int]]:
         out = []
-        for scheme, depth, ranks, bounds in self._nodes[kind]:
+        for scheme, depth, ranks, bounds, children in self._nodes[kind]:
+            if children is not None:
+                limit, rank_steps, bound_steps = children
+                cut = bounds > limit
+                ranks = (ranks[cut, None] + rank_steps).ravel()
+                bounds = (bounds[cut, None] + bound_steps).ravel()
             digits = scheme.digits_of(ranks, depth)
             out.extend(zip(map(tuple, digits.tolist()), bounds.tolist()))
         return out
@@ -138,6 +181,59 @@ class Tracer:
         return {d for d, _ in self.pruned}
 
 
+def _cpus() -> int:
+    """The CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # platforms without CPU affinity
+        return os.cpu_count() or 1
+
+
+def _parts(work: int) -> int:
+    """Pieces for ``work`` (in sweep children): at most one per CPU
+    available, each of at least ``_MIN_PART``, and at least one."""
+    fit = work // _MIN_PART
+    return 1 if fit < 2 else min(_cpus(), fit)
+
+
+def _split(size: int, work, per_item: int = 1) -> list:
+    """``work(lo, hi)`` over consecutive pieces of ``range(size)``, the
+    results in piece order.  Each item weighs ``per_item`` sweep children
+    of work towards the piece count (``_parts``).  The calling thread runs
+    the first piece and one new thread each of the others; numpy releases
+    the GIL in the array operations the pieces are made of.  A piece
+    writes no shared state: the caller combines the results and adds up
+    the counters, so they equal those of one piece over ``range(size)``."""
+    parts = _parts(size * per_item)
+    if parts == 1:
+        return [work(0, size)]
+    cuts = [size * i // parts for i in range(parts + 1)]
+    out: list = [None] * parts
+    failed: list[BaseException] = []
+
+    def run(i: int) -> None:
+        try:
+            out[i] = work(cuts[i], cuts[i + 1])
+        except BaseException as exc:  # re-raised in the calling thread
+            failed.append(exc)
+
+    threads = [threading.Thread(target=run, args=(i,)) for i in range(1, parts)]
+    for thread in threads:
+        thread.start()
+    try:
+        out[0] = work(cuts[0], cuts[1])
+    finally:
+        for thread in threads:
+            thread.join()
+    if failed:
+        raise failed[0]
+    return out
+
+
+def _joined(arrays: list[np.ndarray]) -> np.ndarray:
+    return arrays[0] if len(arrays) == 1 else np.concatenate(arrays)
+
+
 def _multi_arange(starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
     """Concatenation of arange(s, e) for each span, without a Python loop:
     output position ``i`` of span ``k`` holds ``i + (s_k - before_k)``,
@@ -154,10 +250,10 @@ def _query_table(q: NormalizedQuery) -> np.ndarray:
 
 
 def _scan_spans(
-    index, q: NormalizedQuery, starts: np.ndarray, ends: np.ndarray, eps: int,
-    stats: SearchStats,
+    index, q: NormalizedQuery, idx: np.ndarray, eps: int, stats: SearchStats,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Cost-model scan of frag-array spans at a fixed radius.
+    """Cost-model scan of frag-array spans at a fixed radius, given as
+    their rows ``idx`` in scan order.
 
     ``index`` is an ``FSIndex`` or a ``FlatIndex``: rows of ``letters``
     and ``lcp`` in scan order.  A row's key reaches position ``j`` when
@@ -167,6 +263,32 @@ def _scan_spans(
     updates the fragment and residue counters exactly as the sequential
     bin scan would.
 
+    Every row is scanned on its own (its lcp with both neighbours is
+    stored, and is zero at a bin's first row), so the rows are cut into
+    pieces anywhere, one per CPU when they weigh at least ``2 * _MIN_PART``
+    at ``_ROW_COST`` each (``_split``), and the pieces' hits are joined in
+    row order.
+    """
+    t = time.perf_counter()
+    stats.scan_chunks += 1
+    stats.fragments_scanned += idx.size
+    qtab = _query_table(q)
+
+    def scan(lo: int, hi: int) -> tuple[np.ndarray, np.ndarray, int]:
+        return _scan_rows(index, qtab, idx[lo:hi], q.m, eps)
+
+    pieces = _split(idx.size, scan, _ROW_COST)
+    stats.residues_scanned += sum(residues for _, _, residues in pieces)
+    _lap(stats, "scan_s", t)
+    return _joined([hit for hit, _, _ in pieces]), _joined([vals for _, vals, _ in pieces])
+
+
+def _scan_rows(
+    index, qtab: np.ndarray, idx: np.ndarray, eval_len: int, eps: int,
+) -> tuple[np.ndarray, np.ndarray, int]:
+    """``_scan_spans`` on the rows ``idx``: their hits, values and the
+    residues the sequential scan reads on them.
+
     The rows are gathered once, as one row per position.  Position by
     position, each row's table value is added to its running sum, kept
     per position as ``cum[j]``, the row's value over its first ``j``
@@ -174,15 +296,10 @@ def _scan_spans(
     row early, is the running sum at the prefix the row shares with its
     successor, read with one gather.
     """
-    t = time.perf_counter()
-    idx = _multi_arange(starts, ends)
     n = idx.size
-    stats.fragments_scanned += n
     if n == 0:
-        _lap(stats, "scan_s", t)
-        return idx, np.zeros(0, dtype=np.int64)
-    qtab = _query_table(q)
-    m, eval_len = index.letters.shape[1], q.m
+        return idx, np.zeros(0, dtype=np.int64), 0
+    m = index.letters.shape[1]
     w = min(eval_len, m)  # positions resolvable from stored letters
 
     # lcp <= m, so capping it at w caps it at the query length
@@ -204,10 +321,9 @@ def _scan_spans(
         accepted, hit, vals = _extend_long(
             index, qtab, idx, checkpoint & reach, cum[w], eval_len, eps
         )
-    stats.residues_scanned += int(np.maximum(lcp_next - lcp_own, 0).sum())
-    stats.residues_scanned += int((eval_len - lcp_next)[accepted].sum())
-    _lap(stats, "scan_s", t)
-    return idx[hit], vals
+    residues = int(np.maximum(lcp_next - lcp_own, 0).sum())
+    residues += int((eval_len - lcp_next)[accepted].sum())
+    return idx[hit], vals, residues
 
 
 def _extend_long(
@@ -283,7 +399,10 @@ def _sweep(
     into parent ``p`` roots the aligned block ``b = p // w_j + (r - root_j)``
     of level ``j`` (one division per parent), bit ``b`` of the index's
     level-``j`` occupancy tells whether its subtree is empty, and its rank
-    is ``b * w_j + tail_j``.  Empty subtrees are never expanded.
+    is ``b * w_j + tail_j``.  Empty subtrees are never expanded.  A step
+    with at least ``2 * _MIN_PART`` children is split by parents across
+    the CPUs (``_split``) and the pieces' accepted children are appended
+    in parent order, as one piece would append them.
     ``stats.nodes_visited`` counts every bound evaluated, empty children's
     included: pruning lowers it only by the descendants of empty
     subtrees, which are never evaluated.
@@ -293,10 +412,12 @@ def _sweep(
     every rejected child as pruned: those whose bound exceeds the radius,
     including the children skipped wholesale because the parent's bound
     plus the position's least non-root bound already exceeds it, and
-    those whose subtree is empty.
+    those whose subtree is empty.  The skipped children are recorded as
+    each step's frontier and limit, and formed only when the trace is read.
     """
     weights = lbt.scheme.radix_weights
     root = sum(d * int(w) for d, w in zip(lbt.root_digits, weights))
+    stats.sweeps += 1
     stats.nodes_visited += 1
     ranks = np.empty(256, dtype=np.int64)
     bounds = np.empty(256, dtype=np.int64)
@@ -305,39 +426,46 @@ def _sweep(
         if trace is not None:
             trace.record("pruned", lbt.scheme, depth, ranks[:1], bounds[:1])
         return ranks[:0], bounds[:0]
-    pruned_u, pruned_d = [], []
     for j in range(depth):
         w = int(weights[j])
         tail = root % w
         others, cand_b = _non_root(lbt.bounds[j].size, lbt.root_digits[j])
         cand_f = lbt.bounds[j].take(others)
-        par = np.flatnonzero(bounds[:n] <= eps - lbt.second_min[j])
-        e = bounds.take(par)[:, None] + cand_f
-        stats.nodes_visited += e.size
-        blk = (ranks.take(par) // w)[:, None] + cand_b
-        accept = (e <= eps) & index.occupied(j, blk)
-        if trace is not None:
-            cut = np.ones(n, dtype=bool)  # short-circuited: every child exceeds eps
-            cut[par] = False
-            pruned_u += [(ranks[:n][cut, None] + cand_b * w).ravel(), blk[~accept] * w + tail]
-            pruned_d += [(bounds[:n][cut, None] + cand_f).ravel(), e[~accept]]
-        ok = np.flatnonzero(accept)
-        if n + ok.size > ranks.size:
-            size = max(2 * ranks.size, n + ok.size)
+        limit = eps - lbt.second_min[j]
+        if trace is not None:  # the frontier so far never changes: expanded when read
+            trace.record_children(
+                lbt.scheme, depth, ranks[:n], bounds[:n], limit, cand_b * w, cand_f
+            )
+        par = np.flatnonzero(bounds[:n] <= limit)
+        stats.nodes_visited += par.size * cand_f.size
+
+        def children(lo: int, hi: int):
+            e = bounds.take(par[lo:hi])[:, None] + cand_f
+            blk = (ranks.take(par[lo:hi]) // w)[:, None] + cand_b
+            accept = (e <= eps) & index.occupied(j, blk)
+            ok = np.flatnonzero(accept)
+            new = blk.take(ok)
+            new *= w
+            new += tail
+            if trace is None:
+                return new, e.take(ok), None
+            return new, e.take(ok), (blk[~accept] * w + tail, e[~accept])
+
+        pieces = _split(par.size, children, cand_f.size)
+        grown = n + sum(new.size for new, _, _ in pieces)
+        if grown > ranks.size:
+            size = max(2 * ranks.size, grown)
             ranks = np.concatenate([ranks[:n], np.empty(size - n, dtype=np.int64)])
             bounds = np.concatenate([bounds[:n], np.empty(size - n, dtype=np.int64)])
-        new = ranks[n:n + ok.size]
-        np.take(blk, ok, out=new)
-        new *= w
-        new += tail
-        np.take(e, ok, out=bounds[n:n + ok.size])
-        n += ok.size
+        for new, e, rejected in pieces:
+            ranks[n:n + new.size] = new
+            bounds[n:n + new.size] = e
+            n += new.size
+            if rejected is not None:
+                trace.record("pruned", lbt.scheme, depth, *rejected)
     ranks, bounds = ranks[:n], bounds[:n]
     if trace is not None:
         trace.record("scanned", lbt.scheme, depth, ranks, bounds)
-        trace.record(
-            "pruned", lbt.scheme, depth, np.concatenate(pruned_u), np.concatenate(pruned_d)
-        )
     return ranks, bounds
 
 
@@ -367,17 +495,26 @@ def _scan_blocks(
     blocks' non-empty bins, a difference of two ranks over the occupancy
     bits, and returns the hits as ``_scan_spans`` does.  A block of one
     bin is kept only if its last-level bit is set, and then spans exactly
-    the next bin."""
+    the next bin.  The ranks are turned into the spans' rows in pieces
+    (``_split``), joined in rank order."""
     t = time.perf_counter()
-    if width == 1:
-        lo = index.nonempty_below(ranks[index.occupied(index.m - 1, ranks)])
-        hi = lo + 1
-    else:
-        lo, hi = index.nonempty_below(ranks), index.nonempty_below(ranks + width)
-    stats.bins_scanned += int((hi - lo).sum())
-    starts, ends = index.bins[lo].astype(np.int64), index.bins[hi].astype(np.int64)
+
+    def spans(lo: int, hi: int) -> tuple[np.ndarray, int]:
+        r = ranks[lo:hi]
+        if width == 1:
+            first = index.nonempty_below(r[index.occupied(index.m - 1, r)])
+            last = first + 1
+        else:
+            first, last = index.nonempty_below(r), index.nonempty_below(r + width)
+        bins = int((last - first).sum())
+        starts, ends = index.bins[first].astype(np.int64), index.bins[last].astype(np.int64)
+        return _multi_arange(starts, ends), bins
+
+    pieces = _split(ranks.size, spans)
+    stats.bins_scanned += sum(bins for _, bins in pieces)
+    idx = _joined([rows for rows, _ in pieces])
     _lap(stats, "spans_s", t)
-    return _scan_spans(index, q, starts, ends, eps, stats)
+    return _scan_spans(index, q, idx, eps, stats)
 
 
 def process_bin(

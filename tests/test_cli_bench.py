@@ -127,6 +127,10 @@ class TestSearchCommand:
             assert sorted(phases) == ["finish", "scan", "spans", "sweep", "table"]
             assert all(v > 0 for v in phases.values())
             assert sum(phases.values()) <= stats["elapsed_ms"]
+            if mode[0] == "--radius":
+                assert (stats["sweeps"], stats["scan_chunks"]) == (1, 1)
+            else:
+                assert stats["sweeps"] >= 1 and stats["scan_chunks"] >= 1
 
     def test_similarity_threshold_conversion(self, workdir, capsys):
         # radius = self-score - threshold; check agreement with explicit radius
@@ -309,10 +313,12 @@ class TestBenchCommand:
         assert row.rng.bins_scanned == 2
 
     def test_cli_import_leaves_the_harness_out(self):
-        # a cold search process imports the CLI; the bench harness is for ``bench`` only
+        # a cold search process imports the CLI; the bench harness and the
+        # baselines are for ``bench`` and tests only, and phases split on
+        # plain threads, without the executor machinery
         src = Path(fx.__file__).resolve().parent.parent
-        code = ("import sys, fsindex.cli; "
-                "print(sorted({'fsindex.bench', 'statistics'} & set(sys.modules)))")
+        unused = {"fsindex.bench", "statistics", "fsindex.baselines", "concurrent.futures"}
+        code = f"import sys, fsindex.cli; print(sorted({unused!r} & set(sys.modules)))"
         proc = subprocess.run(
             [sys.executable, "-c", code], capture_output=True, text=True,
             env={**os.environ, "PYTHONPATH": str(src)},

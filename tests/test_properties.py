@@ -20,7 +20,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import fsindex as fx
-from conftest import reference_span_scan
+from conftest import reference_span_scan, split_small
 
 ALPHA = fx.Alphabet("abcdefg")
 MAX_M = 4  # the longest fragments drawn
@@ -182,6 +182,31 @@ def test_traversal_matches_tree_walk(case, data, eps):
     assert stats.nodes_visited == evaluated
     assert sorted(trace.scanned) == scanned
     assert sorted(trace.pruned) == pruned
+
+
+@SETTINGS
+@given(case=indexes(), data=st.data(), eps=st.integers(-2, 50), k=st.integers(1, 6))
+def test_split_phases_change_nothing(case, data, eps, k):
+    # every phase of at least four elements runs in two or three pieces
+    _, index = case
+    lengths = range(1, index.m + 3) if index.suffix_mode else [index.m]
+    q = fx.normalize(pssm(data.draw, data.draw(st.sampled_from(lengths))))
+    full = fx.normalize(pssm(data.draw, index.m))
+
+    counters = COUNTERS + ("sweeps", "scan_chunks")
+
+    def run():
+        trace = fx.Tracer()
+        hits, stats = fx.range_search(index, q, eps, trace)
+        nn, nn_stats = fx.knn_search(index, full, k)
+        return (
+            list(hits), [getattr(stats, c) for c in counters], sorted(trace.scanned),
+            sorted(trace.pruned), list(nn), [getattr(nn_stats, c) for c in counters],
+        )
+
+    plain = run()
+    with split_small(min_part=2):
+        assert run() == plain
 
 
 @SETTINGS
