@@ -85,10 +85,8 @@ class FlatIndex:
 
 
 def flat_build(ds: FragmentDataset) -> FlatIndex:
-    order, letters, lcp = _sorted_run(ds.letter_matrix(), len(ds.alphabet))
-    return FlatIndex(
-        dataset=ds, sids=ds.sids[order], offs=ds.offs[order], letters=letters, lcp=lcp
-    )
+    run, letters, lcp, _, _ = _sorted_run(ds)
+    return FlatIndex(dataset=ds, sids=run.sids, offs=run.offs, letters=letters, lcp=lcp)
 
 
 def flat_search(

@@ -9,6 +9,7 @@ import argparse
 import json
 import os
 import sys
+import time
 
 import numpy as np
 
@@ -62,20 +63,29 @@ def _emit(text: str, out: str | None) -> None:
 def cmd_build(args) -> int:
     alphabet = Alphabet(args.alphabet) if args.alphabet else STANDARD_ALPHABET
     _load_matrix(args.matrix, alphabet)  # validates the matrix/alphabet pairing
+    scheme = parse_partition(args.partition, alphabet, args.length)
+    marks = [time.perf_counter()]  # before and after each phase
     db = _read_fasta(args.fasta)
+    marks.append(time.perf_counter())
     dataset = extract_fragments(
         db, args.length, alphabet=alphabet,
         suffix_mode=args.suffix_mode, floor=args.floor,
     )
-    scheme = parse_partition(args.partition, alphabet, args.length)
+    marks.append(time.perf_counter())
     index = build(dataset, scheme)
+    marks.append(time.perf_counter())
     size = index.save(args.out)
+    marks.append(time.perf_counter())
     manifest = dataset_manifest(dataset)
     manifest.update(
         bins=index.n_bins,
         empty_bins=index.empty_bins(),
         index_bytes=size,
         out=args.out,
+        phases_ms={
+            phase: 1e3 * (b - a)
+            for phase, a, b in zip(("parse", "extract", "build", "save"), marks, marks[1:])
+        },
     )
     print(json.dumps(manifest, indent=2, sort_keys=True))
     return 0

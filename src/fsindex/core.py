@@ -1,8 +1,17 @@
 """The fragment index: occupancy bits and per-bin sorted fragment references.
 
-Construction is one stable lexicographic sort grouped by bin rank and a
-shared-prefix (lcp) pass, ``_sorted_run``, which the flat baseline
-shares; bins start where the sorted ranks change.  The arrays that result:
+Construction, ``_sorted_run``, which the flat baseline shares, sorts one
+packed unsigned key per fragment.  The key holds the bin rank's bits,
+then per position the letter's ordinal within its cluster (1 up, in code
+order; 0 for the pad) in the bit length of the position's largest
+cluster.  Within a bin every letter at a position lies in that position's
+cluster, so the key orders fragments as (rank, letters, pad first) does.
+The key is a sum of per-position table values read straight from the
+sequence codes; past 64 bits it takes further uint64 words.  One sort,
+equal keys in extraction order, gives the order; bins start where the
+rank field changes, and a fragment's lcp is the first ordinal field in
+which its key differs from its predecessor's, capped at its key length.
+The letters are gathered once, in sorted order.  The arrays that result:
 
 * ``frag`` - fragment references ordered by (bin rank, fragment letters);
 * ``occupancy`` - per position ``j``, 64-bit words with a bit per aligned
@@ -73,24 +82,176 @@ def _raw_lcp(rows: np.ndarray, pad: int | None = None) -> np.ndarray:
     return out
 
 
+_KEY_ROWS = 1 << 16  # fragments per pass while packing keys: the temporaries stay small
+
+
+def _cluster_ordinals(scheme: PartitionScheme) -> np.ndarray:
+    """(m, |alphabet|+1) uint64: each letter's 1-based place, in code order,
+    within its cluster at each position; 0 in the pad column."""
+    out = np.zeros((scheme.m, len(scheme.alphabet) + 1), dtype=np.uint64)
+    for j, position in enumerate(scheme.clusters):
+        for cluster in position:
+            out[j, sorted(map(scheme.alphabet.ordinal, cluster))] = np.arange(1, len(cluster) + 1)
+    return out
+
+
+def _key_tables(
+    ordinals: np.ndarray, scheme: PartitionScheme | None
+) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Lay out the sort key's fields, most significant first, in 64-bit
+    words, no field across two words: given a scheme the bin rank in
+    ``bit_length(n_bins - 1)`` bits, then each position's ordinal in the
+    ``bit_length`` of its largest.  Returns (words, m, |alphabet|+1) uint64
+    tables, whose sum over a fragment's letters is its key, and each word's
+    field floors (``1 << shift``) in ascending order."""
+    widths = [int(row.max()).bit_length() for row in ordinals]
+    if scheme is not None:
+        widths.insert(0, (scheme.n_bins - 1).bit_length())
+    place, word, used = [], -1, 64  # (word, shift) of each field
+    for width in widths:
+        if used + width > 64:
+            word, used = word + 1, 0
+        used += width
+        place.append((word, 64 - used))
+    floors = [np.array(sorted(1 << s for v, s in place if v == w), dtype=np.uint64)
+              for w in range(word + 1)]
+    tables = np.zeros((word + 1, *ordinals.shape), dtype=np.uint64)
+    if scheme is not None:
+        w, shift = place.pop(0)
+        rank = scheme.digit_table() * scheme.radix_weights[:, None]
+        tables[w] += rank.astype(np.uint64) << np.uint64(shift)
+    for j, (w, shift) in enumerate(place):
+        tables[w, j] += ordinals[j] << np.uint64(shift)
+    return tables, floors
+
+
+def _packed_keys(ds: FragmentDataset, tables: np.ndarray) -> np.ndarray:
+    """(words, n) uint64 keys: per fragment the sum of ``tables[:, j, code]``
+    over its first ``m`` codes, read from the code array a pass of rows at a
+    time; a suffix's codes past its end count as the pad."""
+    n, m, pad = ds.n, ds.m, len(ds.alphabet)
+    live = tables.any(axis=2)  # the positions with a field in each word
+    keys = np.zeros((len(tables), n), dtype=np.uint64)
+    padded = np.concatenate([ds.codes, np.full(m, pad, dtype=np.uint8)])
+    for a in range(0, n, _KEY_ROWS):
+        rows = slice(a, a + _KEY_ROWS)
+        sids, offs = ds.sids[rows], ds.offs[rows]
+        pos = ds.starts[sids] + offs
+        room = ds.seq_lengths[sids] - offs  # letters left in the sequence
+        for j in range(m):
+            codes = padded[j:].take(pos)
+            if ds.suffix_mode:
+                codes[room <= j] = pad
+            for w in np.flatnonzero(live[:, j]):
+                keys[w, rows] += tables[w, j].take(codes)
+    return keys
+
+
+def _runs(key: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """An (unstable) argsort of ``key`` and, in that order, each value's
+    group id: 0 first, rising by one at each new value."""
+    order = np.argsort(key)
+    ranked = key[order]
+    ids = np.zeros(key.size, dtype=np.uint64)
+    np.cumsum(ranked[1:] != ranked[:-1], dtype=np.uint64, out=ids[1:])
+    return order, ids
+
+
+def _group_ids(key: np.ndarray) -> np.ndarray:
+    """Each value's group id (``_runs``), in row order."""
+    order, group = _runs(key)
+    ids = np.empty_like(group)
+    ids[order] = group
+    return ids
+
+
+def _stable_order(keys: np.ndarray) -> np.ndarray:
+    """The row order that sorts (words, n) uint64 keys, the first word most
+    significant, with equal keys in row order.  numpy's stable sorts of
+    uint64 are merge sorts, several times slower than its unstable ones,
+    which this takes.  A further word folds in as the pair of both sides'
+    group ids, and the last key's group ids go above the row numbers in
+    one sort: each is below 2^32, as ``n`` is."""
+    key = keys[0]
+    for word in keys[1:]:
+        key = _group_ids(key) << np.uint64(32) | _group_ids(word)
+    order, group = _runs(key)
+    group <<= np.uint64(32)
+    np.bitwise_or(group, order, out=group, dtype=np.uint64, casting="unsafe")
+    group.sort()
+    group &= np.uint64(0xFFFFFFFF)
+    return group.view(np.int64)  # row numbers, as numpy's index type
+
+
+def _first_difference(keys: np.ndarray, order: np.ndarray, floors: list) -> np.ndarray:
+    """For each row of the sorted run after the first, the first key field
+    in which it differs from its predecessor, the field count if none: in
+    the first word where the two differ, the fields whose floor is above
+    their xor."""
+    end, field = 0, None
+    for key, floor in zip(keys, floors):
+        ranked = key.take(order)
+        xor = ranked[1:] ^ ranked[:-1]
+        del ranked
+        end += floor.size
+        if field is None:
+            field = np.searchsorted(floor, xor, side="right")
+            np.subtract(end, field, out=field)
+        else:  # rows equal in every earlier word
+            tie = np.flatnonzero(field == end - floor.size)
+            field[tie] = end - np.searchsorted(floor, xor[tie], side="right")
+    return field
+
+
+def _sorted_keys(
+    ds: FragmentDataset, scheme: PartitionScheme | None
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Pack and sort the keys.  Returns the order, each sorted row's first
+    differing field (``_first_difference``), and the first row of each run
+    of equal leading fields with that field's value."""
+    if scheme is None:
+        pad = len(ds.alphabet)
+        ordinals = np.tile(np.r_[1:pad + 1, 0].astype(np.uint64), (ds.m, 1))
+    else:
+        ordinals = _cluster_ordinals(scheme)
+    tables, floors = _key_tables(ordinals, scheme)
+    keys = _packed_keys(ds, tables)
+    order = _stable_order(keys)
+    field = _first_difference(keys, order, floors)
+    first = np.flatnonzero(np.r_[ds.n > 0, field == 0])
+    lead = keys[0].take(order.take(first)) // floors[0][-1]
+    return order, field, first, lead.astype(np.int64)
+
+
 def _sorted_run(
-    letters: np.ndarray, pad: int, ranks: np.ndarray | None = None
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Sort rows lexicographically, the pad code first, grouped by
-    ``ranks`` when given.  Returns the order, the sorted rows and their
-    (n+1,) uint8 lcp: each row's shared key prefix with its predecessor,
-    0 for the first row and after the last."""
-    n, m = letters.shape
+    ds: FragmentDataset, scheme: PartitionScheme | None = None
+) -> tuple[FragmentDataset, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Sort the fragments by (bin rank, letters with the pad first), or by
+    letters alone without a scheme, equal keys in extraction order.
+
+    Each fragment gets one packed key (``_key_tables``, ``_packed_keys``);
+    the flat run's one cluster per position is the whole alphabet.  Returns
+    the sorted dataset, its (n, m) letters, its (n+1,) uint8 lcp, and the
+    first row of each run of equal leading key fields with that field's
+    value: given a scheme, each bin's first row and rank.  A row's lcp is
+    the first position field in which its key differs from its
+    predecessor's, capped at its key length; a rank difference gives 0,
+    as do the first row and the slot after the last."""
+    n, m = ds.n, ds.m
     if m > np.iinfo(np.uint8).max:
         raise ValueError(f"fragment length {m} exceeds the uint8 lcp limit 255")
-    keys = _sort_keys(letters, pad)
-    cols = tuple(keys[:, j] for j in range(m - 1, -1, -1))
-    order = np.lexsort(cols if ranks is None else cols + (ranks,))
-    del keys
-    letters = letters[order]
+    order, field, first, lead = _sorted_keys(ds, scheme)
+    run = replace(ds, sids=ds.sids[order], offs=ds.offs[order])
     lcp = np.zeros(n + 1, dtype=np.uint8)
-    lcp[:n] = _raw_lcp(letters, pad)
-    return order, letters, lcp
+    # the lcp per first differing field: 0 for the rank, j for position j, m for none
+    lcp_of = np.r_[[0] * (scheme is not None), 0:m + 1].astype(np.uint8)
+    lcp[1:n] = lcp_of.take(field)
+    del order, field  # n-long; freed before the letters are gathered
+    letters = run.letter_matrix()
+    if ds.suffix_mode:
+        klen = run.key_lengths()
+        lcp[:n] = np.minimum(klen, lcp[:n], out=klen)
+    return run, letters, lcp, first, lead
 
 
 _BIT = np.left_shift(np.uint8(1), np.arange(8, dtype=np.uint8))  # each bit of a byte
@@ -264,7 +425,8 @@ class FSIndex:
 
 
 def build(dataset: FragmentDataset, scheme: PartitionScheme) -> FSIndex:
-    """Construct the index: sort by (bin rank, letters), lcp, occupancy bits."""
+    """Construct the index: one sort of the packed (bin rank, letters) keys,
+    bins and lcp read from the sorted keys, then the occupancy bits."""
     if scheme.alphabet != dataset.alphabet:
         raise ValueError("dataset and scheme alphabets differ")
     if scheme.m != dataset.m:
@@ -276,16 +438,11 @@ def build(dataset: FragmentDataset, scheme: PartitionScheme) -> FSIndex:
     if n > np.iinfo(np.uint32).max:
         raise ValueError(f"{n} fragments exceed the uint32 bin offsets")
 
-    letters = dataset.letter_matrix()
-    ranks = scheme.ranks(letters)
-    order, letters, lcp = _sorted_run(letters, len(dataset.alphabet), ranks)
-    ranks = ranks[order]
-    first = np.flatnonzero(np.diff(ranks, prepend=-1))  # each occupied bin's first row
-    lcp[first] = 0  # every bin starts a fresh scan
+    run, letters, lcp, first, ranks = _sorted_run(dataset, scheme)
     return FSIndex(
-        dataset=dataset, scheme=scheme, occupancy=_occupancy(scheme, ranks[first]),
-        bins=np.append(first, n).astype(np.uint32), sids=dataset.sids[order],
-        offs=dataset.offs[order], lcp=lcp, letters=letters,
+        dataset=dataset, scheme=scheme, occupancy=_occupancy(scheme, ranks),
+        bins=np.append(first, n).astype(np.uint32), sids=run.sids, offs=run.offs, lcp=lcp,
+        letters=letters,
     )
 
 

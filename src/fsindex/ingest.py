@@ -18,6 +18,9 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .alphabet import Alphabet, STANDARD_ALPHABET
 
+# the largest sequence ordinal or start offset a fragment reference holds (uint32)
+REF_LIMIT = int(np.iinfo(np.uint32).max)
+
 
 class FastaFormatError(ValueError):
     """Raised for malformed FASTA input."""
@@ -128,7 +131,9 @@ class FragmentDataset:
 
     def key_lengths(self) -> np.ndarray:
         """Per fragment: min(suffix length, m); always m in fixed mode."""
-        return np.minimum(self.seq_lengths[self.sids] - self.offs, self.m)
+        out = self.seq_lengths[self.sids]
+        out -= self.offs
+        return np.minimum(out, self.m, out=out)
 
     def letter_matrix(self) -> np.ndarray:
         """(n, m) codes in extraction order; positions past a short suffix
@@ -190,34 +195,27 @@ def extract_fragments(
     if suffix_mode and not 1 <= floor <= m:
         raise ValueError("suffix floor must be in 1..m")
     codes, starts = encode_db(db, alphabet)
-    bad = codes >= len(alphabet)
     # bad_cum[i] = number of invalid letters among codes[:i]
     bad_cum = np.zeros(codes.size + 1, dtype=np.int64)
-    np.cumsum(bad, out=bad_cum[1:])
+    np.cumsum(codes >= len(alphabet), out=bad_cum[1:])
 
-    sid_parts: list[np.ndarray] = []
-    off_parts: list[np.ndarray] = []
-    possible = 0
-    min_len = floor if suffix_mode else m
-    for sid in range(len(db)):
-        lo, hi = int(starts[sid]), int(starts[sid + 1])
-        length = hi - lo
-        if length < min_len:
-            continue
-        last = length - min_len  # last admissible start offset
-        offs = np.arange(0, last + 1, dtype=np.int64)
-        possible += offs.size
-        width = np.minimum(m, length - offs)
-        clean = bad_cum[lo + offs + width] - bad_cum[lo + offs] == 0
-        offs = offs[clean]
-        sid_parts.append(np.full(offs.size, sid, dtype=np.uint32))
-        off_parts.append(offs.astype(np.uint32))
-    if sid_parts:
-        sids = np.concatenate(sid_parts)
-        offs = np.concatenate(off_parts)
-    else:
-        sids = np.zeros(0, dtype=np.uint32)
-        offs = np.zeros(0, dtype=np.uint32)
+    # every admissible start of every sequence at once, as a code position,
+    # then one clean test of the window up to ``m`` letters or the sequence end
+    counts = np.maximum(np.diff(starts) - ((floor if suffix_mode else m) - 1), 0)
+    pos = np.arange(counts.sum()) + np.repeat(starts[:-1] - (np.cumsum(counts) - counts), counts)
+    end = pos + m
+    if suffix_mode:
+        np.minimum(end, np.repeat(starts[1:], counts), out=end)
+    clean = bad_cum[end] == bad_cum[pos]
+    del end
+    possible = pos.size
+    sids = np.repeat(np.arange(len(db)), counts)[clean]
+    offs = pos[clean] - starts[sids]
+    if sids.size and sids[-1] > REF_LIMIT:
+        raise ValueError(f"sequence ordinal {sids[-1]} exceeds the uint32 limit {REF_LIMIT}")
+    if offs.size and offs.max() > REF_LIMIT:
+        raise ValueError(f"fragment offset {offs.max()} exceeds the uint32 limit {REF_LIMIT}")
+    sids, offs = sids.astype(np.uint32), offs.astype(np.uint32)
     sids.flags.writeable = False
     offs.flags.writeable = False
     return FragmentDataset(

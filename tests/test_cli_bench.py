@@ -132,6 +132,15 @@ class TestSearchCommand:
             else:
                 assert stats["sweeps"] >= 1 and stats["scan_chunks"] >= 1
 
+    def test_build_reports_phase_times(self, workdir, capsys, tmp_path):
+        assert main([
+            "build", "--fasta", str(workdir / "db.fa"), "--matrix", "BLOSUM62",
+            "--partition", PARTITION, "-m", "6", "--out", str(tmp_path / "x.fsi"),
+        ]) == 0
+        phases = json.loads(capsys.readouterr().out)["phases_ms"]
+        assert sorted(phases) == ["build", "extract", "parse", "save"]
+        assert all(v > 0 for v in phases.values())
+
     def test_similarity_threshold_conversion(self, workdir, capsys):
         # radius = self-score - threshold; check agreement with explicit radius
         s = fx.load_builtin_matrix("BLOSUM62")

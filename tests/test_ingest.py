@@ -124,6 +124,24 @@ class TestExtractFragments:
             fx.extract_fragments(db, 2, alphabet=fx.Alphabet("".join(map(chr, range(256)))))
 
 
+    def test_references_beyond_uint32_rejected(self, monkeypatch):
+        # the limit lowered to 2: ordinals and offsets above it must not wrap
+        monkeypatch.setattr(fx.ingest, "REF_LIMIT", 2)
+        three = fx.SequenceDB(records=tuple((f"s{i}", "MKV") for i in range(3)))
+        assert fx.extract_fragments(three, 3).sids.tolist() == [0, 1, 2]
+        four = fx.SequenceDB(records=tuple((f"s{i}", "MKV") for i in range(4)))
+        with pytest.raises(ValueError, match="sequence ordinal 3 exceeds the uint32 limit 2"):
+            fx.extract_fragments(four, 3)
+        # ordinal 3 holds no clean window, so no reference needs it
+        four = fx.SequenceDB(records=(*three.records, ("s3", "MXV")))
+        assert fx.extract_fragments(four, 3).sids.tolist() == [0, 1, 2]
+        long = fx.SequenceDB(records=(("s", "MKVLA"),))
+        assert fx.extract_fragments(long, 3).offs.tolist() == [0, 1, 2]
+        with pytest.raises(ValueError, match="fragment offset 3 exceeds the uint32 limit 2"):
+            fx.extract_fragments(long, 2)
+        with pytest.raises(ValueError, match="offset 4 exceeds"):
+            fx.extract_fragments(long, 3, suffix_mode=True)
+
 class TestLetterMatrix:
     @staticmethod
     def reference(ds):

@@ -9,7 +9,9 @@ at any query length, must scan exactly the non-empty bins whose bound is
 within the radius and evaluate the residues the sequential scan of those
 bins does.  The traversal must evaluate, scan and prune the nodes a
 recursive walk of the implicit tree does.  A saved index must load back
-to the same file, bins and answers.
+to the same file, bins and answers.  The build's sorted run, on random
+alphabets of up to 255 letters and keys of more than 64 bits, must equal
+Python's ``sorted``.
 """
 
 import os
@@ -268,3 +270,87 @@ def test_save_load_search(case, data, radius, k):
         (hits, stats), (same_hits, same) = search(index), search(loaded)
         assert list(same_hits) == list(hits)
         assert [getattr(same, c) for c in COUNTERS] == [getattr(stats, c) for c in COUNTERS]
+
+
+@st.composite
+def sort_cases(draw):
+    """A random alphabet of 3 to 255 letters in random code order, a random
+    partition per position, and sequences over a few of its letters, so that
+    keys tie; "wide" draws need a sort key of more than 64 bits."""
+    wide = draw(st.booleans())
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    size = draw(st.integers(200, 255) if wide else st.integers(3, 40))
+    m = draw(st.integers(9, 12) if wide else st.integers(1, 6))
+    alpha = fx.Alphabet("".join(map(chr, rng.permutation(np.arange(1, 256))[:size])))
+    clusters = []
+    for _ in range(m):
+        k = int(rng.integers(2, min(size - 1, 3 if wide else 6) + 1))
+        cuts = np.sort(rng.choice(np.arange(1, size), k - 1, replace=False))
+        letters = "".join(rng.permutation(list(alpha.letters)))
+        clusters.append(tuple(letters[a:b] for a, b in zip([0, *cuts], [*cuts, size])))
+    scheme = fx.PartitionScheme(alpha, tuple(clusters), spec_string="drawn")
+    pool = rng.choice(list(alpha.letters), int(rng.integers(2, 5)))
+    seqs = []
+    for _ in range(draw(st.integers(1, 5))):
+        seq = list(rng.choice(pool, int(rng.integers(1, 3 * m + 8))))
+        if rng.integers(2):  # a letter outside latin-1 encodes as invalid
+            seq[rng.integers(len(seq))] = "\u0100"
+        seqs.append("".join(seq))
+    db = fx.SequenceDB(records=tuple((f"s{i}", s) for i, s in enumerate(seqs)))
+    suffix_mode = draw(st.booleans())
+    floor = draw(st.integers(1, m)) if suffix_mode else 1
+    ds = fx.extract_fragments(db, m, alphabet=alpha, suffix_mode=suffix_mode, floor=floor)
+    if wide:
+        bits = (scheme.n_bins - 1).bit_length() + sum(
+            max(map(len, position)).bit_length() for position in clusters
+        )
+        assert bits > 64 and m * size.bit_length() > 64  # the index's key and the flat run's
+    return ds, scheme
+
+
+def reference_run(ds, scheme=None):
+    """Order, lcp, and each bin's first row and rank from Python's ``sorted``
+    on (bin rank, letters with the pad first, extraction index); without a
+    scheme every rank is 0, and the lcp only stops at a difference or the
+    key's end."""
+    keys = []
+    for sid, off in zip(ds.sids.tolist(), ds.offs.tolist()):
+        text = ds.fragment_text(sid, off, ds.m)
+        rank = 0 if scheme is None else sum(
+            scheme.cluster_rank(j, c) * int(scheme.radix_weights[j]) for j, c in enumerate(text)
+        )
+        letters = [ds.alphabet.ordinal(c) + 1 for c in text] + [0] * (ds.m - len(text))
+        keys.append((rank, letters, len(text)))
+    order = sorted(range(ds.n), key=lambda i: (keys[i][0], keys[i][1], i))
+    lcp, first, ranks = [0] * (ds.n + 1), [], []
+    for r, i in enumerate(order):
+        rank, letters, length = keys[i]
+        if r == 0 or keys[order[r - 1]][0] != rank:
+            first.append(r)
+            ranks.append(rank)
+            continue
+        prev = keys[order[r - 1]][1]
+        lcp[r] = min(next((j for j in range(ds.m) if prev[j] != letters[j]), ds.m), length)
+    return order, lcp, first, np.array(ranks, dtype=np.int64)
+
+
+@SETTINGS
+@given(case=sort_cases())
+def test_build_and_flat_run_match_sorted(case):
+    ds, scheme = case
+    index = fx.build(ds, scheme)
+    index.audit()
+    order, lcp, first, ranks = reference_run(ds, scheme)
+    assert index.sids.tolist() == ds.sids[order].tolist()
+    assert index.offs.tolist() == ds.offs[order].tolist()
+    assert index.lcp.tolist() == lcp
+    assert index.bins.tolist() == first + [ds.n]
+    for j, w in enumerate(scheme.radix_weights.tolist()):
+        blocks = np.arange(scheme.n_bins // w)
+        assert index.occupied(j, blocks).tolist() == np.isin(blocks, ranks // w).tolist()
+
+    flat = fx.flat_build(ds)
+    order, lcp, _, _ = reference_run(ds)
+    assert flat.sids.tolist() == ds.sids[order].tolist()
+    assert flat.offs.tolist() == ds.offs[order].tolist()
+    assert flat.lcp.tolist() == lcp
