@@ -73,7 +73,7 @@ def linear_scan_knn(ds: FragmentDataset, q: QueryFunction, k: int) -> HitList:
 class FlatIndex:
     """All fragments in one lexicographic run, in the index's row layout."""
 
-    dataset: FragmentDataset
+    dataset: FragmentDataset  # its fragments in sorted order: the sids and offs below
     sids: np.ndarray     # (n,) uint32, sorted order
     offs: np.ndarray     # (n,) uint32, sorted order
     letters: np.ndarray  # (n, m) codes in sorted order
@@ -86,7 +86,7 @@ class FlatIndex:
 
 def flat_build(ds: FragmentDataset) -> FlatIndex:
     run, letters, lcp, _, _ = _sorted_run(ds)
-    return FlatIndex(dataset=ds, sids=run.sids, offs=run.offs, letters=letters, lcp=lcp)
+    return FlatIndex(dataset=run, sids=run.sids, offs=run.offs, letters=letters, lcp=lcp)
 
 
 def flat_search(

@@ -68,16 +68,13 @@ def _sort_keys(letters: np.ndarray, pad: int) -> np.ndarray:
     return np.where(letters == pad, np.uint8(0), letters + np.uint8(1))
 
 
-def _raw_lcp(rows: np.ndarray, pad: int | None = None) -> np.ndarray:
+def _raw_lcp(rows: np.ndarray) -> np.ndarray:
     """Shared-prefix length of each row with its predecessor (row 0 -> 0):
-    the first position where the two differ or, given ``pad``, hold the
-    pad code; the row width if none."""
+    the first position where the two differ, the row width if none."""
     n, m = rows.shape
     out = np.zeros(n, dtype=np.int64)
     if n > 1:
         stop = rows[1:] != rows[:-1]
-        if pad is not None:
-            stop |= rows[1:] == pad
         out[1:] = np.where(stop.any(axis=1), stop.argmax(axis=1), m)
     return out
 
@@ -285,7 +282,7 @@ def _sequence_digest(codes: np.ndarray, starts: np.ndarray) -> bytes:
 class FSIndex:
     """Immutable search index over a fragment dataset."""
 
-    dataset: FragmentDataset
+    dataset: FragmentDataset  # its fragments in frag order: the sids and offs below
     scheme: PartitionScheme
     occupancy: np.ndarray  # "<u8" words, the levels' bitmaps in position order
     bins: np.ndarray     # (non-empty bins + 1,) uint32 offsets into the frag arrays
@@ -426,7 +423,8 @@ class FSIndex:
 
 def build(dataset: FragmentDataset, scheme: PartitionScheme) -> FSIndex:
     """Construct the index: one sort of the packed (bin rank, letters) keys,
-    bins and lcp read from the sorted keys, then the occupancy bits."""
+    bins and lcp read from the sorted keys, then the occupancy bits.  The
+    index keeps the sorted run as its dataset, as ``load`` does."""
     if scheme.alphabet != dataset.alphabet:
         raise ValueError("dataset and scheme alphabets differ")
     if scheme.m != dataset.m:
@@ -440,7 +438,7 @@ def build(dataset: FragmentDataset, scheme: PartitionScheme) -> FSIndex:
 
     run, letters, lcp, first, ranks = _sorted_run(dataset, scheme)
     return FSIndex(
-        dataset=dataset, scheme=scheme, occupancy=_occupancy(scheme, ranks),
+        dataset=run, scheme=scheme, occupancy=_occupancy(scheme, ranks),
         bins=np.append(first, n).astype(np.uint32), sids=run.sids, offs=run.offs, lcp=lcp,
         letters=letters,
     )

@@ -133,16 +133,24 @@ class LowerBoundTable:
     cluster ``r``.  ``root_digits`` picks the argmin cluster per position
     (ties to the lowest rank), so the root bin minimizes the bin lower
     bound globally.  ``second_min[i]`` is the least bound among the
-    non-root clusters (the traversal's per-position short circuit) and
-    ``rank_offsets[i][r]`` the bin-rank delta of substituting cluster
-    ``r`` at position ``i`` into the root.
+    non-root clusters (the traversal's per-position short circuit).  The
+    children at position ``i`` of a node holding the root's cluster there
+    substitute each non-root cluster: ``child_steps[i]`` lists its digit
+    minus the root's and ``child_bounds[i]`` its bound, which the child
+    adds to its parent's (the root's cluster bounds zero).
     """
 
     scheme: PartitionScheme
     bounds: tuple[np.ndarray, ...]
     root_digits: tuple[int, ...]
     second_min: tuple[int, ...]
-    rank_offsets: tuple[np.ndarray, ...]
+    child_steps: tuple[np.ndarray, ...]
+    child_bounds: tuple[np.ndarray, ...]
+
+    @property
+    def root_rank(self) -> int:
+        """The root bin's rank; digits past the table's depth are zero."""
+        return sum(d * int(w) for d, w in zip(self.root_digits, self.scheme.radix_weights))
 
     def bound_of(self, digits) -> int:
         """Lower bound for the query over the bin with the given digits."""
@@ -174,12 +182,17 @@ def lower_bound_table(
         q.base.tables[:depth].ravel(),
     )
     root = minima.argmin(axis=1)  # argmin ties break to the lowest rank
-    deltas = (np.arange(minima.shape[1]) - root[:, None]) * scheme.radix_weights[:depth, None]
-    minima.flags.writeable = deltas.flags.writeable = False
+    steps = np.arange(minima.shape[1]) - root[:, None]
+    child = (steps != 0) & (steps < (sizes - root)[:, None])  # the non-root clusters
+    steps, child_bounds = steps[child], minima[child]
+    minima.flags.writeable = steps.flags.writeable = child_bounds.flags.writeable = False
+    ends = np.cumsum(sizes - 1).tolist()
+    cuts = list(zip([0, *ends], ends))  # each position's slice of the children
     return LowerBoundTable(
         scheme=scheme,
         bounds=tuple(minima[i, :size] for i, size in enumerate(sizes)),
         root_digits=tuple(root.tolist()),
         second_min=tuple(np.sort(minima, axis=1)[:, 1].tolist()),
-        rank_offsets=tuple(deltas[i, :size] for i, size in enumerate(sizes)),
+        child_steps=tuple(steps[a:b] for a, b in cuts),
+        child_bounds=tuple(child_bounds[a:b] for a, b in cuts),
     )

@@ -10,11 +10,12 @@ scanned with shared-prefix (lcp) reuse and early rejection of partial
 sums.  Pruning an empty subtree is exact: it holds no hits.
 
 One traversal serves every search: a vectorized sweep over positions
-at a fixed radius that returns the accepted nodes with their bounds and,
-given a ``Tracer``, records the scanned and pruned nodes, empty
-subtrees among the pruned.  Range search, at any query length, scans
-every accepted node; k-NN search scans them best first, in increasing
-(bound, rank) order.  One block scan turns accepted nodes into
+at a fixed radius that returns the accepted nodes with their bounds.
+Range search, at any query length, scans every accepted node; k-NN
+search scans them best first, in increasing (bound, rank) order.  A
+``Tracer`` keeps a range search's accepted nodes and derives the
+pruned ones from them when read, empty subtrees among them, so tracing
+adds no work to the search.  One block scan turns accepted nodes into
 frag-array spans, and one span-scan kernel evaluates every span, for the
 index and for the flat baseline.
 
@@ -34,7 +35,6 @@ those of children then dropped as empty.
 
 from __future__ import annotations
 
-import functools
 import os
 import threading
 import time
@@ -42,7 +42,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .alphabet import PartitionScheme
 from .core import FSIndex
 from .ingest import FragmentRef
 from .query import LowerBoundTable, NormalizedQuery, lower_bound_table
@@ -125,54 +124,61 @@ class HitList:
 
 
 class Tracer:
-    """Records which implicit-tree nodes a search scanned or pruned.
+    """Records which implicit-tree nodes a range search scanned or pruned.
 
-    The traversal hands over node ranks and bounds as arrays; ``scanned``
-    and ``pruned`` decode them into (digits, bound) pairs when read, so
-    recording adds array work, not per-node Python work, to the search.
+    A search hands over its lower-bound table and the sweep's accepted
+    nodes, and ``scanned`` and ``pruned`` decode (digits, bound) pairs
+    from them when read, so tracing adds no work to the search.  The
+    scanned nodes are the accepted ones.  The pruned nodes are the
+    children the sweep rejected, by their bound or as empty subtrees:
+    at each position ``j``, every child of each accepted node whose last
+    substitution lies before ``j`` (the root's included), less the
+    accepted nodes that substitute at ``j``; the root alone when it was
+    rejected.
     """
 
     def __init__(self):
-        self._nodes: dict[str, list] = {"scanned": [], "pruned": []}
+        self._searches: list[tuple[LowerBoundTable, np.ndarray, np.ndarray]] = []
 
-    def record(
-        self, kind: str, scheme: PartitionScheme, depth: int, ranks: np.ndarray,
-        bounds: np.ndarray,
-    ) -> None:
-        """Add nodes of ``kind`` ("scanned" or "pruned"), identified by
-        their first ``depth`` digits."""
-        self._nodes[kind].append((scheme, depth, ranks, bounds, None))
+    def record(self, lbt: LowerBoundTable, ranks: np.ndarray, bounds: np.ndarray) -> None:
+        """Add a search's accepted nodes, as ``_sweep`` returned them for
+        ``lbt``; the arrays must not change after."""
+        self._searches.append((lbt, ranks, bounds))
 
-    def record_children(
-        self, scheme: PartitionScheme, depth: int, ranks: np.ndarray, bounds: np.ndarray,
-        limit: int, rank_steps: np.ndarray, bound_steps: np.ndarray,
-    ) -> None:
-        """Add as pruned every child of each node whose bound exceeds
-        ``limit``: child ``i`` of a node has rank ``rank + rank_steps[i]``
-        and bound ``bound + bound_steps[i]``.  The children are formed only
-        when the tracer is read, so the arrays must not change after."""
-        children = (limit, rank_steps, bound_steps)
-        self._nodes["pruned"].append((scheme, depth, ranks, bounds, children))
+    @staticmethod
+    def _pairs(lbt: LowerBoundTable, ranks: np.ndarray, bounds: np.ndarray) -> list:
+        digits = lbt.scheme.digits_of(ranks, len(lbt.bounds))
+        return list(zip(zip(*digits.T.tolist()), bounds.tolist()))  # one tuple per row
 
-    def _pairs(self, kind: str) -> list[tuple[tuple[int, ...], int]]:
-        out = []
-        for scheme, depth, ranks, bounds, children in self._nodes[kind]:
-            if children is not None:
-                limit, rank_steps, bound_steps = children
-                cut = bounds > limit
-                ranks = (ranks[cut, None] + rank_steps).ravel()
-                bounds = (bounds[cut, None] + bound_steps).ravel()
-            digits = scheme.digits_of(ranks, depth)
-            out.extend(zip(map(tuple, digits.tolist()), bounds.tolist()))
-        return out
+    @staticmethod
+    def _rejected(
+        lbt: LowerBoundTable, ranks: np.ndarray, bounds: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        root = lbt.root_rank
+        if ranks.size == 0:
+            return np.array([root]), np.array([lbt.bound_of(lbt.root_digits)])
+        kids, kid_bounds = [], []
+        for j, (steps, cand_f) in enumerate(zip(lbt.child_steps, lbt.child_bounds)):
+            w = int(lbt.scheme.radix_weights[j])
+            # a node substituted last before j keeps the root's digits from j on
+            block = w * lbt.bounds[j].size
+            par = ranks % block == root % block
+            kids.append((ranks[par, None] + steps * w).ravel())
+            kid_bounds.append((bounds[par, None] + cand_f).ravel())
+        kids, kid_bounds = np.concatenate(kids), np.concatenate(kid_bounds)
+        out = ~np.isin(kids, ranks)
+        return kids[out], kid_bounds[out]
 
     @property
     def scanned(self) -> list[tuple[tuple[int, ...], int]]:
-        return self._pairs("scanned")
+        return [p for search in self._searches for p in self._pairs(*search)]
 
     @property
     def pruned(self) -> list[tuple[tuple[int, ...], int]]:
-        return self._pairs("pruned")
+        return [
+            p for lbt, r, b in self._searches
+            for p in self._pairs(lbt, *self._rejected(lbt, r, b))
+        ]
 
     def scanned_digits(self) -> set[tuple[int, ...]]:
         return {d for d, _ in self.scanned}
@@ -367,106 +373,74 @@ def _extend_long(
     return accepted, rows[hit], vals[hit]
 
 
-@functools.lru_cache(maxsize=None)
-def _non_root(size: int, root: int) -> tuple[np.ndarray, np.ndarray]:
-    """The clusters other than ``root`` among ``size``, and their offsets
-    from it, read-only.  Cached: a short query's sweep steps are a few
-    dozen nodes each, where every array call counts (at most one entry
-    per cluster of each distinct cluster count)."""
-    others = np.flatnonzero(np.arange(size) != root)
-    deltas = others - root
-    others.flags.writeable = deltas.flags.writeable = False
-    return others, deltas
-
-
 def _sweep(
-    lbt: LowerBoundTable, index: FSIndex, depth: int, eps: int, stats: SearchStats,
-    trace: Tracer | None = None,
+    lbt: LowerBoundTable, index: FSIndex, eps: int, stats: SearchStats
 ) -> tuple[np.ndarray, np.ndarray]:
     """The accepted nodes at a fixed radius, by one sweep over positions.
 
-    ``depth`` limits substitutions to the first ``depth`` positions.  The
-    root is accepted when its bound is within the radius.  A child
-    substitutes one non-root cluster at a position after its parent's
-    last substitution, so the nodes that may substitute at position ``j``
-    are exactly the root and the nodes accepted at earlier positions: step
+    Substitutions are limited to the table's positions.  The root is
+    accepted when its bound is within the radius.  A child substitutes
+    one non-root cluster at a position after its parent's last
+    substitution, so the nodes that may substitute at position ``j`` are
+    exactly the root and the nodes accepted at earlier positions: step
     ``j`` of the sweep expands every node accepted so far and appends the
     accepted children to the frontier, a buffer that grows by doubling.
     A child is accepted when its bound is within the radius and its
     subtree holds a fragment.  Every node in the frontier at step ``j``
     keeps the root's digits from ``j`` on, worth ``tail_j < w_j`` (``w_j``
-    the radix weight of ``j``), so the child substituting cluster ``r``
-    into parent ``p`` roots the aligned block ``b = p // w_j + (r - root_j)``
-    of level ``j`` (one division per parent), bit ``b`` of the index's
-    level-``j`` occupancy tells whether its subtree is empty, and its rank
-    is ``b * w_j + tail_j``.  Empty subtrees are never expanded.  A step
-    with at least ``2 * _MIN_PART`` children is split by parents across
-    the CPUs (``_split``) and the pieces' accepted children are appended
-    in parent order, as one piece would append them.
-    ``stats.nodes_visited`` counts every bound evaluated, empty children's
-    included: pruning lowers it only by the descendants of empty
-    subtrees, which are never evaluated.
+    the radix weight of ``j``), so the child with digit step ``s``
+    (``lbt.child_steps[j]``) of parent ``p`` roots the aligned block
+    ``b = p // w_j + s`` of level ``j`` (one division per parent), bit
+    ``b`` of the index's level-``j`` occupancy tells whether its subtree
+    is empty, and its rank is ``b * w_j + tail_j``.  A parent whose bound
+    plus the position's least non-root bound exceeds the radius is not
+    expanded, and empty subtrees never are.  A step with at least
+    ``2 * _MIN_PART`` children is split by parents across the CPUs
+    (``_split``) and the pieces' accepted children are appended in parent
+    order, as one piece would append them.  ``stats.nodes_visited``
+    counts every bound evaluated, empty children's included: pruning
+    lowers it only by the descendants of empty subtrees, which are never
+    evaluated.
 
-    Returns the accepted nodes' ranks (digits past ``depth`` zero) and
-    bounds.  A ``trace`` receives every accepted node as scanned and
-    every rejected child as pruned: those whose bound exceeds the radius,
-    including the children skipped wholesale because the parent's bound
-    plus the position's least non-root bound already exceeds it, and
-    those whose subtree is empty.  The skipped children are recorded as
-    each step's frontier and limit, and formed only when the trace is read.
+    Returns the accepted nodes' ranks (digits past the table's depth
+    zero) and bounds, the root first, then the nodes accepted at each
+    position in turn.
     """
     weights = lbt.scheme.radix_weights
-    root = sum(d * int(w) for d, w in zip(lbt.root_digits, weights))
+    root = lbt.root_rank
     stats.sweeps += 1
     stats.nodes_visited += 1
     ranks = np.empty(256, dtype=np.int64)
     bounds = np.empty(256, dtype=np.int64)
     ranks[0], bounds[0], n = root, lbt.bound_of(lbt.root_digits), 1
     if bounds[0] > eps:
-        if trace is not None:
-            trace.record("pruned", lbt.scheme, depth, ranks[:1], bounds[:1])
         return ranks[:0], bounds[:0]
-    for j in range(depth):
+    for j, (steps, cand_f) in enumerate(zip(lbt.child_steps, lbt.child_bounds)):
         w = int(weights[j])
         tail = root % w
-        others, cand_b = _non_root(lbt.bounds[j].size, lbt.root_digits[j])
-        cand_f = lbt.bounds[j].take(others)
-        limit = eps - lbt.second_min[j]
-        if trace is not None:  # the frontier so far never changes: expanded when read
-            trace.record_children(
-                lbt.scheme, depth, ranks[:n], bounds[:n], limit, cand_b * w, cand_f
-            )
-        par = np.flatnonzero(bounds[:n] <= limit)
+        par = np.flatnonzero(bounds[:n] <= eps - lbt.second_min[j])
         stats.nodes_visited += par.size * cand_f.size
 
         def children(lo: int, hi: int):
             e = bounds.take(par[lo:hi])[:, None] + cand_f
-            blk = (ranks.take(par[lo:hi]) // w)[:, None] + cand_b
-            accept = (e <= eps) & index.occupied(j, blk)
-            ok = np.flatnonzero(accept)
+            blk = (ranks.take(par[lo:hi]) // w)[:, None] + steps
+            ok = np.flatnonzero((e <= eps) & index.occupied(j, blk))
             new = blk.take(ok)
             new *= w
             new += tail
-            if trace is None:
-                return new, e.take(ok), None
-            return new, e.take(ok), (blk[~accept] * w + tail, e[~accept])
+            return new, e.take(ok)
 
         pieces = _split(par.size, children, cand_f.size)
-        grown = n + sum(new.size for new, _, _ in pieces)
+        grown = n + sum(new.size for new, _ in pieces)
         if grown > ranks.size:
             size = max(2 * ranks.size, grown)
             ranks = np.concatenate([ranks[:n], np.empty(size - n, dtype=np.int64)])
             bounds = np.concatenate([bounds[:n], np.empty(size - n, dtype=np.int64)])
-        for new, e, rejected in pieces:
+        for new, e in pieces:
             ranks[n:n + new.size] = new
             bounds[n:n + new.size] = e
             n += new.size
-            if rejected is not None:
-                trace.record("pruned", lbt.scheme, depth, *rejected)
-    ranks, bounds = ranks[:n], bounds[:n]
-    if trace is not None:
-        trace.record("scanned", lbt.scheme, depth, ranks, bounds)
-    return ranks, bounds
+    return ranks[:n], bounds[:n]
 
 
 def _check_query(index: FSIndex, q: NormalizedQuery) -> None:
@@ -552,8 +526,10 @@ def range_search(
     depth = min(q.m, index.m)
     lbt = lower_bound_table(q, index.scheme, depth=depth)
     t = _lap(stats, "table_s", t0)
-    node_ranks, _ = _sweep(lbt, index, depth, radius, stats, trace)
+    node_ranks, node_bounds = _sweep(lbt, index, radius, stats)
     _lap(stats, "sweep_s", t)
+    if trace is not None:
+        trace.record(lbt, node_ranks, node_bounds)
     width = int(index.scheme.radix_weights[depth - 1])
     idx, vals = _scan_blocks(index, q, node_ranks, width, radius, stats)
     return _finish(index, idx, vals, stats, t0)
@@ -614,7 +590,7 @@ def knn_search(
     idx = vals = np.zeros(0, dtype=np.int64)
     while True:
         t = time.perf_counter()
-        ranks, bounds = _sweep(lbt, index, index.m, radius, stats)
+        ranks, bounds = _sweep(lbt, index, radius, stats)
         _lap(stats, "sweep_s", t)
         fresh = (bounds > covered) & index.occupied(index.m - 1, ranks)
         order = np.lexsort((ranks[fresh], bounds[fresh]))

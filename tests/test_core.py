@@ -209,6 +209,22 @@ class TestSerialization:
         h2, _ = fx.range_search(loaded, q, 7)
         assert h1.as_multiset() == h2.as_multiset()
 
+    @pytest.mark.parametrize("suffix_mode", [False, True])
+    def test_built_and_loaded_datasets_in_frag_order(self, toy_alpha, toy_scheme, suffix_mode,
+                                                    tmp_path):
+        db = fx.SequenceDB(records=(("x", "dcbadcba"), ("y", "abcdabca")))
+        ds = fx.extract_fragments(db, 3, alphabet=toy_alpha, suffix_mode=suffix_mode)
+        built = fx.build(ds, toy_scheme)
+        built.save(tmp_path / "i.fsi")
+        loaded = fx.load(tmp_path / "i.fsi", db)
+        assert not np.array_equal(built.sids, ds.sids)  # the sort moved fragments
+        for index in (built, loaded):
+            assert np.array_equal(index.dataset.sids, built.sids)
+            assert np.array_equal(index.dataset.offs, built.offs)
+        flat = fx.flat_build(ds)
+        assert np.array_equal(flat.dataset.sids, flat.sids)
+        assert np.array_equal(flat.dataset.offs, flat.offs)
+
     def test_roundtrip_suffix_mode(self, toy_alpha, toy_d, tmp_path):
         rng = np.random.default_rng(9)
         db = random_db(rng, toy_alpha, n_seqs=10, min_len=1, max_len=25)

@@ -177,15 +177,25 @@ class TestLowerBoundTable:
                 child = z[:j] + (r,) + z[j + 1:]
                 assert lbt.bound_of(child) >= lbt.bound_of(z)
 
-    def test_rank_offsets_match_rank_function(self, toy_scheme, toy_d):
+    @pytest.mark.parametrize("spec", ["ac,bd", "a,b,cd;ac,bd;ab,c,d"], ids=["toy", "mixed"])
+    @pytest.mark.parametrize("depth", [2, 3])
+    def test_child_steps_match_rank_function(self, spec, depth, toy_alpha, toy_d):
+        scheme = fx.parse_partition(spec, toy_alpha, 3)
         q = fx.normalize(fx.distance_query(toy_d, "abd"))
-        lbt = fx.lower_bound_table(q, toy_scheme)
-        z = lbt.root_digits
-        u = toy_scheme.rank(z)
-        for j in range(3):
-            for r in range(2):
-                child = z[:j] + (r,) + z[j + 1:]
-                assert u + int(lbt.rank_offsets[j][r]) == toy_scheme.rank(child)
+        lbt = fx.lower_bound_table(q, scheme, depth=depth)
+        z = lbt.root_digits + (0,) * (3 - depth)
+        u = scheme.rank(z)
+        assert lbt.root_rank == u
+        for j in range(depth):
+            steps, bounds = lbt.child_steps[j].tolist(), lbt.child_bounds[j].tolist()
+            # every non-root cluster once, each a child's digit and bound
+            assert sorted(z[j] + s for s in steps) == [
+                r for r in range(int(scheme.sizes[j])) if r != z[j]
+            ]
+            for step, bound in zip(steps, bounds):
+                child = z[:j] + (z[j] + step,) + z[j + 1:]
+                assert u + step * int(scheme.radix_weights[j]) == scheme.rank(child)
+                assert lbt.bound_of(z[:depth]) + bound == lbt.bound_of(child[:depth])
 
     def test_length_mismatch_rejected(self, toy_d, toy_scheme):
         q = fx.normalize(fx.distance_query(toy_d, "abcd"))

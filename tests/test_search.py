@@ -268,6 +268,22 @@ class TestRangeSearch:
                     if toy_scheme.digits(texts[key]) == digits:
                         assert v > 7, f"pruned {node} hides a hit {key}"
 
+    def test_tracer_reused_across_searches(self, toy_alpha, toy_d):
+        rng = np.random.default_rng(5)
+        db = random_db(rng, toy_alpha, n_seqs=20, min_len=4, max_len=30)
+        ds = fx.extract_fragments(db, 4, alphabet=toy_alpha)
+        index = fx.build(ds, random_partition(rng, toy_alpha, 4, max_clusters=3))
+        q = fx.normalize(fx.distance_query(toy_d, "abdc"))
+        shared, fresh = fx.Tracer(), []
+        for radius in (6, 14):
+            fx.range_search(index, q, radius, trace=shared)
+            fresh.append(fx.Tracer())
+            fx.range_search(index, q, radius, trace=fresh[-1])
+        assert all(tr.scanned and tr.pruned for tr in fresh)
+        assert fresh[0].scanned != fresh[1].scanned
+        assert sorted(shared.scanned) == sorted(fresh[0].scanned + fresh[1].scanned)
+        assert sorted(shared.pruned) == sorted(fresh[0].pruned + fresh[1].pruned)
+
     def test_scanned_bins_bound_value(self, toy_index, toy_d, toy_scheme):
         q = fx.normalize(fx.distance_query(toy_d, "abd"))
         tr = fx.Tracer()
