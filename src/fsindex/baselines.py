@@ -23,7 +23,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .alphabet import ScoreMatrix, check_quasi_metric, distance_from_score
-from .ingest import FragmentDataset, FragmentRef
+from .ingest import FragmentDataset
 from .query import NormalizedQuery, QueryFunction
 from .search import HitList, SearchStats, _finish, _scan_spans
 from .core import _sorted_run
@@ -48,16 +48,11 @@ def _evaluate(ds: FragmentDataset, tables: np.ndarray) -> tuple[np.ndarray, np.n
     return rows, tables[np.arange(width), windows[rows]].sum(axis=1)
 
 
-def _hits(ds: FragmentDataset, rows: np.ndarray, vals: np.ndarray) -> HitList:
-    refs = zip(ds.sids[rows].tolist(), ds.offs[rows].tolist())
-    return HitList([(FragmentRef(s, o), v) for (s, o), v in zip(refs, vals.tolist())])
-
-
 def linear_scan_range(ds: FragmentDataset, q: QueryFunction, radius: int) -> HitList:
     """Exhaustive oracle: full evaluation of every occurrence."""
     rows, vals = _evaluate(ds, q.tables)
     keep = vals <= radius
-    return _hits(ds, rows[keep], vals[keep])
+    return HitList(ds.sids[rows[keep]], ds.offs[rows[keep]], vals[keep])
 
 
 def linear_scan_knn(ds: FragmentDataset, q: QueryFunction, k: int) -> HitList:
@@ -65,8 +60,7 @@ def linear_scan_knn(ds: FragmentDataset, q: QueryFunction, k: int) -> HitList:
     if k < 1:
         raise ValueError("k must be >= 1")
     rows, vals = _evaluate(ds, q.tables)
-    order = np.lexsort((ds.offs[rows], ds.sids[rows], vals))[:k]
-    return _hits(ds, rows[order], vals[order])
+    return HitList(ds.sids[rows], ds.offs[rows], vals).sorted_by_value(k)
 
 
 @dataclass(frozen=True)
@@ -154,4 +148,5 @@ def fibre_range_query(
     # the same rows as ``part.rows``: every clean window of m letters
     rows, rho2 = _evaluate(ds, (d.values + d.values.T)[codes])
     keep = rho2 <= 2 * radius + (part.weights - w_omega)
-    return _hits(ds, rows[keep], (rho2 + w_omega - part.weights)[keep] // 2)
+    rows = rows[keep]
+    return HitList(ds.sids[rows], ds.offs[rows], (rho2 + w_omega - part.weights)[keep] // 2)

@@ -18,7 +18,7 @@ from .alphabet import DistanceMatrix
 from .baselines import flat_build, flat_search, linear_scan_range
 from .core import FSIndex
 from .query import distance_query, normalize
-from .search import INF_RADIUS, SearchStats, knn_search, range_search
+from .search import INF_RADIUS, HitList, SearchStats, knn_search, range_search
 
 SCHEMA = "fsindex-bench/1"
 
@@ -177,12 +177,11 @@ def run_bench(
             )
             if check_oracle:
                 expect = linear_scan_range(index.dataset, f, row.radius)
-                got = {(r.seq_id, r.offset, v + q.shift) for r, v in hits}
-                want = {(r.seq_id, r.offset, v) for r, v in expect}
-                if got != want:
+                got = HitList(hits.sids, hits.offs, hits.vals + q.shift)
+                if got.as_multiset() != expect.as_multiset():
                     raise OracleMismatch(
                         f"query {fragment!r} k={k}: index returned {len(got)} hits, "
-                        f"scan returned {len(want)}"
+                        f"scan returned {len(expect)} (or values differ)"
                     )
             if flat is not None:
                 _, flat_stats = flat_search(flat, q, base_radius)

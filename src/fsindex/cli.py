@@ -99,31 +99,26 @@ def _open_index(args):
 def _spot_audit(index, hits, f, shift: int, sample: int = 5) -> None:
     """Re-evaluate the query on a few reported fragments; a mismatch means
     the reported de-normalized values are wrong and must abort the run."""
-    for ref, value in hits.entries[:sample]:
-        text = index.dataset.fragment_text(ref.seq_id, ref.offset, f.m)
-        direct = f.evaluate(text)
+    for seq_id, offset, value in hits.triples(sample):
+        direct = f.evaluate(index.dataset.fragment_text(seq_id, offset, f.m))
         if direct != value + shift:
             raise AssertionError(
                 f"reported value {value + shift} != direct evaluation {direct} "
-                f"at {ref}"
+                f"at seq_id {seq_id}, offset {offset}"
             )
+
+
+_HIT_COLUMNS = ("sequence", "offset", "fragment", "value", "rank")
 
 
 def _format_hits(index, hits, shift: int, fmt: str, out: str | None, stats,
                  query_len: int | None = None) -> None:
-    rows = []
-    width = query_len or index.m
-    for rank, (ref, value) in enumerate(hits.sorted_by_value(), start=1):
-        text = index.dataset.fragment_text(ref.seq_id, ref.offset, width)
-        rows.append(
-            {
-                "sequence": index.dataset.db.identifier(ref.seq_id),
-                "offset": ref.offset,
-                "fragment": text,
-                "value": value + shift,
-                "rank": rank,
-            }
-        )
+    ds, width = index.dataset, query_len or index.m
+    rows = [
+        dict(zip(_HIT_COLUMNS, (
+            ds.db.identifier(s), o, ds.fragment_text(s, o, width), v + shift, rank)))
+        for rank, (s, o, v) in enumerate(hits.sorted_by_value().triples(), start=1)
+    ]
     stats_obj = {
         "nodes_visited": stats.nodes_visited,
         "bins_scanned": stats.bins_scanned,
@@ -141,11 +136,7 @@ def _format_hits(index, hits, shift: int, fmt: str, out: str | None, stats,
     if fmt == "json":
         _emit(json.dumps({"hits": rows, "stats": stats_obj}, indent=2), out)
     else:
-        lines = ["sequence\toffset\tfragment\tvalue\trank"]
-        lines += [
-            f"{r['sequence']}\t{r['offset']}\t{r['fragment']}\t{r['value']}\t{r['rank']}"
-            for r in rows
-        ]
+        lines = ["\t".join(_HIT_COLUMNS)] + ["\t".join(map(str, r.values())) for r in rows]
         lines.append("# " + json.dumps(stats_obj, sort_keys=True))
         _emit("\n".join(lines), out)
 

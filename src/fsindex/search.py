@@ -17,7 +17,9 @@ search scans them best first, in increasing (bound, rank) order.  A
 pruned ones from them when read, empty subtrees among them, so tracing
 adds no work to the search.  One block scan turns accepted nodes into
 frag-array spans, and one span-scan kernel evaluates every span, for the
-index and for the flat baseline.
+index and for the flat baseline.  Hits come back as a ``HitList`` of
+three arrays, with no Python object per hit; k-NN hits, the oracles'
+included, take the (value, seq_id, offset) order of ``sorted_by_value``.
 
 Large phases run in pieces on every CPU available to the process: a
 sweep step's children (split by parents), the conversion of accepted
@@ -38,7 +40,8 @@ from __future__ import annotations
 import os
 import threading
 import time
-from dataclasses import dataclass, field
+from collections import Counter
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -97,30 +100,43 @@ def _lap(stats: SearchStats, phase: str, since: float) -> float:
     return now
 
 
-@dataclass
+@dataclass(eq=False)
 class HitList:
-    """Search results: (fragment reference, query value) pairs."""
+    """Search results as arrays: hit ``i`` is the fragment at ``offs[i]`` of
+    sequence ``sids[i]``, with query value ``vals[i]``.  Python objects per
+    hit (pairs, values, triples, the multiset) are built when asked for."""
 
-    entries: list[tuple[FragmentRef, int]] = field(default_factory=list)
+    sids: np.ndarray
+    offs: np.ndarray
+    vals: np.ndarray
 
     def __len__(self) -> int:
-        return len(self.entries)
+        return self.vals.size
 
     def __iter__(self):
         return iter(self.entries)
 
+    @property
+    def entries(self) -> list[tuple[FragmentRef, int]]:
+        """(fragment reference, query value) pairs."""
+        return [(FragmentRef(s, o), v) for s, o, v in self.triples()]
+
+    def triples(self, first: int | None = None) -> list[tuple[int, int, int]]:
+        """(seq_id, offset, value) of the first ``first`` hits (all by default)."""
+        return list(zip(*(a[:first].tolist() for a in (self.sids, self.offs, self.vals))))
+
     def values(self) -> list[int]:
-        return [v for _, v in self.entries]
+        return self.vals.tolist()
 
-    def sorted_by_value(self) -> "HitList":
-        return HitList(sorted(self.entries, key=lambda e: (e[1], e[0])))
+    def sorted_by_value(self, first: int | None = None) -> "HitList":
+        """The hits in (value, seq_id, offset) order, the k-NN order of
+        every search and oracle; the first ``first`` of them if given."""
+        order = np.lexsort((self.offs, self.sids, self.vals))[:first]
+        return HitList(self.sids[order], self.offs[order], self.vals[order])
 
-    def as_multiset(self) -> dict:
-        out: dict = {}
-        for ref, v in self.entries:
-            key = (ref.seq_id, ref.offset, v)
-            out[key] = out.get(key, 0) + 1
-        return out
+    def as_multiset(self) -> Counter:
+        """(seq_id, offset, value) -> number of hits."""
+        return Counter(self.triples())
 
 
 class Tracer:
@@ -449,12 +465,14 @@ def _check_query(index: FSIndex, q: NormalizedQuery) -> None:
 
 
 def _finish(
-    index, idx: np.ndarray, vals: np.ndarray, stats: SearchStats, t0: float
+    index, idx: np.ndarray, vals: np.ndarray, stats: SearchStats, t0: float,
+    first: int | None = None,
 ) -> tuple[HitList, SearchStats]:
-    """Hits for rows ``idx`` of an ``FSIndex`` or ``FlatIndex``."""
+    """Hits for rows ``idx`` of an ``FSIndex`` or ``FlatIndex``, in row
+    order; given ``first``, the first ``first`` hits in k-NN order."""
     t = time.perf_counter()
-    refs = zip(index.sids[idx].tolist(), index.offs[idx].tolist())
-    hits = HitList([(FragmentRef(s, o), v) for (s, o), v in zip(refs, vals.tolist())])
+    hits = HitList(index.sids[idx], index.offs[idx], vals)
+    hits = hits if first is None else hits.sorted_by_value(first)
     stats.hits = len(hits)
     stats.elapsed = _lap(stats, "finish_s", t) - t0
     return hits, stats
@@ -611,7 +629,4 @@ def knn_search(
             break
         covered = radius
         radius = min(kth, top, radius + radius // 2 + 1)
-    order = np.lexsort((index.offs[idx], index.sids[idx], vals))
-    if not all_ties:
-        order = order[:k]
-    return _finish(index, idx[order], vals[order], stats, t0)
+    return _finish(index, idx, vals, stats, t0, idx.size if all_ties else k)

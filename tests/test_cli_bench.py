@@ -277,9 +277,26 @@ class TestBenchCommand:
 
         def drop_first_hit(*args, **kwargs):
             hits, stats = search(*args, **kwargs)
-            return fx.HitList(hits.entries[1:]), stats
+            return fx.HitList(hits.sids[1:], hits.offs[1:], hits.vals[1:]), stats
 
         monkeypatch.setattr(fsindex.bench, "range_search", drop_first_hit)
+        rc = main([
+            "bench", "--index", str(workdir / "db.fsi"), "--fasta", str(workdir / "db.fa"),
+            "--matrix", "BLOSUM62", "--queries", "2", "--seed", "11",
+            "--k-list", "3", "--oracle",
+        ])
+        assert rc == 2
+        assert "oracle mismatch" in capsys.readouterr().err
+
+    def test_oracle_catches_a_duplicated_hit(self, workdir, monkeypatch, capsys):
+        search = fsindex.bench.range_search
+
+        def repeat_first_hit(*args, **kwargs):
+            hits, stats = search(*args, **kwargs)
+            rows = np.r_[0, np.arange(len(hits))]
+            return fx.HitList(hits.sids[rows], hits.offs[rows], hits.vals[rows]), stats
+
+        monkeypatch.setattr(fsindex.bench, "range_search", repeat_first_hit)
         rc = main([
             "bench", "--index", str(workdir / "db.fsi"), "--fasta", str(workdir / "db.fa"),
             "--matrix", "BLOSUM62", "--queries", "2", "--seed", "11",

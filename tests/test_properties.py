@@ -84,6 +84,10 @@ def test_range_hits_and_counters(case, data, radius):
     ds, index = case
     f = pssm(data.draw, index.m)
     q = fx.normalize(f)
+    if data.draw(st.booleans(), label="radius around the k-th value"):
+        knn = fx.linear_scan_knn(ds, f, data.draw(st.integers(1, 12), label="k")).values()
+        if knn:
+            radius = knn[-1] + data.draw(st.integers(-1, 1), label="offset from the k-th value")
     eps = radius - q.shift
     hits, stats = fx.range_search(index, q, eps)
     assert rows(hits, q.shift) == rows(fx.linear_scan_range(ds, f, radius), 0)

@@ -369,6 +369,45 @@ class TestKnnSearch:
             assert got == [(r.seq_id, r.offset, v) for r, v in oracle]
 
 
+class TestHitListContract:
+    def test_every_producer_returns_arrays_and_pairs(self, toy_index, toy_cube, toy_s, toy_d):
+        f = fx.distance_query(toy_d, "abd")
+        q = fx.normalize(f)
+        root = fx.lower_bound_table(q, toy_index.scheme).root_rank
+        produced = {
+            "range_search": fx.range_search(toy_index, q, 7 - q.shift)[0],
+            "knn_search": fx.knn_search(toy_index, q, 10)[0],
+            "process_bin": fx.process_bin(toy_index, root, q, 20)[0],
+            "flat_search": fx.flat_search(fx.flat_build(toy_cube), q, 7 - q.shift)[0],
+            "linear_scan_range": fx.linear_scan_range(toy_cube, f, 7),
+            "linear_scan_knn": fx.linear_scan_knn(toy_cube, f, 10),
+            "fibre_range_query": fx.fibre_range_query(toy_cube, toy_s, "abd", 7),
+        }
+        for name, hits in produced.items():
+            arrays = (hits.sids, hits.offs, hits.vals)
+            assert all(isinstance(a, np.ndarray) for a in arrays), name
+            assert [a.shape for a in arrays] == [(len(hits),)] * 3 and len(hits) > 0, name
+            assert list(hits) == hits.entries, name
+            for ref, value in hits:
+                assert isinstance(ref, fx.FragmentRef), name
+                assert [type(x) for x in (ref.seq_id, ref.offset, value)] == [int] * 3, name
+            assert hits.triples() == [(r.seq_id, r.offset, v) for r, v in hits], name
+            assert hits.values() == [v for _, v in hits], name
+
+    def test_sorted_by_value_is_the_knn_order(self, toy_alpha, toy_scheme, toy_d):
+        db = fx.SequenceDB(records=(("r", "aaaaa"), ("s", "caaac"), ("t", "aaaa")))
+        ds = fx.extract_fragments(db, 3, alphabet=toy_alpha)
+        index = fx.build(ds, toy_scheme)
+        q = fx.normalize(fx.distance_query(toy_d, "aaa"))
+        everything, _ = fx.range_search(index, q, 100)
+        ranked = everything.sorted_by_value()
+        assert ranked.triples() == sorted(everything.triples(), key=lambda t: (t[2], t[0], t[1]))
+        for k in (1, 4, len(everything)):
+            ties, _ = fx.knn_search(index, q, k, all_ties=True)
+            assert len(ties) >= k
+            assert ties.triples() == ranked.triples()[:len(ties)]
+
+
 class TestLongQueries:
     def build_suffix_index(self, toy_alpha, m):
         rng = np.random.default_rng(77)
