@@ -92,8 +92,12 @@ def cmd_build(args) -> int:
 
 
 def _open_index(args):
+    """The index and the wall times (ms) of its cold phases: FASTA parse, load."""
+    start = time.perf_counter()
     db = _read_fasta(args.fasta)
-    return load(args.index, db)
+    parsed = time.perf_counter()
+    index = load(args.index, db)
+    return index, {"parse": 1e3 * (parsed - start), "load": 1e3 * (time.perf_counter() - parsed)}
 
 
 def _spot_audit(index, hits, f, shift: int, sample: int = 5) -> None:
@@ -112,7 +116,7 @@ _HIT_COLUMNS = ("sequence", "offset", "fragment", "value", "rank")
 
 
 def _format_hits(index, hits, shift: int, fmt: str, out: str | None, stats,
-                 query_len: int | None = None) -> None:
+                 phases_ms: dict, query_len: int | None = None) -> None:
     ds, width = index.dataset, query_len or index.m
     rows = [
         dict(zip(_HIT_COLUMNS, (
@@ -134,7 +138,7 @@ def _format_hits(index, hits, shift: int, fmt: str, out: str | None, stats,
         },
     }
     if fmt == "json":
-        _emit(json.dumps({"hits": rows, "stats": stats_obj}, indent=2), out)
+        _emit(json.dumps({"hits": rows, "stats": stats_obj, "phases_ms": phases_ms}, indent=2), out)
     else:
         lines = ["\t".join(_HIT_COLUMNS)] + ["\t".join(map(str, r.values())) for r in rows]
         lines.append("# " + json.dumps(stats_obj, sort_keys=True))
@@ -142,7 +146,8 @@ def _format_hits(index, hits, shift: int, fmt: str, out: str | None, stats,
 
 
 def cmd_search(args) -> int:
-    index = _open_index(args)
+    index, phases_ms = _open_index(args)
+    started = time.perf_counter()
     matrix = _load_matrix(args.matrix, index.alphabet)
     if args.pssm:
         with open(args.pssm) as fh:
@@ -169,7 +174,8 @@ def cmd_search(args) -> int:
             radius = args.radius
         hits, stats = range_search(index, q, radius - q.shift)
     _spot_audit(index, hits, f, q.shift)
-    _format_hits(index, hits, q.shift, args.format, args.out, stats, query_len=f.m)
+    phases_ms["search"] = 1e3 * (time.perf_counter() - started)
+    _format_hits(index, hits, q.shift, args.format, args.out, stats, phases_ms, query_len=f.m)
     return 0
 
 
@@ -177,7 +183,7 @@ def cmd_bench(args) -> int:
     # imported here: a cold ``search`` needs neither the harness nor ``statistics``
     from .bench import OracleMismatch, run_bench
 
-    index = _open_index(args)
+    index, _ = _open_index(args)
     matrix = _load_matrix(args.matrix, index.alphabet)
     d = distance_from_score(matrix)
     if args.query_file:

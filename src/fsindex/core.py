@@ -26,13 +26,15 @@ The letters are gathered once, in sorted order.  The arrays that result:
   key shorter than ``m`` ends where its pad codes (``len(alphabet)``) start.
 
 The index is immutable after construction and safe to share across
-concurrent searches.
+concurrent searches.  ``save`` writes these arrays after a header;
+``load`` maps that file read-only, keeps each array as a view of the map
+and checks them without allocating anything of the file's size.
 """
 
 from __future__ import annotations
 
 import hashlib
-import io
+import mmap
 import os
 import struct
 from dataclasses import dataclass, field, replace
@@ -80,6 +82,7 @@ def _raw_lcp(rows: np.ndarray) -> np.ndarray:
 
 
 _KEY_ROWS = 1 << 16  # fragments per pass while packing keys: the temporaries stay small
+_CHECK_ROWS = 1 << 16  # fragments per piece of the load's offset check
 
 
 def _cluster_ordinals(scheme: PartitionScheme) -> np.ndarray:
@@ -260,12 +263,22 @@ def _level_words(scheme: PartitionScheme) -> list[int]:
 
 
 def _occupancy(scheme: PartitionScheme, filled: np.ndarray) -> np.ndarray:
-    """Every level's bits for the non-empty bin ranks ``filled``, concatenated."""
+    """Every level's bits for the ascending non-empty bin ranks ``filled``,
+    concatenated.  Each level's distinct blocks come from the next level's,
+    and each word is set once: no temporary holds a byte per bit."""
     sizes = _level_words(scheme)
-    bits = np.zeros(64 * sum(sizes), dtype=bool)
-    for start, w in zip(np.cumsum([0, *sizes]), scheme.radix_weights):
-        bits[64 * start + filled // int(w)] = True
-    return np.packbits(bits, bitorder="little").view("<u8")
+    words = np.zeros(sum(sizes), dtype=np.uint64)
+    starts, weights = np.cumsum([0, *sizes]).tolist(), [*map(int, scheme.radix_weights), 1]
+    blocks = filled.astype(np.uint64)
+    for j in reversed(range(scheme.m) if blocks.size else ()):
+        blocks = blocks // (weights[j] // weights[j + 1])
+        blocks = blocks[np.r_[True, blocks[1:] != blocks[:-1]]]  # distinct, ascending
+        word = blocks >> 6
+        last = np.flatnonzero(np.r_[word[1:] != word[:-1], True])  # each word's last block
+        # a word's bits are distinct, so their sum is their or; wrapped sums subtract exactly
+        total = np.cumsum(np.uint64(1) << (blocks & 63))[last]
+        words[starts[j] + word[last]] = np.diff(total, prepend=np.uint64(0))
+    return words.astype("<u8", copy=False)
 
 
 def _set_bits(words: np.ndarray) -> np.ndarray:
@@ -274,8 +287,9 @@ def _set_bits(words: np.ndarray) -> np.ndarray:
 
 def _sequence_digest(codes: np.ndarray, starts: np.ndarray) -> bytes:
     """blake2b of an encoded sequence set: sequence boundaries, then codes."""
-    data = starts.astype("<i8").tobytes() + codes.tobytes()
-    return hashlib.blake2b(data, digest_size=32).digest()
+    digest = hashlib.blake2b(starts.astype("<i8", copy=False), digest_size=32)
+    digest.update(np.ascontiguousarray(codes))
+    return digest.digest()
 
 
 @dataclass(frozen=True)
@@ -481,23 +495,24 @@ def read_index_header(path) -> dict:
 
 def load(path, db: SequenceDB) -> FSIndex:
     """Load an index file; ``db`` must be the sequence set it was built from."""
-    # One unbuffered read of the whole file; every array stays a read-only
-    # view of its bytes, the occupancy words 8-byte aligned as in the file.
+    # Header from the open file, then a read-only map of it: every array is a view
+    # of the map, the occupancy words 8-byte aligned.  ``save`` renames a new file
+    # over the path, so the mapped file stays whole while any of its arrays lives.
     with open(path, "rb", buffering=0) as fh:
-        blob = fh.read()
-    head = io.BytesIO(blob)
-    info = _read_header(head)
-    m, n, n_bins = info["fragment_length"], info["fragments"], info["bins"]
-    nonempty = n_bins - info["empty_bins"]
-    alphabet = Alphabet(info["alphabet"])
-    scheme = parse_partition(info["partition"], alphabet, m)
-    if scheme.n_bins != n_bins:
-        raise IndexFormatError("bin count disagrees with partition spec")
+        info = _read_header(fh)
+        m, n, n_bins = info["fragment_length"], info["fragments"], info["bins"]
+        nonempty = n_bins - info["empty_bins"]
+        alphabet = Alphabet(info["alphabet"])
+        scheme = parse_partition(info["partition"], alphabet, m)
+        if scheme.n_bins != n_bins:
+            raise IndexFormatError("bin count disagrees with partition spec")
 
-    pos = head.tell() + -head.tell() % 8
-    counts = (sum(_level_words(scheme)), nonempty + 1, n, n, n + 1, n * m)
-    if len(blob) != pos + sum(np.dtype(t).itemsize * c for (_, t), c in zip(_ARRAYS, counts)):
-        raise IndexFormatError("index arrays truncated or oversized")
+        pos = fh.tell() + -fh.tell() % 8
+        counts = (sum(_level_words(scheme)), nonempty + 1, n, n, n + 1, n * m)
+        size = pos + sum(np.dtype(t).itemsize * c for (_, t), c in zip(_ARRAYS, counts))
+        if os.fstat(fh.fileno()).st_size != size:
+            raise IndexFormatError("index arrays truncated or oversized")
+        blob = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)
     arrays = {}
     for (name, dtype), count in zip(_ARRAYS, counts):
         arrays[name] = np.frombuffer(blob, dtype=dtype, count=count, offset=pos)
@@ -514,9 +529,9 @@ def load(path, db: SequenceDB) -> FSIndex:
     codes, starts = encode_db(db, alphabet)
     if _sequence_digest(codes, starts).hex() != info["sequence_digest"]:
         raise IndexFormatError("index built from a different sequence set")
-    if n and (sids >= len(db)).any():
+    if n and sids.max() >= len(db):
         raise IndexFormatError("fragment reference outside the sequence set")
-    if n and (offs >= np.diff(starts)[sids]).any():
+    if n and _offset_past_end(offs, sids, starts):
         raise IndexFormatError("fragment offset outside its sequence")
     # rejected windows are unknown post hoc; the manifest comes from extraction
     dataset = FragmentDataset(
@@ -527,3 +542,16 @@ def load(path, db: SequenceDB) -> FSIndex:
     if index._counts[-1] != nonempty:
         raise IndexFormatError("occupancy bits disagree with the bin count")
     return index
+
+
+def _offset_past_end(offs: np.ndarray, sids: np.ndarray, starts: np.ndarray) -> bool:
+    """Whether an offset passes its sequence's last letter, compared as
+    uint32 a piece of rows at a time: offsets are uint32, so clipping the
+    last letters' offsets to that range keeps every answer."""
+    last = np.minimum(np.diff(starts) - 1, np.iinfo(np.uint32).max).astype(np.uint32)
+    buf = np.empty(min(offs.size, _CHECK_ROWS), dtype=np.uint32)
+    for a in range(0, offs.size, _CHECK_ROWS):
+        piece = offs[a:a + _CHECK_ROWS]
+        if (piece > last.take(sids[a:a + _CHECK_ROWS], out=buf[:piece.size])).any():
+            return True
+    return False

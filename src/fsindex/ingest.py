@@ -10,6 +10,7 @@ kept, addressed by its first ``m`` letters.
 from __future__ import annotations
 
 import io
+import re
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple
 
@@ -168,13 +169,17 @@ def encode_db(db: SequenceDB, alphabet: Alphabet) -> tuple[np.ndarray, np.ndarra
     outside = [c for c in alphabet.letters if ord(c) > 255]
     if outside:
         raise ValueError(f"alphabet letter {outside[0]!r} is outside latin-1")
-    lut = np.full(257, invalid, dtype=np.uint8)  # entry 256: any code point past latin-1
+    lut = np.full(256, invalid, dtype=np.uint8)
     lut[[ord(c) for c in alphabet.letters]] = np.arange(invalid)
     residues = [res for _, res in db.records]
     starts = np.zeros(len(db) + 1, dtype=np.int64)
     np.cumsum([len(res) for res in residues], out=starts[1:])
-    text = "".join(residues).encode("utf-32-le", "surrogatepass")
-    return lut[np.minimum(np.frombuffer(text, dtype="<u4"), 256)], starts
+    text = "".join(residues)  # latin-1 bytes, then one byte table
+    try:
+        raw = text.encode("latin-1")
+    except UnicodeEncodeError:  # code points past latin-1 become a byte no letter takes
+        raw = re.sub("[^\x00-\xff]", chr(lut.argmax()), text).encode("latin-1")
+    return np.frombuffer(raw.translate(lut.tobytes()), dtype=np.uint8), starts
 
 
 def extract_fragments(

@@ -132,6 +132,19 @@ class TestSearchCommand:
             else:
                 assert stats["sweeps"] >= 1 and stats["scan_chunks"] >= 1
 
+    def test_json_reports_cold_phases(self, workdir, capsys):
+        args = [
+            "search", "--index", str(workdir / "db.fsi"), "--fasta", str(workdir / "db.fa"),
+            "--matrix", "BLOSUM62", "--query", "MKVLAT", "--format", "json",
+        ]
+        for mode in (["--radius", "40"], ["--k", "3"]):
+            assert main(args + mode) == 0
+            doc = json.loads(capsys.readouterr().out)
+            assert sorted(doc["phases_ms"]) == ["load", "parse", "search"]
+            assert all(v > 0 for v in doc["phases_ms"].values())
+            # the search phase holds the call that the stats time
+            assert doc["phases_ms"]["search"] >= doc["stats"]["elapsed_ms"]
+
     def test_build_reports_phase_times(self, workdir, capsys, tmp_path):
         assert main([
             "build", "--fasta", str(workdir / "db.fa"), "--matrix", "BLOSUM62",

@@ -368,6 +368,67 @@ class TestSerialization:
         assert not info["suffix_mode"]
 
 
+class TestMappedLoad:
+    """``load`` maps the file: a loaded index outlives a save over its path,
+    and files too short to map fail as malformed indexes."""
+
+    def test_loaded_index_outlives_a_save_over_its_file(self, toy_index, toy_alpha,
+                                                        toy_scheme, toy_d, tmp_path):
+        path = tmp_path / "i.fsi"
+        toy_index.save(path)
+        first = fx.load(path, toy_index.dataset.db)
+        q = fx.normalize(fx.distance_query(toy_d, "abc"))
+
+        def answers(index):
+            return [fx.range_search(index, q, 9)[0].triples(),
+                    fx.knn_search(index, q, 5)[0].triples()]
+
+        before = answers(first)
+        other_db = random_db(np.random.default_rng(4), toy_alpha, n_seqs=6, min_len=3, max_len=20)
+        other = fx.build(fx.extract_fragments(other_db, 3, alphabet=toy_alpha), toy_scheme)
+        other.save(path)
+        first.audit()
+        assert answers(first) == before
+        second = fx.load(path, other_db)
+        second.audit()
+        assert np.array_equal(second.letters, other.letters)
+        assert np.array_equal(second.sids, other.sids) and np.array_equal(second.offs, other.offs)
+
+    @pytest.mark.parametrize("keep, match", [("nothing", "bad magic"), ("header", "truncated")])
+    def test_empty_and_header_only_files_rejected(self, toy_index, tmp_path, keep, match):
+        p = tmp_path / "e.fsi"
+        toy_index.save(p)
+        end = (fx.core._HEADER.size + len(toy_index.alphabet.letters.encode())
+               + len(toy_index.scheme.spec_string.encode()))
+        p.write_bytes(p.read_bytes()[:end] if keep == "header" else b"")
+        with pytest.raises(fx.IndexFormatError, match=match):
+            fx.load(p, toy_index.dataset.db)
+
+    @pytest.mark.parametrize("name, value, match", [
+        ("sids", 63, None),                       # the last of 64 sequences
+        ("sids", 64, "outside the sequence set"),
+        ("offs", 2, None),                        # the last letter of a 3-letter sequence
+        ("offs", 3, "outside its sequence"),
+    ])
+    def test_references_checked_in_every_piece(self, toy_index, tmp_path, monkeypatch,
+                                               name, value, match):
+        # the offset check runs in pieces of 5 rows; row 47 sits in the tenth
+        monkeypatch.setattr(fx.core, "_CHECK_ROWS", 5)
+        p = tmp_path / "r.fsi"
+        toy_index.save(p)
+        blob = bytearray(p.read_bytes())
+        pos = len(blob) - toy_index.letters.nbytes - toy_index.lcp.nbytes - 4 * toy_index.n
+        if name == "sids":
+            pos -= 4 * toy_index.n
+        blob[pos + 4 * 47: pos + 4 * 48] = np.array([value], "<u4").tobytes()
+        p.write_bytes(bytes(blob))
+        if match is None:
+            assert int(getattr(fx.load(p, toy_index.dataset.db), name)[47]) == value
+        else:
+            with pytest.raises(fx.IndexFormatError, match=match):
+                fx.load(p, toy_index.dataset.db)
+
+
 class TestImmutability:
     def test_arrays_read_only(self, toy_index):
         for arr in (toy_index.bins, toy_index.lcp, toy_index.letters, toy_index.sids):

@@ -5,9 +5,12 @@ commit ``2cc8a69``: the packed-key build must keep every file byte-identical.
 """
 
 import hashlib
+import tracemalloc
 
+import numpy as np
 import pytest
 
+import fsindex as fx
 from corpus_answers import corpus_indexes
 
 DIGESTS = {
@@ -30,3 +33,20 @@ def test_audit_and_file_digest(indexes, mode, tmp_path):
     path = tmp_path / f"{mode}.fsi"
     index.save(path)
     assert hashlib.blake2b(path.read_bytes()).hexdigest() == DIGESTS[mode]
+
+
+def test_load_allocates_no_copy_of_the_file(indexes, tmp_path):
+    """``load`` maps the file: what it allocates (the sequence codes and
+    the checks' small pieces) stays far below the file's size."""
+    index = indexes["fixed"]
+    path = tmp_path / "fixed.fsi"
+    size = index.save(path)
+    tracemalloc.start()
+    try:
+        loaded = fx.load(path, index.dataset.db)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < size / 4, f"load peaked at {peak} B for a {size} B file"
+    for name in ("occupancy", "bins", "sids", "offs", "lcp", "letters"):
+        assert np.array_equal(getattr(loaded, name), getattr(index, name)), name

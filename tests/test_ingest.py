@@ -1,5 +1,8 @@
+import hashlib
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import fsindex as fx
 from conftest import random_db
@@ -141,6 +144,38 @@ class TestExtractFragments:
             fx.extract_fragments(long, 2)
         with pytest.raises(ValueError, match="offset 4 exceeds"):
             fx.extract_fragments(long, 3, suffix_mode=True)
+
+
+# alphabet letters, their lowercase, X, a latin-1 letter past ASCII, and
+# code points past latin-1: one in the BMP, one astral
+AA = fx.STANDARD_ALPHABET.letters
+RESIDUES = AA + AA.lower() + "X\u00e9\u03a9\U0001f9ec"
+ALPHABETS = [
+    fx.STANDARD_ALPHABET,
+    fx.Alphabet(AA + "\u00e9"),
+    # every latin-1 character but Q: the one byte no letter takes
+    fx.Alphabet("".join(chr(b) for b in range(256) if chr(b) != "Q")),
+]
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(seqs=st.lists(st.text(st.sampled_from(RESIDUES), min_size=1, max_size=30),
+                     min_size=1, max_size=5),
+       alphabet=st.sampled_from(ALPHABETS))
+@example(seqs=["MK\u03a9V", "\U0001f9ec\u00e9Q"], alphabet=ALPHABETS[2])
+def test_encode_db_and_digest_match_per_letter_reference(seqs, alphabet):
+    db = fx.SequenceDB(records=tuple((f"s{i}", s) for i, s in enumerate(seqs)))
+    codes, starts = fx.ingest.encode_db(db, alphabet)
+    invalid = len(alphabet)
+    assert codes.dtype == np.uint8
+    assert codes.tolist() == [
+        alphabet.ordinal(c) if c in alphabet else invalid for c in "".join(seqs)
+    ]
+    assert starts.tolist() == np.cumsum([0, *map(len, seqs)]).tolist()
+    whole = starts.astype("<i8").tobytes() + codes.tobytes()
+    expect = hashlib.blake2b(whole, digest_size=32).digest()
+    assert fx.core._sequence_digest(codes, starts) == expect
+
 
 class TestLetterMatrix:
     @staticmethod
