@@ -384,9 +384,10 @@ class PartitionScheme:
         return ranks
 
     def digits_of(self, ranks: np.ndarray, depth: int) -> np.ndarray:
-        """(n, depth) array: the first ``depth`` cluster digits of n bin ranks."""
+        """(n, depth) array: the first ``depth`` cluster digits of n bin ranks,
+        computed as (depth, n) so that numpy's inner loops run over the ranks."""
         ranks = np.asarray(ranks, dtype=np.int64)
-        return (ranks[:, None] // self.radix_weights[:depth]) % self.sizes[:depth]
+        return (ranks // self.radix_weights[:depth, None] % self.sizes[:depth, None]).T
 
     def unrank(self, u: int) -> tuple[int, ...]:
         if not 0 <= u < self.n_bins:

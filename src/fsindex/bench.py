@@ -18,7 +18,7 @@ from .alphabet import DistanceMatrix
 from .baselines import flat_build, flat_search, linear_scan_range
 from .core import FSIndex
 from .query import distance_query, normalize
-from .search import INF_RADIUS, HitList, SearchStats, knn_search, range_search
+from .search import INF_RADIUS, PHASES, HitList, SearchStats, knn_search, range_search
 
 SCHEMA = "fsindex-bench/1"
 
@@ -77,6 +77,9 @@ class BenchReport:
                 "median": float(statistics.median(vals)),
             }
 
+        def phases(stats: list[SearchStats]) -> dict:
+            return {p: dist([1e3 * getattr(s, p + "_s") for s in stats]) for p in PHASES}
+
         out = {
             "schema": SCHEMA,
             "queries": len(rows),
@@ -90,11 +93,13 @@ class BenchReport:
             "residues_scanned_pct": dist([r.residues_pct() for r in rows]),
             "access_overhead": dist([r.access_overhead() for r in rows]),
             "range_ms": dist([1e3 * r.rng.elapsed for r in rows]),
+            "range_phases_ms": phases([r.rng for r in rows]),
         }
         knn_rows = [r for r in rows if r.knn is not None]
         if knn_rows:
             out["knn_range_bin_ratio"] = dist([r.knn_bin_ratio() for r in knn_rows])
             out["knn_ms"] = dist([1e3 * r.knn.elapsed for r in knn_rows])
+            out["knn_phases_ms"] = phases([r.knn for r in knn_rows])
         flat_rows = [r for r in rows if r.flat is not None]
         if flat_rows:
             out["flat_residues"] = dist([r.flat.residues_scanned for r in flat_rows])

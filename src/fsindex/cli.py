@@ -31,7 +31,7 @@ from .query import (
     parse_pssm,
     similarity_threshold_to_radius,
 )
-from .search import knn_search, range_search
+from .search import PHASES, knn_search, range_search
 
 
 def _load_matrix(spec: str, alphabet: Alphabet):
@@ -132,10 +132,7 @@ def _format_hits(index, hits, shift: int, fmt: str, out: str | None, stats,
         "elapsed_ms": 1e3 * stats.elapsed,
         "sweeps": stats.sweeps,
         "scan_chunks": stats.scan_chunks,
-        "phases_ms": {
-            phase: 1e3 * getattr(stats, phase + "_s")
-            for phase in ("table", "sweep", "spans", "scan", "finish")
-        },
+        "phases_ms": {p: 1e3 * getattr(stats, p + "_s") for p in PHASES},
     }
     if fmt == "json":
         _emit(json.dumps({"hits": rows, "stats": stats_obj, "phases_ms": phases_ms}, indent=2), out)

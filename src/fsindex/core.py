@@ -33,7 +33,6 @@ and checks them without allocating anything of the file's size.
 
 from __future__ import annotations
 
-import hashlib
 import mmap
 import os
 import struct
@@ -43,6 +42,11 @@ import numpy as np
 
 from .alphabet import Alphabet, PartitionScheme, parse_partition
 from .ingest import FragmentDataset, SequenceDB, encode_db
+
+try:  # hashlib would also load OpenSSL's _hashlib, 3-4 ms of every cold search
+    from _blake2 import blake2b
+except ImportError:  # interpreters built without it
+    from hashlib import blake2b
 
 MAGIC = b"FSIX"
 FORMAT_VERSION = 2
@@ -254,9 +258,6 @@ def _sorted_run(
     return run, letters, lcp, first, lead
 
 
-_BIT = np.left_shift(np.uint8(1), np.arange(8, dtype=np.uint8))  # each bit of a byte
-
-
 def _level_words(scheme: PartitionScheme) -> list[int]:
     """64-bit words per occupancy level: one bit per block, one spare."""
     return [scheme.n_bins // int(w) // 64 + 1 for w in scheme.radix_weights]
@@ -287,7 +288,7 @@ def _set_bits(words: np.ndarray) -> np.ndarray:
 
 def _sequence_digest(codes: np.ndarray, starts: np.ndarray) -> bytes:
     """blake2b of an encoded sequence set: sequence boundaries, then codes."""
-    digest = hashlib.blake2b(starts.astype("<i8", copy=False), digest_size=32)
+    digest = blake2b(starts.astype("<i8", copy=False), digest_size=32)
     digest.update(np.ascontiguousarray(codes))
     return digest.digest()
 
@@ -340,8 +341,10 @@ class FSIndex:
     def occupied(self, level: int, blocks: np.ndarray) -> np.ndarray:
         """Whether each aligned block of ``radix_weights[level]`` ranks holds a fragment.
         The words are little-endian, so bit ``b`` is bit ``b & 7`` of byte ``b >> 3``."""
-        level_bytes = self.levels[level].view(np.uint8)
-        return level_bytes.take(blocks >> 3) & _BIT.take(blocks & 7) != 0
+        found = self.levels[level].view(np.uint8).take(blocks >> 3)
+        found >>= blocks.astype(np.uint8) & 7  # a uint8 shift: cheaper than a second gather
+        found &= 1
+        return found.view(bool)
 
     def nonempty_below(self, ranks) -> np.ndarray:
         """Non-empty bins ranked below each of ``ranks`` (0..N), the index

@@ -10,8 +10,10 @@ scanned with shared-prefix (lcp) reuse and early rejection of partial
 sums.  Pruning an empty subtree is exact: it holds no hits.
 
 One traversal serves every search: a vectorized sweep over positions
-at a fixed radius that returns the accepted nodes with their bounds.
-Range search, at any query length, scans every accepted node; k-NN
+at a fixed radius that returns the accepted nodes with their bounds,
+step by step and within a step cluster by cluster (``_sweep``).
+Range search, at any query length, scans every accepted node, in that
+order, and reports its hits in the order it scans them; k-NN
 search scans them best first, in increasing (bound, rank) order.  A
 ``Tracer`` keeps a range search's accepted nodes and derives the
 pruned ones from them when read, empty subtrees among them, so tracing
@@ -22,7 +24,7 @@ three arrays, with no Python object per hit; k-NN hits, the oracles'
 included, take the (value, seq_id, offset) order of ``sorted_by_value``.
 
 Large phases run in pieces on every CPU available to the process: a
-sweep step's children (split by parents), the conversion of accepted
+sweep step's children (split by cluster rows), the conversion of accepted
 nodes into spans and the scanned rows, each piece at least ``_MIN_PART``
 children's worth of work.  The caller joins the pieces in order and adds
 up their counters, so results, counters and traces equal an unsplit
@@ -91,6 +93,9 @@ class SearchStats:
     spans_s: float = 0.0
     scan_s: float = 0.0
     finish_s: float = 0.0
+
+
+PHASES = ("table", "sweep", "spans", "scan", "finish")  # SearchStats' <phase>_s fields
 
 
 def _lap(stats: SearchStats, phase: str, since: float) -> float:
@@ -179,8 +184,8 @@ class Tracer:
             # a node substituted last before j keeps the root's digits from j on
             block = w * lbt.bounds[j].size
             par = ranks % block == root % block
-            kids.append((ranks[par, None] + steps * w).ravel())
-            kid_bounds.append((bounds[par, None] + cand_f).ravel())
+            kids.append((ranks[par] + (steps * w)[:, None]).ravel())  # one row per cluster
+            kid_bounds.append((bounds[par] + cand_f[:, None]).ravel())
         kids, kid_bounds = np.concatenate(kids), np.concatenate(kid_bounds)
         out = ~np.isin(kids, ranks)
         return kids[out], kid_bounds[out]
@@ -221,13 +226,14 @@ def _parts(work: int) -> int:
 def _split(size: int, work, per_item: int = 1) -> list:
     """``work(lo, hi)`` over consecutive pieces of ``range(size)``, the
     results in piece order.  Each item weighs ``per_item`` sweep children
-    of work towards the piece count (``_parts``).  The calling thread runs
-    the first piece and one new thread each of the others; numpy releases
-    the GIL in the array operations the pieces are made of.  A piece
-    writes no shared state: the caller combines the results and adds up
-    the counters, so they equal those of one piece over ``range(size)``."""
-    parts = _parts(size * per_item)
-    if parts == 1:
+    of work towards the piece count (``_parts``), and no piece is empty:
+    a few heavy items make at most as many pieces.  The calling thread
+    runs the first piece and one new thread each of the others; numpy
+    releases the GIL in the array operations the pieces are made of.  A
+    piece writes no shared state: the caller combines the results and adds
+    up the counters, so they equal those of one piece over ``range(size)``."""
+    parts = min(_parts(size * per_item), size)
+    if parts <= 1:
         return [work(0, size)]
     cuts = [size * i // parts for i in range(parts + 1)]
     out: list = [None] * parts
@@ -400,63 +406,63 @@ def _sweep(
     substitution, so the nodes that may substitute at position ``j`` are
     exactly the root and the nodes accepted at earlier positions: step
     ``j`` of the sweep expands every node accepted so far and appends the
-    accepted children to the frontier, a buffer that grows by doubling.
-    A child is accepted when its bound is within the radius and its
-    subtree holds a fragment.  Every node in the frontier at step ``j``
-    keeps the root's digits from ``j`` on, worth ``tail_j < w_j`` (``w_j``
-    the radix weight of ``j``), so the child with digit step ``s``
-    (``lbt.child_steps[j]``) of parent ``p`` roots the aligned block
-    ``b = p // w_j + s`` of level ``j`` (one division per parent), bit
-    ``b`` of the index's level-``j`` occupancy tells whether its subtree
-    is empty, and its rank is ``b * w_j + tail_j``.  A parent whose bound
-    plus the position's least non-root bound exceeds the radius is not
-    expanded, and empty subtrees never are.  A step with at least
-    ``2 * _MIN_PART`` children is split by parents across the CPUs
-    (``_split``) and the pieces' accepted children are appended in parent
-    order, as one piece would append them.  ``stats.nodes_visited``
-    counts every bound evaluated, empty children's included: pruning
-    lowers it only by the descendants of empty subtrees, which are never
-    evaluated.
+    accepted children to the frontier.  A child is accepted when its
+    bound is within the radius and its subtree holds a fragment.  Every
+    node in the frontier at step ``j`` keeps the root's digits from ``j``
+    on, worth ``tail_j < w_j`` (``w_j`` the radix weight of ``j``), so
+    the child with digit step ``s`` (``lbt.child_steps[j]``) of parent
+    ``p`` roots the aligned block ``b = p // w_j + s`` of level ``j`` (one
+    division per parent), bit ``b`` of the index's level-``j`` occupancy
+    tells whether its subtree is empty, and its rank is
+    ``b * w_j + tail_j``.  A parent whose bound plus the position's least
+    non-root bound exceeds the radius is not expanded, and empty subtrees
+    never are; a step that would not expand the root, the node of least
+    bound, expands none and is skipped.
+
+    A step's children are laid out one row per non-root cluster, with the
+    parents along the row, so that numpy's inner loops run over the
+    parents rather than over the handful of clusters; within a step the
+    accepted children therefore come cluster by cluster, each cluster's
+    in parent order.  A step with at least ``2 * _MIN_PART`` children is
+    split by cluster rows across the CPUs (``_split``), and the pieces'
+    children are appended in row order, as one piece would append them.
+    ``stats.nodes_visited`` counts every bound evaluated, empty children's
+    included: pruning lowers it only by the descendants of empty
+    subtrees, which are never evaluated.
 
     Returns the accepted nodes' ranks (digits past the table's depth
     zero) and bounds, the root first, then the nodes accepted at each
     position in turn.
     """
-    weights = lbt.scheme.radix_weights
-    root = lbt.root_rank
+    root, least = lbt.root_rank, lbt.bound_of(lbt.root_digits)
     stats.sweeps += 1
     stats.nodes_visited += 1
-    ranks = np.empty(256, dtype=np.int64)
-    bounds = np.empty(256, dtype=np.int64)
-    ranks[0], bounds[0], n = root, lbt.bound_of(lbt.root_digits), 1
-    if bounds[0] > eps:
+    ranks, bounds = np.array([root]), np.array([least])
+    if least > eps:
         return ranks[:0], bounds[:0]
     for j, (steps, cand_f) in enumerate(zip(lbt.child_steps, lbt.child_bounds)):
-        w = int(weights[j])
+        top = eps - lbt.second_min[j]  # the largest bound a parent may have
+        if least > top:  # no parent: the root's bound is the least
+            continue
+        w = int(lbt.scheme.radix_weights[j])
         tail = root % w
-        par = np.flatnonzero(bounds[:n] <= eps - lbt.second_min[j])
+        par = np.flatnonzero(bounds <= top)
+        pb, pblk = bounds.take(par), ranks.take(par) // w
         stats.nodes_visited += par.size * cand_f.size
 
         def children(lo: int, hi: int):
-            e = bounds.take(par[lo:hi])[:, None] + cand_f
-            blk = (ranks.take(par[lo:hi]) // w)[:, None] + steps
+            e = pb + cand_f[lo:hi, None]  # one row per cluster, the parents along it
+            blk = pblk + steps[lo:hi, None]
             ok = np.flatnonzero((e <= eps) & index.occupied(j, blk))
             new = blk.take(ok)
             new *= w
             new += tail
             return new, e.take(ok)
 
-        pieces = _split(par.size, children, cand_f.size)
-        grown = n + sum(new.size for new, _ in pieces)
-        if grown > ranks.size:
-            size = max(2 * ranks.size, grown)
-            ranks = np.concatenate([ranks[:n], np.empty(size - n, dtype=np.int64)])
-            bounds = np.concatenate([bounds[:n], np.empty(size - n, dtype=np.int64)])
-        for new, e in pieces:
-            ranks[n:n + new.size] = new
-            bounds[n:n + new.size] = e
-            n += new.size
-    return ranks[:n], bounds[:n]
+        pieces = _split(cand_f.size, children, par.size)
+        ranks = np.concatenate([ranks, *(new for new, _ in pieces)])
+        bounds = np.concatenate([bounds, *(e for _, e in pieces)])
+    return ranks, bounds
 
 
 def _check_query(index: FSIndex, q: NormalizedQuery) -> None:

@@ -277,6 +277,22 @@ class TestBenchCommand:
         header = tsv_part.strip().splitlines()[0].split("\t")
         assert header[:4] == ["query", "k", "radius", "hits"]
 
+    def test_bench_reports_phase_times(self, workdir, capsys):
+        args = [
+            "bench", "--index", str(workdir / "db.fsi"), "--fasta", str(workdir / "db.fa"),
+            "--matrix", "BLOSUM62", "--queries", "3", "--seed", "11",
+        ]
+        assert main(args + ["--k-list", "1,3"]) == 0
+        doc = json.loads("{" + capsys.readouterr().out.split("{", 1)[1])
+        for key in ("range_phases_ms", "knn_phases_ms"):
+            assert sorted(doc[key]) == ["finish", "scan", "spans", "sweep", "table"]
+            for times in doc[key].values():
+                assert sorted(times) == ["mean", "median"]
+                assert times["mean"] > 0 and times["median"] > 0
+        assert main(args + ["--radius", "25"]) == 0
+        doc = json.loads("{" + capsys.readouterr().out.split("{", 1)[1])
+        assert "range_phases_ms" in doc and "knn_phases_ms" not in doc
+
     def test_bench_radius_mode_and_window_queries(self, workdir, capsys):
         rc = main([
             "bench", "--index", str(workdir / "db.fsi"), "--fasta", str(workdir / "db.fa"),
@@ -364,6 +380,22 @@ class TestBenchCommand:
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
+
+    def test_cli_import_leaves_openssl_out(self):
+        # the index digest needs only blake2b: a cold search loads OpenSSL's
+        # hash module only if numpy itself does (-S: no site hooks)
+        paths = [str(Path(m.__file__).resolve().parent.parent) for m in (np, fx)]
+
+        def loads_hashlib(code: str) -> bool:
+            proc = subprocess.run(
+                [sys.executable, "-S", "-c",
+                 f"import sys; sys.path[:0] = {paths!r}; {code}; print('_hashlib' in sys.modules)"],
+                capture_output=True, text=True,
+            )
+            assert proc.returncode == 0, proc.stderr
+            return proc.stdout.strip() == "True"
+
+        assert loads_hashlib("import numpy; import fsindex.cli") == loads_hashlib("import numpy")
 
     def test_console_script_entry_point(self, workdir):
         # the child imports fsindex from the same source tree as this process

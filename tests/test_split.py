@@ -165,6 +165,14 @@ def test_split_orders_pieces_and_reraises():
         assert threading.active_count() == before
 
 
+def test_split_starts_no_more_pieces_than_items():
+    # a sweep step splits by cluster rows: heavy items, and few of them
+    with split_small(min_part=2, cpus=3):
+        assert search._split(2, lambda lo, hi: (lo, hi), per_item=10**6) == [(0, 1), (1, 2)]
+        assert search._split(1, lambda lo, hi: (lo, hi), per_item=10**6) == [(0, 1)]
+        assert search._split(0, lambda lo, hi: (lo, hi), per_item=10**6) == [(0, 0)]
+
+
 def test_concurrent_split_searches(blosum, fixed):
     # searches sharing one index, each splitting its phases onto threads
     q, eps = query(blosum, fixed, "WKLM")
