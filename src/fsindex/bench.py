@@ -15,7 +15,7 @@ import time
 from dataclasses import dataclass, field
 
 from .alphabet import DistanceMatrix
-from .baselines import flat_build, flat_search, linear_scan_range
+from .baselines import flat_build, flat_search, linear_scan_knn, linear_scan_range
 from .core import FSIndex
 from .query import distance_query, normalize
 from .search import INF_RADIUS, PHASES, HitList, SearchStats, knn_search, range_search
@@ -188,6 +188,13 @@ def run_bench(
                         f"query {fragment!r} k={k}: index returned {len(got)} hits, "
                         f"scan returned {len(expect)} (or values differ)"
                     )
+                if k is not None:
+                    got = HitList(khits.sids, khits.offs, khits.vals + q.shift)
+                    if got.triples() != linear_scan_knn(index.dataset, f, k).triples():
+                        raise OracleMismatch(
+                            f"query {fragment!r} k={k}: k-NN hits or their order "
+                            "differ from the scan's"
+                        )
             if flat is not None:
                 _, flat_stats = flat_search(flat, q, base_radius)
                 row.flat = flat_stats

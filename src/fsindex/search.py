@@ -13,8 +13,9 @@ One traversal serves every search: a vectorized sweep over positions
 at a fixed radius that returns the accepted nodes with their bounds,
 step by step and within a step cluster by cluster (``_sweep``).
 Range search, at any query length, scans every accepted node, in that
-order, and reports its hits in the order it scans them; k-NN
-search scans them best first, in increasing (bound, rank) order.  A
+order, and reports its hits in the order it scans them; k-NN search
+sweeps at a growing radius and after each sweep scans the bins no
+earlier sweep accepted, in one call of the same kernel.  A
 ``Tracer`` keeps a range search's accepted nodes and derives the
 pruned ones from them when read, empty subtrees among them, so tracing
 adds no work to the search.  One block scan turns accepted nodes into
@@ -70,14 +71,15 @@ class SearchStats:
     """Work counters and phase times for one search.
 
     ``sweeps`` counts the traversals run and ``scan_chunks`` the calls of
-    the span-scan kernel: one each for a range search, more for a k-NN
-    search, which sums every counter and time over them.  The phase times
-    are wall seconds: the lower-bound table, the sweep, turning accepted
-    nodes into frag-array spans, scanning the spans and materializing the
-    hits; ``elapsed`` also holds a k-NN search's bookkeeping between them.
-    A large sweep step, block conversion or scan runs in pieces on every
-    CPU available (``_split``), so its wall time is less than the CPU time
-    it takes; the counters equal those of an unsplit run.
+    the span-scan kernel: one each for a range search, one per sweep for
+    a k-NN search, which sums every counter and time over them.  The phase
+    times are wall seconds: the lower-bound table, the sweep, turning
+    accepted nodes into frag-array spans, scanning the spans and
+    materializing the hits; ``elapsed`` also holds a k-NN search's
+    bookkeeping between them.  A large sweep step, block conversion or
+    scan runs in pieces on every CPU available (``_split``), so its wall
+    time is less than the CPU time it takes; the counters equal those of
+    an unsplit run.
     """
 
     nodes_visited: int = 0
@@ -587,14 +589,12 @@ def knn_search(
     """The ``k`` occurrences with smallest query values, best first.
 
     The sweep over positions runs at a candidate radius, starting at the
-    root bound.  Its non-empty bins are scanned in increasing (bound,
-    rank) order, in chunks of doubling size, each chunk at the current
-    k-th value (unbounded until ``k`` hits are known), until the next bound
-    exceeds that value.  While fewer than ``k`` hits are known or the
-    k-th value exceeds the radius, the radius grows by half, capped at the
-    k-th value, and the sweep repeats; bins within the previous radius
-    were all scanned already and are skipped.  Hits are ordered by
-    (value, seq_id, offset), the order of ``linear_scan_knn``.
+    root bound, and the bins it accepts beyond the previous radius (all
+    at first) are scanned in one call at the k-th value known so far
+    (unbounded until ``k`` hits are known).  While fewer than ``k`` hits
+    are known or the k-th value exceeds the radius, the radius grows by
+    half, capped at the k-th value, and the sweep repeats.  Hits are
+    ordered by (value, seq_id, offset), the order of ``linear_scan_knn``.
     ``all_ties`` returns every occurrence whose value is at most the k-th
     value.
     """
@@ -616,21 +616,12 @@ def knn_search(
         t = time.perf_counter()
         ranks, bounds = _sweep(lbt, index, radius, stats)
         _lap(stats, "sweep_s", t)
-        fresh = (bounds > covered) & index.occupied(index.m - 1, ranks)
-        order = np.lexsort((ranks[fresh], bounds[fresh]))
-        ranks, bounds = ranks[fresh][order], bounds[fresh][order]
-        pos, size = 0, 1
-        while True:
-            end = min(pos + size, int(np.searchsorted(bounds, kth, side="right")))
-            if end <= pos:
-                break
-            ci, cv = _scan_blocks(index, q, ranks[pos:end], 1, kth, stats)
-            idx, vals = np.concatenate([idx, ci]), np.concatenate([vals, cv])
-            if vals.size >= k:
-                kth = int(np.partition(vals, k - 1)[k - 1])
-                keep = vals <= kth
-                idx, vals = idx[keep], vals[keep]
-            pos, size = end, 2 * size
+        ci, cv = _scan_blocks(index, q, ranks[bounds > covered], 1, kth, stats)
+        idx, vals = np.concatenate([idx, ci]), np.concatenate([vals, cv])
+        if vals.size >= k:
+            kth = int(np.partition(vals, k - 1)[k - 1])
+            keep = vals <= kth
+            idx, vals = idx[keep], vals[keep]
         if kth <= radius or radius >= top:
             break
         covered = radius

@@ -334,6 +334,23 @@ class TestBenchCommand:
         assert rc == 2
         assert "oracle mismatch" in capsys.readouterr().err
 
+    def test_oracle_checks_the_knn_order(self, workdir, monkeypatch, capsys):
+        # the same hits worst first: the range search at their radius is right
+        search = fsindex.bench.knn_search
+
+        def reversed_hits(*args, **kwargs):
+            hits, stats = search(*args, **kwargs)
+            return fx.HitList(hits.sids[::-1], hits.offs[::-1], hits.vals[::-1]), stats
+
+        monkeypatch.setattr(fsindex.bench, "knn_search", reversed_hits)
+        rc = main([
+            "bench", "--index", str(workdir / "db.fsi"), "--fasta", str(workdir / "db.fa"),
+            "--matrix", "BLOSUM62", "--queries", "2", "--seed", "11",
+            "--k-list", "3", "--oracle",
+        ])
+        assert rc == 2
+        assert "k-NN" in capsys.readouterr().err
+
     def test_aggregates_recomputable_from_rows(self, workdir):
         db = fx.parse_fasta((workdir / "db.fa").read_text())
         index = fx.load(workdir / "db.fsi", db)

@@ -227,6 +227,19 @@ def test_knn_lists(case, data, k):
     assert got == want
 
 
+@SETTINGS
+@given(case=indexes(), data=st.data(), k=st.integers(1, 6))
+def test_knn_all_ties_and_one_scan_per_sweep(case, data, k):
+    # every occurrence within the k-th value, bins whose bound equals it too
+    ds, index = case
+    f = pssm(data.draw, index.m)
+    q = fx.normalize(f)
+    hits, stats = fx.knn_search(index, q, k, all_ties=True)
+    assert stats.scan_chunks == stats.sweeps
+    kth = max(fx.linear_scan_knn(ds, f, k).values(), default=0)  # no value: no fragment
+    assert rows(hits, q.shift) == rows(fx.linear_scan_range(ds, f, kth), 0)
+
+
 @pytest.mark.parametrize("suffix_mode", [False, True])
 @SETTINGS
 @given(data=st.data(), radius=st.integers(-3, 80), k=st.integers(1, 6))

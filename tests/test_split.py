@@ -106,11 +106,8 @@ def test_traced_range_search(text, blosum, fixed):
 @pytest.mark.parametrize("k", [1, 10, 100])
 def test_knn_search(k, blosum, fixed):
     q, _ = query(blosum, fixed, "WKLM")
-    # chunks start at one bin: split at four elements; k = 1 ends in short chunks
-    phases = PHASES if k > 1 else PHASES - {"spans"}
-    (hits, stats), (same_hits, same) = same_run(
-        lambda: fx.knn_search(fixed, q, k), phases, min_part=2
-    )
+    # split at four elements: at each k the last sweep accepts more new bins
+    (hits, stats), (same_hits, same) = same_run(lambda: fx.knn_search(fixed, q, k), min_part=2)
     assert len(hits) == k
     assert list(same_hits) == list(hits)
     assert counters(same) == counters(stats)
