@@ -12,6 +12,7 @@ from __future__ import annotations
 import io
 import re
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, NamedTuple
 
 import numpy as np
@@ -135,6 +136,16 @@ class FragmentDataset:
         out = self.seq_lengths[self.sids]
         out -= self.offs
         return np.minimum(out, self.m, out=out)
+
+    @cached_property
+    def unstarted(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(code position, sequence ordinal, offset) of every valid letter
+        at which no fragment starts, in code order; derived on first use."""
+        started = np.zeros(self.codes.size, dtype=bool)
+        started[self.starts[self.sids] + self.offs] = True
+        pos = np.flatnonzero(~started & (self.codes < len(self.alphabet)))
+        sids = np.searchsorted(self.starts, pos, side="right") - 1
+        return pos, sids, pos - self.starts[sids]
 
     def letter_matrix(self) -> np.ndarray:
         """(n, m) codes in extraction order; positions past a short suffix

@@ -12,8 +12,10 @@ sums.  Pruning an empty subtree is exact: it holds no hits.
 One traversal serves every search: a vectorized sweep over positions
 at a fixed radius that returns the accepted nodes with their bounds,
 step by step and within a step cluster by cluster (``_sweep``).
-Range search, at any query length, scans every accepted node, in that
-order, and reports its hits in the order it scans them; k-NN search
+Range search scans every accepted node, in that order, and reports its
+hits in the order it scans them; a query longer than the index is cut
+into parts that are searched so, and the windows their hits propose are
+then checked in full and reported in (sequence, offset) order.  k-NN search
 sweeps at a growing radius and after each sweep scans the bins no
 earlier sweep accepted, in one call of the same kernel.  A
 ``Tracer`` keeps a range search's accepted nodes and derives the
@@ -50,7 +52,7 @@ import numpy as np
 
 from .core import FSIndex
 from .ingest import FragmentRef
-from .query import LowerBoundTable, NormalizedQuery, lower_bound_table
+from .query import LowerBoundTable, NormalizedQuery, QueryFunction, lower_bound_table
 
 INF_RADIUS = int(np.iinfo(np.int64).max)
 
@@ -72,7 +74,11 @@ class SearchStats:
 
     ``sweeps`` counts the traversals run and ``scan_chunks`` the calls of
     the span-scan kernel: one each for a range search, one per sweep for
-    a k-NN search, which sums every counter and time over them.  The phase
+    a k-NN search and one per part for a query longer than the index,
+    which sum every counter and time over them.  Such a query's check of
+    its candidate windows counts one fragment and ``q.m`` residues per
+    window, its de-duplication as ``spans_s`` and its evaluation as
+    ``scan_s``.  The phase
     times are wall seconds: the lower-bound table, the sweep, turning
     accepted nodes into frag-array spans, scanning the spans and
     materializing the hits; ``elapsed`` also holds a k-NN search's
@@ -360,7 +366,8 @@ def _extend_long(
     index, qtab: np.ndarray, idx: np.ndarray, candidate: np.ndarray, head: np.ndarray,
     eval_len: int, eps: int,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Positions past the stored rows for a query longer than them.
+    """Positions past the stored rows for a query longer than them, which
+    only ``process_bin`` scans (``range_search`` cuts it into parts).
 
     ``candidate`` marks the rows past the checkpoint with a full stored
     key; only those read their extension, because only there does its
@@ -538,33 +545,129 @@ def range_search(
 ) -> tuple[HitList, SearchStats]:
     """All occurrences whose (normalized) query value is <= ``radius``.
 
-    A suffix-mode index takes a query of any length, and the traversal
-    substitutes at its first ``min(q.m, index.m)`` positions.  A longer
-    query's scan evaluates all its positions and skips occurrences with
-    no full-length window.  A shorter query's accepted node stands for
-    its whole subtree, one block of consecutive bin ranks.
+    A suffix-mode index takes a query of any length.  A shorter query's
+    accepted node stands for its whole subtree, one block of consecutive
+    bin ranks.  A longer query is cut into parts no longer than the index
+    (``_part_plan``), each searched as a short query at its share of the
+    radius; the windows its parts hit, and those whose later part has no
+    stored fragment, are then checked in full (``_check_windows``).  A
+    ``Tracer`` keeps one record per part.
     """
     _check_query(index, q)
     if q.m != index.m and not index.suffix_mode:
         raise ValueError(f"length-{q.m} query on a length-{index.m} index needs suffix mode")
     t0 = time.perf_counter()
     stats = SearchStats()
-    depth = min(q.m, index.m)
-    lbt = lower_bound_table(q, index.scheme, depth=depth)
-    t = _lap(stats, "table_s", t0)
+    if q.m <= index.m:
+        idx, vals = _search_rows(index, q, radius, trace, stats)
+        return _finish(index, idx, vals, stats, t0)
+    parts = []
+    for lo, hi, eps in _part_plan(q.m, index.m, radius):
+        part = NormalizedQuery(QueryFunction(q.alphabet, q.base.tables[lo:hi]), 0)
+        parts.append((lo, _search_rows(index, part, eps, trace, stats)[0]))
+    sids, offs, vals = _check_windows(index, q, parts, radius, stats)
+    t = time.perf_counter()
+    hits = HitList(sids, offs, vals)
+    stats.hits = len(hits)
+    stats.elapsed = _lap(stats, "finish_s", t) - t0
+    return hits, stats
+
+
+def _search_rows(
+    index: FSIndex, q: NormalizedQuery, radius: int, trace: Tracer | None,
+    stats: SearchStats,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Rows and values of the hits of a query at most as long as the
+    index: one sweep over its positions, then one scan of the accepted
+    nodes' rank blocks.  Adds to ``stats``."""
+    t = time.perf_counter()
+    lbt = lower_bound_table(q, index.scheme, depth=q.m)
+    t = _lap(stats, "table_s", t)
     node_ranks, node_bounds = _sweep(lbt, index, radius, stats)
     _lap(stats, "sweep_s", t)
     if trace is not None:
         trace.record(lbt, node_ranks, node_bounds)
-    width = int(index.scheme.radix_weights[depth - 1])
-    idx, vals = _scan_blocks(index, q, node_ranks, width, radius, stats)
-    return _finish(index, idx, vals, stats, t0)
+    width = int(index.scheme.radix_weights[q.m - 1])
+    return _scan_blocks(index, q, node_ranks, width, radius, stats)
+
+
+def _part_plan(length: int, m: int, eps: int) -> list[tuple[int, int, int]]:
+    """(start, end, radius) of the parts of a query of ``length > m``
+    positions: ``ceil(length / m)`` contiguous parts, at least two, of
+    near-equal lengths (each at most ``m``), covering the query in order.
+
+    The radii share ``eps + 1`` out in proportion to the part lengths: the
+    ``a_i + 1`` sum to it, the least sum above ``eps``, the remainders
+    going to the largest fractions.  A window's value is the sum of its
+    parts' values, which are integers, so a window within ``eps`` has a
+    part within its radius (pigeonhole).
+    """
+    k = max(2, -(-length // m))
+    cuts = [length * i // k for i in range(k + 1)]
+    share = (eps + 1 - k) * np.diff(cuts)  # the radii sum to eps + 1 - k
+    radii = share // length
+    radii[np.argsort(-(share % length), kind="stable")[:eps + 1 - k - radii.sum()]] += 1
+    return list(zip(cuts, cuts[1:], radii.tolist()))
+
+
+def _check_windows(
+    index: FSIndex, q: NormalizedQuery, parts: list[tuple[int, np.ndarray]], eps: int,
+    stats: SearchStats,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(sids, offs, values) of the windows within ``eps`` of a query longer
+    than the index, in (sequence, offset) order, from its parts' hits:
+    ``(start, rows)`` per part.
+
+    A hit at offset ``o`` of the part that starts at query position ``s``
+    proposes the window at ``o - s``.  The part's own fragment may be
+    missing even where the window is clean: an invalid letter can follow
+    the window within ``m`` letters of the part's start, or the tail can be
+    shorter than the build's floor.  So every window whose later part
+    starts at a position where no fragment starts (``unstarted``) is a
+    candidate too.  The candidates that lie inside their sequence are
+    sorted, de-duplicated and evaluated in full, one gather of codes per
+    position; each counts as one fragment and ``q.m`` residues.
+    """
+    t = time.perf_counter()
+    ds, length = index.dataset, q.m
+    free_pos, free_sids, free_offs = ds.unstarted
+    starts, seq_lengths = ds.starts, ds.seq_lengths
+    found = []
+    for i, (lo, rows) in enumerate(parts):
+        sids = index.sids.take(rows).astype(np.int64)
+        offs = index.offs.take(rows).astype(np.int64)
+        pos = starts.take(sids) + offs
+        if i:
+            sids, offs, pos = np.r_[sids, free_sids], np.r_[offs, free_offs], np.r_[pos, free_pos]
+        inside = (offs >= lo) & (offs - lo + length <= seq_lengths.take(sids))
+        found.append(pos[inside] - lo)
+    pos = np.sort(np.concatenate(found))
+    pos = pos[np.diff(pos, prepend=-1) != 0]  # positions are >= 0
+    t = _lap(stats, "spans_s", t)
+
+    stats.fragments_scanned += pos.size
+    stats.residues_scanned += pos.size * length
+    qtab = _query_table(q)  # the pad column, for invalid letters, is zero
+    vals = np.zeros(pos.size, dtype=np.int64)
+    clean = np.ones(pos.size, dtype=bool)
+    for j in range(length):
+        codes = ds.codes.take(pos + j)
+        clean &= codes < len(ds.alphabet)
+        vals += qtab[j].take(codes)
+    hit = np.flatnonzero(clean & (vals <= eps))
+    pos, vals = pos.take(hit), vals.take(hit)
+    sids = np.searchsorted(starts, pos, side="right") - 1
+    offs = pos - starts.take(sids)
+    _lap(stats, "scan_s", t)
+    return sids.astype(index.sids.dtype), offs.astype(index.offs.dtype), vals
 
 
 def long_query_search(
     index: FSIndex, q: NormalizedQuery, radius: int
 ) -> tuple[HitList, SearchStats]:
-    """``range_search`` for a query at least as long as the index."""
+    """``range_search`` for a query at least as long as the index: cut
+    into parts the tree can bound when longer, then the candidate windows
+    checked in full."""
     if q.m < index.m:
         raise ValueError(f"query length {q.m} shorter than index length {index.m}")
     if not index.suffix_mode:

@@ -22,6 +22,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import fsindex as fx
+from fsindex import search
 from conftest import reference_span_scan, split_small
 
 ALPHA = fx.Alphabet("abcdefg")
@@ -60,7 +61,9 @@ def indexes(draw, suffix_mode=st.booleans()):
     scheme = fx.parse_partition(";".join(draw(position_spec()) for _ in range(m)), ALPHA, m)
     seqs = draw(st.lists(sequence(), min_size=1, max_size=4))
     db = fx.SequenceDB(records=tuple((f"s{i}", s) for i, s in enumerate(seqs)))
-    ds = fx.extract_fragments(db, m, alphabet=ALPHA, suffix_mode=draw(suffix_mode))
+    suffix = draw(suffix_mode)
+    floor = draw(st.integers(1, m)) if suffix else 1  # above 1, the shortest tails are absent
+    ds = fx.extract_fragments(db, m, alphabet=ALPHA, suffix_mode=suffix, floor=floor)
     return ds, fx.build(ds, scheme)
 
 
@@ -106,6 +109,37 @@ def test_range_hits_and_counters(case, data, radius):
     assert [getattr(traced, c) for c in COUNTERS] == [getattr(stats, c) for c in COUNTERS]
 
 
+def parts(q, m: int, eps: int) -> list:
+    """(start, normalized part query, part radius) of each part a query
+    longer than ``m`` is cut into; a shorter query is its only part."""
+    plan = search._part_plan(q.m, m, eps) if q.m > m else [(0, q.m, eps)]
+    return [
+        (lo, fx.NormalizedQuery(fx.QueryFunction(q.alphabet, q.base.tables[lo:hi]), 0), a)
+        for lo, hi, a in plan
+    ]
+
+
+def checked_windows(ds, q, m: int, eps: int) -> set:
+    """The windows a query longer than ``m`` checks in full, brute force:
+    those its parts' hits propose, and for every part but the first, those
+    whose part would start at a valid letter where no fragment starts;
+    each lies inside its sequence."""
+    stored = set(zip(ds.sids.tolist(), ds.offs.tolist()))
+    out = set()
+    for i, (lo, part, a) in enumerate(parts(q, m, eps)):
+        starts = {(r.seq_id, r.offset) for r, _ in fx.linear_scan_range(ds, part.base, a)}
+        if i:
+            starts |= {
+                (sid, off) for sid, (_, text) in enumerate(ds.db.records)
+                for off, c in enumerate(text) if c in ALPHA and (sid, off) not in stored
+            }
+        out |= {
+            (sid, off - lo) for sid, off in starts
+            if off >= lo and off - lo + q.m <= len(ds.db.residues(sid))
+        }
+    return out
+
+
 @SETTINGS
 @given(case=indexes(suffix_mode=st.just(True)), data=st.data(), radius=st.integers(-3, 80))
 def test_longer_and_shorter_queries(case, data, radius):
@@ -113,26 +147,49 @@ def test_longer_and_shorter_queries(case, data, radius):
     length = data.draw(st.sampled_from([n for n in range(1, index.m + 4) if n != index.m]))
     f = pssm(data.draw, length)
     q = fx.normalize(f)
-    search = fx.long_query_search if length > index.m else fx.short_query_search
-    hits, stats = search(index, q, radius - q.shift)
+    eps = radius - q.shift
+    search_ = fx.long_query_search if length > index.m else fx.short_query_search
+    hits, stats = search_(index, q, eps)
     assert rows(hits, q.shift) == rows(fx.linear_scan_range(ds, f, radius), 0)
 
-    # the traversal bounds a query on its first min(q.m, m) positions only
-    depth = min(length, index.m)
-    lbt = fx.lower_bound_table(q, index.scheme, depth=depth)
-    bins = [
-        u for u in range(index.n_bins)
-        if index.bin_size(u) and lbt.bound_of(index.scheme.unrank(u)[:depth]) <= radius - q.shift
-    ]
-    assert stats.bins_scanned == len(bins)
-    assert stats.fragments_scanned == sum(index.bin_size(u) for u in bins)
-    assert stats.residues_scanned == span_residues(index, q, radius - q.shift, bins)
+    # each part is bounded on its own positions at its own radius; a longer
+    # query then checks each candidate window in full: a fragment and q.m residues
+    bins = fragments = residues = 0
+    for _, part, a in parts(q, index.m, eps):
+        lbt = fx.lower_bound_table(part, index.scheme, depth=part.m)
+        part_bins = [
+            u for u in range(index.n_bins)
+            if index.bin_size(u) and lbt.bound_of(index.scheme.unrank(u)[:part.m]) <= a
+        ]
+        bins += len(part_bins)
+        fragments += sum(index.bin_size(u) for u in part_bins)
+        residues += span_residues(index, part, a, part_bins)
+    if length > index.m:
+        windows = len(checked_windows(ds, q, index.m, eps))
+        fragments += windows
+        residues += windows * length
+    assert stats.bins_scanned == bins
+    assert stats.fragments_scanned == fragments
+    assert stats.residues_scanned == residues
+    assert stats.sweeps == stats.scan_chunks == len(parts(q, index.m, eps))
 
     counters = [getattr(stats, c) for c in COUNTERS]
     for trace in (None, fx.Tracer()):
-        same_hits, same = fx.range_search(index, q, radius - q.shift, trace=trace)
+        same_hits, same = fx.range_search(index, q, eps, trace=trace)
         assert rows(same_hits, 0) == rows(hits, 0)
         assert [getattr(same, c) for c in COUNTERS] == counters
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(data=st.data(), m=st.integers(1, 12), eps=st.integers(-3, 80))
+def test_part_plan(data, m, eps):
+    length = data.draw(st.integers(m + 1, 3 * m), label="query length")
+    plan = search._part_plan(length, m, eps)
+    assert len(plan) == max(2, -(-length // m))
+    assert [lo for lo, _, _ in plan] == [0, *(hi for _, hi, _ in plan[:-1])]  # contiguous
+    assert plan[-1][1] == length  # covering the query
+    assert all(1 <= hi - lo <= m for lo, hi, _ in plan)
+    assert sum(a + 1 for _, _, a in plan) > eps
 
 
 def tree_walk(lbt, scheme, filled, depth: int, eps: int):
@@ -175,19 +232,25 @@ def test_traversal_matches_tree_walk(case, data, eps):
     ds, index = case
     lengths = range(1, index.m + 3) if index.suffix_mode else [index.m]
     q = fx.normalize(pssm(data.draw, data.draw(st.sampled_from(lengths))))
-    depth = min(q.m, index.m)
     filled = set()  # every digit prefix of every non-empty bin
     for u in np.unique(index.scheme.ranks(ds.letter_matrix())).tolist():
         digits = tuple(index.scheme.unrank(u))
         filled.update(digits[:j] for j in range(1, index.m + 1))
-    lbt = fx.lower_bound_table(q, index.scheme, depth=depth)
-    evaluated, scanned, pruned = tree_walk(lbt, index.scheme, filled, depth, eps)
+    # one walk per part, at the part's depth and radius
+    evaluated, scanned, pruned = 0, [], []
+    for _, part, a in parts(q, index.m, eps):
+        lbt = fx.lower_bound_table(part, index.scheme, depth=part.m)
+        walk = tree_walk(lbt, index.scheme, filled, part.m, a)
+        evaluated += walk[0]
+        scanned += walk[1]
+        pruned += walk[2]
 
     trace = fx.Tracer()
     _, stats = fx.range_search(index, q, eps, trace=trace)
     assert stats.nodes_visited == evaluated
-    assert sorted(trace.scanned) == scanned
-    assert sorted(trace.pruned) == pruned
+    assert len(trace._searches) == len(parts(q, index.m, eps))  # one record per part
+    assert sorted(trace.scanned) == sorted(scanned)
+    assert sorted(trace.pruned) == sorted(pruned)
 
 
 @SETTINGS

@@ -451,6 +451,28 @@ class TestLongQueries:
         # only offset 0 has a 4-letter window; offsets 1..3 are too short
         assert {(r.seq_id, r.offset) for r, _ in hits} == {(0, 0)}
 
+    # "ddcd" splits into "dd" and "cd" at radius 5 each; on "abcd" they
+    # take 11 and 0, so only the second part finds the window at radius 11
+    def test_invalid_letter_past_the_window(self, toy_alpha, toy_d, toy_scheme):
+        # no fragment starts at "cdx": its key holds the 'x' after the window
+        db = fx.SequenceDB(records=(("r", "abcdx"), ("s", "bbcdcdda")))
+        ds = fx.extract_fragments(db, 3, alphabet=toy_alpha, suffix_mode=True)
+        index = fx.build(ds, toy_scheme)
+        q = fx.normalize(fx.distance_query(toy_d, "ddcd"))
+        hits, _ = fx.long_query_search(index, q, 11)
+        assert (0, 0, 11) in hits_as_set(hits)
+        assert hits_as_set(hits) == self.long_oracle(db, toy_d, "ddcd", 11, toy_alpha)
+
+    def test_tail_below_the_floor(self, toy_alpha, toy_d, toy_scheme):
+        # no fragment starts at the final "cd": it is shorter than the floor
+        db = fx.SequenceDB(records=(("r", "dabcd"), ("s", "cdcdabcdd")))
+        ds = fx.extract_fragments(db, 3, alphabet=toy_alpha, suffix_mode=True, floor=3)
+        index = fx.build(ds, toy_scheme)
+        q = fx.normalize(fx.distance_query(toy_d, "ddcd"))
+        hits, _ = fx.long_query_search(index, q, 11)
+        assert (0, 1, 11) in hits_as_set(hits)
+        assert hits_as_set(hits) == self.long_oracle(db, toy_d, "ddcd", 11, toy_alpha)
+
     def test_requires_suffix_mode(self, toy_index, toy_d):
         q = fx.normalize(fx.distance_query(toy_d, "abcd"))
         with pytest.raises(ValueError, match="suffix"):
