@@ -90,6 +90,7 @@ class BenchReport:
             "hits": dist([r.hits for r in rows]),
             "bins_scanned": dist([r.rng.bins_scanned for r in rows]),
             "fragments_scanned": dist([r.rng.fragments_scanned for r in rows]),
+            "keys_scanned": dist([r.rng.keys_scanned for r in rows]),
             "residues_scanned_pct": dist([r.residues_pct() for r in rows]),
             "access_overhead": dist([r.access_overhead() for r in rows]),
             "range_ms": dist([1e3 * r.rng.elapsed for r in rows]),

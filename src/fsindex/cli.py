@@ -128,6 +128,7 @@ def _format_hits(index, hits, shift: int, fmt: str, out: str | None, stats,
         "bins_scanned": stats.bins_scanned,
         "fragments_scanned": stats.fragments_scanned,
         "residues_scanned": stats.residues_scanned,
+        "keys_scanned": stats.keys_scanned,
         "hits": stats.hits,
         "elapsed_ms": 1e3 * stats.elapsed,
         "sweeps": stats.sweeps,

@@ -22,9 +22,13 @@ earlier sweep accepted, in one call of the same kernel.  A
 pruned ones from them when read, empty subtrees among them, so tracing
 adds no work to the search.  One block scan turns accepted nodes into
 frag-array spans, and one span-scan kernel evaluates every span, for the
-index and for the flat baseline.  Hits come back as a ``HitList`` of
-three arrays, with no Python object per hit; k-NN hits, the oracles'
-included, take the (value, seq_id, offset) order of ``sorted_by_value``.
+index, ``process_bin`` and the flat baseline.  Rows with equal letters
+over the query's positions share their value, so the kernel evaluates
+one row per run of such rows when the runs are few enough to pay for
+gathering them by run (``_RUN_SHARE``), and a hit run's rows all hit.
+Hits come back as a ``HitList`` of three arrays, with no Python object
+per hit; k-NN hits, the oracles' included, take the (value, seq_id,
+offset) order of ``sorted_by_value``.
 
 Large phases run in pieces on every CPU available to the process: a
 sweep step's children (split by cluster rows), the conversion of accepted
@@ -34,10 +38,13 @@ up their counters, so results, counters and traces equal an unsplit
 run's; phase times are wall time.
 
 Scan counters (bins/fragments/residues scanned) follow the reference
-scan's cost model exactly; the vectorized implementation may touch more
-cells internally but reports what the sequential algorithm would do.
-``nodes_visited`` counts the bounds the traversal evaluated, including
-those of children then dropped as empty.
+scan's cost model exactly; the vectorized implementation touches other
+cells internally (more per row, for one row per run) but reports what
+the sequential algorithm would do.  ``keys_scanned`` counts the scanned
+rows whose key over the query's positions differs from the previous
+row's, the runs of an uncut scan.  ``nodes_visited`` counts the bounds
+the traversal evaluated, including those of children then dropped as
+empty.
 """
 
 from __future__ import annotations
@@ -67,6 +74,15 @@ INF_RADIUS = int(np.iinfo(np.int64).max)
 _MIN_PART = 1 << 17
 _ROW_COST = 4
 
+# The span scan evaluates one row per run of equal keys when the runs are
+# at most _RUN_SHARE of its rows past the first _RUN_FIXED, and every row on
+# its own otherwise.  Gathering by run costs ~8 us more per call and saves
+# ~25-35 ns per row that repeats its run's key: on synthetic rows with a
+# set share of run starts, the two ways broke even at a share of 0.83-0.89
+# of 14k-200k rows, 0.65-0.7 of 2k rows and below 0.3 of 500 rows.
+_RUN_SHARE = 0.85
+_RUN_FIXED = 500
+
 
 @dataclass
 class SearchStats:
@@ -85,13 +101,15 @@ class SearchStats:
     bookkeeping between them.  A large sweep step, block conversion or
     scan runs in pieces on every CPU available (``_split``), so its wall
     time is less than the CPU time it takes; the counters equal those of
-    an unsplit run.
+    an unsplit run.  ``keys_scanned`` counts the distinct keys among the
+    scanned rows over the query's positions (the window check adds none).
     """
 
     nodes_visited: int = 0
     bins_scanned: int = 0
     fragments_scanned: int = 0
     residues_scanned: int = 0
+    keys_scanned: int = 0
     hits: int = 0
     sweeps: int = 0
     scan_chunks: int = 0
@@ -296,8 +314,8 @@ def _scan_spans(
     its letter there is not the pad code.  A query longer than the rows
     also reads ``sids``, ``offs`` and ``dataset`` to evaluate the
     positions past them.  Returns (row indices, values) of hits and
-    updates the fragment and residue counters exactly as the sequential
-    bin scan would.
+    updates the fragment, residue and key counters exactly as the
+    sequential bin scan would.
 
     Every row is scanned on its own (its lcp with both neighbours is
     stored, and is zero at a bin's first row), so the rows are cut into
@@ -310,56 +328,90 @@ def _scan_spans(
     stats.fragments_scanned += idx.size
     qtab = _query_table(q)
 
-    def scan(lo: int, hi: int) -> tuple[np.ndarray, np.ndarray, int]:
+    def scan(lo: int, hi: int) -> tuple[np.ndarray, np.ndarray, int, int]:
         return _scan_rows(index, qtab, idx[lo:hi], q.m, eps)
 
     pieces = _split(idx.size, scan, _ROW_COST)
-    stats.residues_scanned += sum(residues for _, _, residues in pieces)
+    stats.residues_scanned += sum(residues for _, _, residues, _ in pieces)
+    stats.keys_scanned += sum(keys for _, _, _, keys in pieces)
     _lap(stats, "scan_s", t)
-    return _joined([hit for hit, _, _ in pieces]), _joined([vals for _, vals, _ in pieces])
+    return _joined([hit for hit, *_ in pieces]), _joined([vals for _, vals, *_ in pieces])
 
 
 def _scan_rows(
     index, qtab: np.ndarray, idx: np.ndarray, eval_len: int, eps: int,
-) -> tuple[np.ndarray, np.ndarray, int]:
-    """``_scan_spans`` on the rows ``idx``: their hits, values and the
-    residues the sequential scan reads on them.
+) -> tuple[np.ndarray, np.ndarray, int, int]:
+    """``_scan_spans`` on the rows ``idx``: their hits, values, the
+    residues the sequential scan reads on them and their keys, the rows
+    whose first ``w`` letters differ from their predecessor's.
 
-    The rows are gathered once, as one row per position.  Position by
-    position, each row's table value is added to its running sum, kept
-    per position as ``cum[j]``, the row's value over its first ``j``
-    positions; the checkpoint, at which the sequential scan rejects a
-    row early, is the running sum at the prefix the row shares with its
-    successor, read with one gather.
+    Rows are evaluated one per run of equal keys over the first ``w``
+    positions (``w`` the query length capped at the row length).  A run
+    starts at a row whose lcp with its predecessor is below ``w``, and at
+    the first row of ``idx``, which may lie inside a run when the rows are
+    cut into pieces.  Every row of a run has the letters of its first row,
+    so the same value and reach; every row but the last shares ``w``
+    positions with its successor, so only the last row's checkpoint can
+    lie below ``w``.  The runs' first rows are gathered once, as one row
+    per position.  Position by position, each run's table value is added
+    to its running sum, kept per position as ``cum[j]``, the run's value
+    over its first ``j`` positions; the checkpoint, at which the
+    sequential scan rejects a row early, is the running sum at the prefix
+    the run's last row shares with its successor, read with one gather.
+    Tables are non-negative, so a run's rows hit all together or not at
+    all, and its hits expand to its rows in row order.  The residues the
+    sequential scan reads follow from the lcp alone, plus the positions
+    past the checkpoint of each accepted last row.
+
+    When the runs are too many for gathering by run to pay (more than
+    ``_RUN_SHARE`` of the rows past the first ``_RUN_FIXED``), or the
+    query is longer than the rows (``_extend_long`` reads each row's own
+    sequence), every row is its own run: the run arrays are the row
+    arrays, and the gathers by run are skipped.
     """
     n = idx.size
     if n == 0:
-        return idx, np.zeros(0, dtype=np.int64), 0
+        return idx, np.zeros(0, dtype=np.int64), 0, 0
     m = index.letters.shape[1]
     w = min(eval_len, m)  # positions resolvable from stored letters
 
     # lcp <= m, so capping it at w caps it at the query length
     lcp_own = np.minimum(np.take(index.lcp, idx), w).astype(np.int64)
     lcp_next = np.minimum(np.take(index.lcp, idx + 1), w).astype(np.int64)
-    rows = np.take(index.letters, idx, axis=0).T.copy()
-    cum = np.empty((w + 1, n), dtype=np.int64)
+    residues = int(np.maximum(lcp_next - lcp_own, 0).sum())
+    starts = np.empty(n + 1, dtype=bool)  # and the end of the last run
+    np.less(lcp_own, w, out=starts[:n])
+    keys = int(np.count_nonzero(starts[:n]))
+    if eval_len > m or keys + (not starts[0]) > _RUN_SHARE * (n - _RUN_FIXED):
+        first = ends = None
+        run_idx, run_next = idx, lcp_next
+    else:
+        starts[0] = starts[n] = True
+        bounds = np.flatnonzero(starts)
+        first, ends = bounds[:-1], bounds[1:]
+        run_idx, run_next = idx.take(first), lcp_next.take(ends - 1)
+    runs = run_idx.size
+    rows = np.take(index.letters, run_idx, axis=0).T.copy()
+    cum = np.empty((w + 1, runs), dtype=np.int64)
     cum[0] = 0
     for j in range(w):
         np.add(cum[j], qtab[j].take(rows[j]), out=cum[j + 1])
-    checkpoint = cum.ravel().take(lcp_next * n + np.arange(n)) <= eps
+    checkpoint = cum.ravel().take(run_next * runs + np.arange(runs)) <= eps
     reach = rows[w - 1] < len(index.dataset.alphabet)  # the key reaches w
 
     if eval_len <= m:
         accepted = checkpoint & reach
         hit = np.flatnonzero(accepted & (cum[w] <= eps))
         vals = cum[w, hit]
+        if first is not None and hit.size:  # each hit run's rows, in row order
+            lo, hi = first.take(hit), ends.take(hit)
+            vals, hit = np.repeat(vals, hi - lo), _multi_arange(lo, hi)
     else:
         accepted, hit, vals = _extend_long(
             index, qtab, idx, checkpoint & reach, cum[w], eval_len, eps
         )
-    residues = int(np.maximum(lcp_next - lcp_own, 0).sum())
-    residues += int((eval_len - lcp_next)[accepted].sum())
-    return idx[hit], vals, residues
+    residues += int((eval_len - run_next)[accepted].sum())
+    return idx[hit], vals, residues, keys
 
 
 def _extend_long(

@@ -127,6 +127,7 @@ class TestSearchCommand:
             assert sorted(phases) == ["finish", "scan", "spans", "sweep", "table"]
             assert all(v > 0 for v in phases.values())
             assert sum(phases.values()) <= stats["elapsed_ms"]
+            assert 0 < stats["keys_scanned"] <= stats["fragments_scanned"]
             if mode[0] == "--radius":
                 assert (stats["sweeps"], stats["scan_chunks"]) == (1, 1)
             else:
@@ -362,6 +363,9 @@ class TestBenchCommand:
         agg = report.aggregates()
         assert agg["bins_scanned"]["mean"] == (
             sum(r.rng.bins_scanned for r in report.rows) / len(report.rows)
+        )
+        assert agg["keys_scanned"]["mean"] == (
+            sum(r.rng.keys_scanned for r in report.rows) / len(report.rows)
         )
         assert agg["access_overhead"]["mean"] == pytest.approx(
             sum(r.rng.fragments_scanned / r.hits for r in report.rows) / len(report.rows)

@@ -18,7 +18,7 @@ from fsindex import search
 
 COUNTERS = (
     "nodes_visited", "bins_scanned", "fragments_scanned", "residues_scanned", "hits",
-    "sweeps", "scan_chunks",
+    "sweeps", "scan_chunks", "keys_scanned",
 )
 PHASES = {"children", "spans", "scan"}  # the piece functions of the three split phases
 
@@ -63,6 +63,19 @@ def fixed(db, blosum):
 @pytest.fixture(scope="module")
 def suffix(db, blosum):
     return fx.build(fx.extract_fragments(db, 4, suffix_mode=True), blosum[2])
+
+
+@pytest.fixture(scope="module")
+def redundant(db, blosum):
+    """Every sequence of ``db`` two or three times, so that runs of equal
+    keys span several rows and the scan's pieces cut them."""
+    copies = fx.SequenceDB(records=tuple(
+        (f"{name}c{c}", seq) for i, (name, seq) in enumerate(db.records) for c in range(3 - i % 2)
+    ))
+    return {
+        "fixed": fx.build(fx.extract_fragments(copies, 4), blosum[2]),
+        "suffix": fx.build(fx.extract_fragments(copies, 4, suffix_mode=True), blosum[2]),
+    }
 
 
 def query(blosum, index, text, k=300):
@@ -129,6 +142,38 @@ def test_process_bin_and_flat_search(blosum, fixed):
     )
     assert len(hits) > 0
     assert list(same_hits) == list(hits) and counters(same) == counters(stats)
+
+
+@pytest.mark.parametrize("kind, text, which", [
+    ("range", "WKLM", "fixed"), ("range", "HEAG", "fixed"), ("range", "WKLMPR", "suffix"),
+    ("range", "WK", "suffix"), ("knn", "WKLM", "fixed"), ("flat", "HEAG", "fixed"),
+])
+def test_redundant_rows_cut_inside_runs(kind, text, which, blosum, redundant, monkeypatch):
+    index = redundant[which]
+    q, eps = query(blosum, index, text)
+    flat = fx.flat_build(index.dataset)
+    run = {
+        "range": lambda: fx.range_search(index, q, eps),
+        "knn": lambda: fx.knn_search(index, q, 100),
+        "flat": lambda: fx.flat_search(flat, q, eps),
+    }[kind]
+    # pieces of a few rows are evaluated by run too
+    monkeypatch.setattr(search, "_RUN_FIXED", 0)
+    starts = []  # (first row, positions compared) of each kernel call
+    kernel = search._scan_rows
+
+    def spy(index_, qtab, idx, eval_len, eps_):
+        if idx.size:
+            starts.append((int(idx[0]), min(eval_len, index.m)))
+        return kernel(index_, qtab, idx, eval_len, eps_)
+
+    monkeypatch.setattr(search, "_scan_rows", spy)
+    (hits, stats), (same_hits, same) = same_run(run, {"scan"}, min_part=2 if kind == "knn" else 4)
+    assert len(hits) > 0
+    assert list(same_hits) == list(hits)
+    assert counters(same) == counters(stats)
+    assert stats.keys_scanned < search._RUN_SHARE * stats.fragments_scanned  # evaluated by run
+    assert any(index.lcp[row] >= w for row, w in starts)  # a piece began inside a run
 
 
 def test_piece_count_rule(monkeypatch):
