@@ -138,14 +138,29 @@ class FragmentDataset:
         return np.minimum(out, self.m, out=out)
 
     @cached_property
-    def unstarted(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(code position, sequence ordinal, offset) of every valid letter
-        at which no fragment starts, in code order; derived on first use."""
+    def unstarted(self) -> np.ndarray:
+        """Code positions of the valid letters at which no fragment starts,
+        in code order; derived on first use."""
         started = np.zeros(self.codes.size, dtype=bool)
         started[self.starts[self.sids] + self.offs] = True
-        pos = np.flatnonzero(~started & (self.codes < len(self.alphabet)))
-        sids = np.searchsorted(self.starts, pos, side="right") - 1
-        return pos, sids, pos - self.starts[sids]
+        return np.flatnonzero(~started & (self.codes < len(self.alphabet)))
+
+    @cached_property
+    def clean_runs(self) -> np.ndarray:
+        """Per code position, the valid letters from it to the next invalid
+        letter or its sequence's end, so a ``k``-letter window at ``p`` is
+        clean iff ``clean_runs[p] >= k``; derived on first use.  A position
+        takes the first run end keyed at or after it, less itself: an
+        invalid letter is keyed at itself, a sequence end at its last letter
+        (and loses a tie)."""
+        bad = np.flatnonzero(self.codes >= len(self.alphabet))
+        keys = np.concatenate([bad, self.starts[1:] - 1])
+        order = np.argsort(keys, kind="stable")
+        dtype = np.int32 if self.codes.size < 2**31 else np.int64
+        run_end = np.concatenate([bad, self.starts[1:]]).take(order).astype(dtype)
+        out = np.repeat(run_end, np.diff(keys.take(order), prepend=-1))
+        out -= np.arange(out.size, dtype=dtype)
+        return out
 
     def letter_matrix(self) -> np.ndarray:
         """(n, m) codes in extraction order; positions past a short suffix

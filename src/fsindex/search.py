@@ -14,8 +14,10 @@ at a fixed radius that returns the accepted nodes with their bounds,
 step by step and within a step cluster by cluster (``_sweep``).
 Range search scans every accepted node, in that order, and reports its
 hits in the order it scans them; a query longer than the index is cut
-into parts that are searched so, and the windows their hits propose are
-then checked in full and reported in (sequence, offset) order.  k-NN search
+into parts that are searched so, and the clean windows their hits
+propose are then checked in full and reported in (sequence, offset)
+order.  The dataset's ``clean_runs`` alone decides whether a long window
+is clean, in the check and in ``process_bin``.  k-NN search
 sweeps at a growing radius and after each sweep scans the bins no
 earlier sweep accepted, in one call of the same kernel.  A
 ``Tracer`` keeps a range search's accepted nodes and derives the
@@ -93,9 +95,9 @@ class SearchStats:
     a k-NN search and one per part for a query longer than the index,
     which sum every counter and time over them.  Such a query's check of
     its candidate windows counts one fragment and ``q.m`` residues per
-    window, its de-duplication as ``spans_s`` and its evaluation as
-    ``scan_s``.  The phase
-    times are wall seconds: the lower-bound table, the sweep, turning
+    clean window (the others are not evaluated), its filter and
+    de-duplication as ``spans_s`` and its evaluation as ``scan_s``.  The
+    phase times are wall seconds: the lower-bound table, the sweep, turning
     accepted nodes into frag-array spans, scanning the spans and
     materializing the hits; ``elapsed`` also holds a k-NN search's
     bookkeeping between them.  A large sweep step, block conversion or
@@ -365,9 +367,11 @@ def _scan_rows(
 
     When the runs are too many for gathering by run to pay (more than
     ``_RUN_SHARE`` of the rows past the first ``_RUN_FIXED``), or the
-    query is longer than the rows (``_extend_long`` reads each row's own
-    sequence), every row is its own run: the run arrays are the row
-    arrays, and the gathers by run are skipped.
+    query is longer than the rows, every row is its own run: the run
+    arrays are the row arrays, and the gathers by run are skipped.  A
+    longer query, which only ``process_bin`` scans (``range_search`` cuts
+    it into parts), accepts a row only if its window is clean over the
+    whole query (``clean_runs``) and reads the rest from the codes.
     """
     n = idx.size
     if n == 0:
@@ -399,61 +403,30 @@ def _scan_rows(
     checkpoint = cum.ravel().take(run_next * runs + np.arange(runs)) <= eps
     reach = rows[w - 1] < len(index.dataset.alphabet)  # the key reaches w
 
-    if eval_len <= m:
-        accepted = checkpoint & reach
-        hit = np.flatnonzero(accepted & (cum[w] <= eps))
-        vals = cum[w, hit]
-        if first is not None and hit.size:  # each hit run's rows, in row order
-            lo, hi = first.take(hit), ends.take(hit)
-            vals, hit = np.repeat(vals, hi - lo), _multi_arange(lo, hi)
-    else:
-        accepted, hit, vals = _extend_long(
-            index, qtab, idx, checkpoint & reach, cum[w], eval_len, eps
-        )
+    accepted = checkpoint & reach
+    vals = cum[w]
+    if eval_len > m:  # only process_bin: the rest of each clean window, from its sequence
+        ds = index.dataset
+        pos = ds.starts.take(index.sids.take(idx)) + index.offs.take(idx)
+        accepted &= ds.clean_runs.take(pos) >= eval_len
+        vals[accepted] += _window_values(ds.codes, qtab, pos[accepted], m, eval_len)
+    hit = np.flatnonzero(accepted & (vals <= eps))
+    vals = vals.take(hit)
+    if first is not None and hit.size:  # each hit run's rows, in row order
+        lo, hi = first.take(hit), ends.take(hit)
+        vals, hit = np.repeat(vals, hi - lo), _multi_arange(lo, hi)
     residues += int((eval_len - run_next)[accepted].sum())
     return idx[hit], vals, residues, keys
 
 
-def _extend_long(
-    index, qtab: np.ndarray, idx: np.ndarray, candidate: np.ndarray, head: np.ndarray,
-    eval_len: int, eps: int,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Positions past the stored rows for a query longer than them, which
-    only ``process_bin`` scans (``range_search`` cuts it into parts).
-
-    ``candidate`` marks the rows past the checkpoint with a full stored
-    key; only those read their extension, because only there does its
-    validity (a full, clean window in the sequence) decide the charge.
-    ``head`` is each row's value over the stored positions; normalized
-    tables are non-negative, so only rows with ``head <= eps`` can hit
-    and only they sum their extension.  Returns the accepted mask and
-    the hits' positions in ``idx`` and values.
-    """
-    ds = index.dataset
-    m = index.letters.shape[1]
-    rows = np.flatnonzero(candidate)
-    sids = index.sids[idx[rows]].astype(np.int64)
-    offs = index.offs[idx[rows]].astype(np.int64)
-    long_enough = offs + eval_len <= ds.seq_lengths[sids]
-    rows = rows[long_enough]
-    base = ds.starts[sids[long_enough]] + offs[long_enough]
-    # one gather per extension position: a 2-D gather plus a reduction
-    # along its short axis takes several times as long
-    ext = [ds.codes[base + p] for p in range(m, eval_len)]
-    clean = np.ones(base.size, dtype=bool)
-    for codes in ext:
-        clean &= codes < len(ds.alphabet)
-    keep = np.flatnonzero(clean)
-    rows = rows[keep]
-    accepted = np.zeros(idx.size, dtype=bool)
-    accepted[rows] = True
-    near = head[rows] <= eps
-    rows, keep = rows[near], keep[near]
-    vals = head[rows]
-    for p, codes in enumerate(ext, start=m):
-        vals = vals + qtab[p, codes[keep]]
-    hit = vals <= eps
-    return accepted, rows[hit], vals[hit]
+def _window_values(codes, tables: np.ndarray, pos: np.ndarray, lo: int, hi: int) -> np.ndarray:
+    """Values over positions ``lo`` to ``hi`` of the windows at code
+    positions ``pos``, clean that far: one gather per position (a 2-D
+    gather takes several times as long)."""
+    vals = np.zeros(pos.size, dtype=np.int64)
+    for j in range(lo, hi):
+        vals += tables[j].take(codes.take(pos + j))
+    return vals
 
 
 def _sweep(
@@ -601,8 +574,8 @@ def range_search(
     accepted node stands for its whole subtree, one block of consecutive
     bin ranks.  A longer query is cut into parts no longer than the index
     (``_part_plan``), each searched as a short query at its share of the
-    radius; the windows its parts hit, and those whose later part has no
-    stored fragment, are then checked in full (``_check_windows``).  A
+    radius; the clean windows its parts hit, and those whose later part
+    has no stored fragment, are then checked in full (``_check_windows``).  A
     ``Tracer`` keeps one record per part.
     """
     _check_query(index, q)
@@ -675,41 +648,31 @@ def _check_windows(
     missing even where the window is clean: an invalid letter can follow
     the window within ``m`` letters of the part's start, or the tail can be
     shorter than the build's floor.  So every window whose later part
-    starts at a position where no fragment starts (``unstarted``) is a
-    candidate too.  The candidates that lie inside their sequence are
+    starts at a valid letter where no fragment starts (``unstarted``) is a
+    candidate too.  Only the clean candidates, those with ``q.m`` valid
+    letters of one sequence from their start (``clean_runs``), are
     sorted, de-duplicated and evaluated in full, one gather of codes per
     position; each counts as one fragment and ``q.m`` residues.
     """
     t = time.perf_counter()
     ds, length = index.dataset, q.m
-    free_pos, free_sids, free_offs = ds.unstarted
-    starts, seq_lengths = ds.starts, ds.seq_lengths
     found = []
     for i, (lo, rows) in enumerate(parts):
-        sids = index.sids.take(rows).astype(np.int64)
-        offs = index.offs.take(rows).astype(np.int64)
-        pos = starts.take(sids) + offs
-        if i:
-            sids, offs, pos = np.r_[sids, free_sids], np.r_[offs, free_offs], np.r_[pos, free_pos]
-        inside = (offs >= lo) & (offs - lo + length <= seq_lengths.take(sids))
-        found.append(pos[inside] - lo)
-    pos = np.sort(np.concatenate(found))
-    pos = pos[np.diff(pos, prepend=-1) != 0]  # positions are >= 0
+        pos = ds.starts.take(index.sids.take(rows)) + index.offs.take(rows)
+        found.append((np.r_[pos, ds.unstarted] if i else pos) - lo)
+    pos = np.concatenate(found)
+    pos = pos[pos >= 0]  # not before the first sequence
+    pos = np.sort(pos[ds.clean_runs.take(pos) >= length])
+    pos = pos[np.diff(pos, prepend=-1) != 0]
     t = _lap(stats, "spans_s", t)
 
     stats.fragments_scanned += pos.size
     stats.residues_scanned += pos.size * length
-    qtab = _query_table(q)  # the pad column, for invalid letters, is zero
-    vals = np.zeros(pos.size, dtype=np.int64)
-    clean = np.ones(pos.size, dtype=bool)
-    for j in range(length):
-        codes = ds.codes.take(pos + j)
-        clean &= codes < len(ds.alphabet)
-        vals += qtab[j].take(codes)
-    hit = np.flatnonzero(clean & (vals <= eps))
+    vals = _window_values(ds.codes, q.base.tables, pos, 0, length)
+    hit = np.flatnonzero(vals <= eps)
     pos, vals = pos.take(hit), vals.take(hit)
-    sids = np.searchsorted(starts, pos, side="right") - 1
-    offs = pos - starts.take(sids)
+    sids = np.searchsorted(ds.starts, pos, side="right") - 1
+    offs = pos - ds.starts.take(sids)
     _lap(stats, "scan_s", t)
     return sids.astype(index.sids.dtype), offs.astype(index.offs.dtype), vals
 

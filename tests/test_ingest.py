@@ -246,3 +246,44 @@ class TestSampleQueries:
         db = fx.parse_fasta(">a\nMKVLATSE\n>b\nARNDCQEG\n")
         with pytest.raises(ValueError, match="only 4 available"):
             fx.sample_queries(4, 5, seed=5, db=db)
+
+
+class TestCodePositionArrays:
+    """``clean_runs`` and ``unstarted`` against per-position loops."""
+
+    @staticmethod
+    def reference(ds):
+        valid = fx.ingest.encode_db(ds.db, ds.alphabet)[0] < len(ds.alphabet)
+        started = set(zip(ds.sids.tolist(), ds.offs.tolist()))
+        runs, unstarted = [], []
+        for sid, (_, text) in enumerate(ds.db.records):
+            base = int(ds.starts[sid])
+            for off in range(len(text)):
+                run = 0
+                while off + run < len(text) and valid[base + off + run]:
+                    run += 1
+                runs.append(run)
+                if valid[base + off] and (sid, off) not in started:
+                    unstarted.append(base + off)
+        return runs, unstarted
+
+    @pytest.mark.parametrize("suffix_mode", [False, True])
+    def test_match_per_position_loops(self, toy_alpha, suffix_mode):
+        rng = np.random.default_rng(47)
+        # invalid letters at sequence starts and ends, a one-letter and an
+        # all-invalid sequence, and an invalid last letter of the code array
+        edges = (("one", "a"), ("bad", "xx"), ("ends", "xabx"), ("start", "xdcba"),
+                 ("end", "abcdx"), ("last", "cx"))
+        for trial in range(20):
+            records = random_db(rng, toy_alpha, 12, 1, 15, bad_rate=0.15).records + edges
+            if trial % 2:  # the edge cases elsewhere than at the end of the code array
+                records = tuple(records[i] for i in rng.permutation(len(records)))
+            db = fx.SequenceDB(records=records)
+            m = int(rng.integers(1, 5))
+            floor = int(rng.integers(1, m + 1)) if suffix_mode else 1
+            ds = fx.extract_fragments(db, m, alphabet=toy_alpha, suffix_mode=suffix_mode,
+                                      floor=floor)
+            runs, unstarted = self.reference(ds)
+            assert ds.clean_runs.dtype == np.int32
+            assert ds.clean_runs.tolist() == runs
+            assert ds.unstarted.tolist() == unstarted

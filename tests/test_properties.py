@@ -123,7 +123,7 @@ def checked_windows(ds, q, m: int, eps: int) -> set:
     """The windows a query longer than ``m`` checks in full, brute force:
     those its parts' hits propose, and for every part but the first, those
     whose part would start at a valid letter where no fragment starts;
-    each lies inside its sequence."""
+    each lies inside its sequence and has all its letters valid."""
     stored = set(zip(ds.sids.tolist(), ds.offs.tolist()))
     out = set()
     for i, (lo, part, a) in enumerate(parts(q, m, eps)):
@@ -136,6 +136,7 @@ def checked_windows(ds, q, m: int, eps: int) -> set:
         out |= {
             (sid, off - lo) for sid, off in starts
             if off >= lo and off - lo + q.m <= len(ds.db.residues(sid))
+            and all(c in ALPHA for c in ds.db.residues(sid)[off - lo:off - lo + q.m])
         }
     return out
 

@@ -473,6 +473,21 @@ class TestLongQueries:
         assert (0, 1, 11) in hits_as_set(hits)
         assert hits_as_set(hits) == self.long_oracle(db, toy_d, "ddcd", 11, toy_alpha)
 
+    def test_windows_with_an_invalid_letter_are_not_checked(self, toy_alpha, toy_d, toy_scheme):
+        # "abcd" splits into "ab" at radius 0 and "cd" at radius -1.  The
+        # first part scans one bin, "abc" twice and "cd": 3 fragments and 6
+        # residues.  Its hits propose the windows "abcx" and "abcd"; the
+        # second part scans nothing, but the unstarted "b" and "c" of "abcx"
+        # propose the windows before the first sequence and "abcx" again.
+        # Only "abcd" is clean: the check adds 1 fragment and 4 residues.
+        db = fx.SequenceDB(records=(("r", "abcxd"), ("s", "cabcd")))
+        ds = fx.extract_fragments(db, 3, alphabet=toy_alpha, suffix_mode=True)
+        assert ds.unstarted.tolist() == [1, 2]
+        q = fx.normalize(fx.distance_query(toy_d, "abcd"))
+        hits, stats = fx.long_query_search(fx.build(ds, toy_scheme), q, 0)
+        assert hits_as_set(hits) == {(1, 1, 0)}
+        assert (stats.bins_scanned, stats.fragments_scanned, stats.residues_scanned) == (1, 4, 10)
+
     def test_requires_suffix_mode(self, toy_index, toy_d):
         q = fx.normalize(fx.distance_query(toy_d, "abcd"))
         with pytest.raises(ValueError, match="suffix"):
