@@ -251,9 +251,10 @@ def _sorted_run(
     lcp_of = np.r_[[0] * (scheme is not None), 0:m + 1].astype(np.uint8)
     lcp[1:n] = lcp_of.take(field)
     del order, field  # n-long; freed before the letters are gathered
-    letters = run.letter_matrix()
+    # uint8 like the lcp (m <= 255), not an n-long int64 held through the letter gather
+    klen = run.key_lengths().astype(np.uint8) if ds.suffix_mode else None
+    letters = run.letter_matrix(klen)
     if ds.suffix_mode:
-        klen = run.key_lengths()
         lcp[:n] = np.minimum(klen, lcp[:n], out=klen)
     return run, letters, lcp, first, lead
 
@@ -351,7 +352,7 @@ class FSIndex:
         into ``bins`` of the rank's frag offset: a count per word plus a popcount."""
         word = ranks >> 6
         mask = (np.uint64(1) << (ranks & 63).astype(np.uint64)) - np.uint64(1)
-        return self._counts[word] + np.bitwise_count(self.levels[-1][word] & mask)
+        return self._counts.take(word) + np.bitwise_count(self.levels[-1].take(word) & mask)
 
     def bin_slice(self, u: int) -> tuple[int, int]:
         lo, hi = self.bins[self.nonempty_below(np.array([u, u + 1]))]

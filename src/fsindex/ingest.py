@@ -162,21 +162,22 @@ class FragmentDataset:
         out -= np.arange(out.size, dtype=dtype)
         return out
 
-    def letter_matrix(self) -> np.ndarray:
+    def letter_matrix(self, klen: np.ndarray | None = None) -> np.ndarray:
         """(n, m) codes in extraction order; positions past a short suffix
         hold the pad code len(alphabet).
 
         One row gather over the width-``m`` windows of the code array,
         with ``m`` pad codes appended so the last sequence's windows stay
         in bounds; only suffix rows shorter than ``m`` need their tail
-        (which runs into the next sequence) reset to the pad code.
+        (which runs into the next sequence) reset to the pad code.  A
+        caller that holds the ``key_lengths()`` passes them as ``klen``.
         """
         pad = len(self.alphabet)
         m = self.m
         padded = np.concatenate([self.codes, np.full(m, pad, dtype=np.uint8)])
         out = sliding_window_view(padded, m)[self.starts[self.sids] + self.offs]
         if self.suffix_mode:
-            klen = self.key_lengths()
+            klen = self.key_lengths() if klen is None else klen
             short = np.flatnonzero(klen < m)
             if short.size:
                 rows = out[short]

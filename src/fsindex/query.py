@@ -137,7 +137,8 @@ class LowerBoundTable:
     children at position ``i`` of a node holding the root's cluster there
     substitute each non-root cluster: ``child_steps[i]`` lists its digit
     minus the root's and ``child_bounds[i]`` its bound, which the child
-    adds to its parent's (the root's cluster bounds zero).
+    adds to its parent's (the root's cluster bounds zero).  ``top`` is the
+    largest bound of any bin, each position's largest cluster bound summed.
     """
 
     scheme: PartitionScheme
@@ -146,6 +147,7 @@ class LowerBoundTable:
     second_min: tuple[int, ...]
     child_steps: tuple[np.ndarray, ...]
     child_bounds: tuple[np.ndarray, ...]
+    top: int
 
     @property
     def root_rank(self) -> int:
@@ -195,4 +197,5 @@ def lower_bound_table(
         second_min=tuple(np.sort(minima, axis=1)[:, 1].tolist()),
         child_steps=tuple(steps[a:b] for a, b in cuts),
         child_bounds=tuple(child_bounds[a:b] for a, b in cuts),
+        top=int(minima.max(axis=1, where=child, initial=0).sum()),
     )

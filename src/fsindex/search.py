@@ -371,7 +371,9 @@ def _scan_rows(
     arrays are the row arrays, and the gathers by run are skipped.  A
     longer query, which only ``process_bin`` scans (``range_search`` cuts
     it into parts), accepts a row only if its window is clean over the
-    whole query (``clean_runs``) and reads the rest from the codes.
+    whole query (``clean_runs``) and reads the rest from the codes.  The
+    lcp stays uint8, as stored, widened to int64 only to index the
+    checkpoints and to count the positions past them.
     """
     n = idx.size
     if n == 0:
@@ -380,9 +382,11 @@ def _scan_rows(
     w = min(eval_len, m)  # positions resolvable from stored letters
 
     # lcp <= m, so capping it at w caps it at the query length
-    lcp_own = np.minimum(np.take(index.lcp, idx), w).astype(np.int64)
-    lcp_next = np.minimum(np.take(index.lcp, idx + 1), w).astype(np.int64)
-    residues = int(np.maximum(lcp_next - lcp_own, 0).sum())
+    lcp_own, lcp_next = index.lcp.take(idx), index.lcp[1:].take(idx)
+    np.minimum(lcp_own, w, out=lcp_own)
+    np.minimum(lcp_next, w, out=lcp_next)
+    below = np.minimum(lcp_next, lcp_own)  # the residues are sum(max(lcp_next - lcp_own, 0))
+    residues = int(lcp_next.sum(dtype=np.int64) - below.sum(dtype=np.int64))
     starts = np.empty(n + 1, dtype=bool)  # and the end of the last run
     np.less(lcp_own, w, out=starts[:n])
     keys = int(np.count_nonzero(starts[:n]))
@@ -400,7 +404,7 @@ def _scan_rows(
     cum[0] = 0
     for j in range(w):
         np.add(cum[j], qtab[j].take(rows[j]), out=cum[j + 1])
-    checkpoint = cum.ravel().take(run_next * runs + np.arange(runs)) <= eps
+    checkpoint = cum.ravel().take(run_next.astype(np.int64) * runs + np.arange(runs)) <= eps
     reach = rows[w - 1] < len(index.dataset.alphabet)  # the key reaches w
 
     accepted = checkpoint & reach
@@ -415,8 +419,13 @@ def _scan_rows(
     if first is not None and hit.size:  # each hit run's rows, in row order
         lo, hi = first.take(hit), ends.take(hit)
         vals, hit = np.repeat(vals, hi - lo), _multi_arange(lo, hi)
-    residues += int((eval_len - run_next)[accepted].sum())
+    residues += int((eval_len - run_next[accepted].astype(np.int64)).sum())
     return idx[hit], vals, residues, keys
+
+
+def _int_type(largest: int) -> type:
+    """int32 for values up to ``largest`` when it fits, else int64."""
+    return np.int32 if largest < 2**31 else np.int64
 
 
 def _window_values(codes, tables: np.ndarray, pos: np.ndarray, lo: int, hi: int) -> np.ndarray:
@@ -466,18 +475,23 @@ def _sweep(
 
     Returns the accepted nodes' ranks (digits past the table's depth
     zero) and bounds, the root first, then the nodes accepted at each
-    position in turn.
+    position in turn.  Ranks are int32 under 2**31 bins, bounds while the
+    table's ``top`` is under 2**31 (``_int_type``), else int64; the radius
+    is first capped at ``top``, which no bound exceeds.
     """
     root, least = lbt.root_rank, lbt.bound_of(lbt.root_digits)
     stats.sweeps += 1
     stats.nodes_visited += 1
-    ranks, bounds = np.array([root]), np.array([least])
+    eps = min(eps, lbt.top)  # no bound exceeds top: the same nodes, and eps fits the bounds
+    rank_t, bound_t = _int_type(index.n_bins), _int_type(lbt.top)  # a block ends at n_bins
+    ranks, bounds = np.array([root], dtype=rank_t), np.array([least], dtype=bound_t)
     if least > eps:
         return ranks[:0], bounds[:0]
     for j, (steps, cand_f) in enumerate(zip(lbt.child_steps, lbt.child_bounds)):
         top = eps - lbt.second_min[j]  # the largest bound a parent may have
         if least > top:  # no parent: the root's bound is the least
             continue
+        steps, cand_f = steps.astype(rank_t), cand_f.astype(bound_t)
         w = int(lbt.scheme.radix_weights[j])
         tail = root % w
         par = np.flatnonzero(bounds <= top)
@@ -725,7 +739,6 @@ def knn_search(
     stats = SearchStats()
     lbt = lower_bound_table(q, index.scheme)
     _lap(stats, "table_s", t0)
-    top = sum(int(b.max()) for b in lbt.bounds)  # every bin's bound is <= top
     radius = lbt.bound_of(lbt.root_digits)
     covered = -1  # every non-empty bin with bound <= covered has been scanned
     kth = INF_RADIUS
@@ -740,8 +753,8 @@ def knn_search(
             kth = int(np.partition(vals, k - 1)[k - 1])
             keep = vals <= kth
             idx, vals = idx[keep], vals[keep]
-        if kth <= radius or radius >= top:
+        if kth <= radius or radius >= lbt.top:  # no bin's bound exceeds top
             break
         covered = radius
-        radius = min(kth, top, radius + radius // 2 + 1)
+        radius = min(kth, lbt.top, radius + radius // 2 + 1)
     return _finish(index, idx, vals, stats, t0, idx.size if all_ties else k)

@@ -193,3 +193,11 @@ def split_small(min_part: int = 4, cpus: int = 3):
             mock.patch.object(search, "_cpus", lambda: cpus), \
             mock.patch.object(search, "_split", spy):
         yield calls
+
+
+@contextlib.contextmanager
+def wide_types():
+    """Keep the arrays a search narrows to 32 bits (the sweep's ranks and
+    bounds) in int64, whatever their values."""
+    with mock.patch.object(search, "_int_type", lambda largest: np.int64):
+        yield

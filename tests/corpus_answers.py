@@ -44,16 +44,21 @@ def distance_matrix() -> fx.DistanceMatrix:
     return fx.distance_from_score(fx.load_builtin_matrix("BLOSUM62"))
 
 
-def answer(indexes, d, case: dict) -> dict:
-    """The case with its hits' digest and counters, from this code."""
+def run_case(indexes, d, case: dict) -> tuple[fx.HitList, fx.SearchStats]:
+    """The case's search, run by this code."""
     q = fx.normalize(fx.distance_query(d, case["query"]))
     index = indexes[case["index"]]
     if case["search"] == "knn":
-        hits, stats = fx.knn_search(index, q, case["k"])
-        rows = [(r.seq_id, r.offset, v) for r, v in hits]
-    else:
-        hits, stats = fx.range_search(index, q, case["radius"])
-        rows = sorted((r.seq_id, r.offset, v) for r, v in hits)
+        return fx.knn_search(index, q, case["k"])
+    return fx.range_search(index, q, case["radius"])
+
+
+def answer(indexes, d, case: dict) -> dict:
+    """The case with its hits' digest and counters, from this code."""
+    hits, stats = run_case(indexes, d, case)
+    rows = [(r.seq_id, r.offset, v) for r, v in hits]
+    if case["search"] != "knn":
+        rows.sort()
     digest = hashlib.blake2b(json.dumps(rows).encode(), digest_size=16).hexdigest()
     return {**case, "hits": digest, "counters": [getattr(stats, c) for c in COUNTERS]}
 

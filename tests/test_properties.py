@@ -7,11 +7,12 @@ Every search must equal ``linear_scan_range``/``linear_scan_knn``, which
 must in turn equal a plain loop over the occurrences, and a range search,
 at any query length, must scan exactly the non-empty bins whose bound is
 within the radius and evaluate the residues the sequential scan of those
-bins does.  The traversal must evaluate, scan and prune the nodes a
-recursive walk of the implicit tree does.  A saved index must load back
-to the same file, bins and answers.  The build's sorted run, on random
-alphabets of up to 255 letters and keys of more than 64 bits, must equal
-Python's ``sorted``.
+bins does.  So must searches with a PSSM whose bounds sum past 2**31,
+which the sweep keeps in int64.  The traversal must evaluate, scan and
+prune the nodes a recursive walk of the implicit tree does.  A saved
+index must load back to the same file, bins and answers.  The build's
+sorted run, on random alphabets of up to 255 letters and keys of more
+than 64 bits, must equal Python's ``sorted``.
 """
 
 import os
@@ -302,6 +303,32 @@ def test_knn_all_ties_and_one_scan_per_sweep(case, data, k):
     assert stats.scan_chunks == stats.sweeps
     kth = max(fx.linear_scan_knn(ds, f, k).values(), default=0)  # no value: no fragment
     assert rows(hits, q.shift) == rows(fx.linear_scan_range(ds, f, kth), 0)
+
+
+@pytest.mark.parametrize("suffix_mode", [False, True])
+@SETTINGS
+@given(data=st.data(), k=st.integers(1, 12))
+def test_bounds_past_int32(suffix_mode, data, k):
+    # every letter but one per position costs 2**31 more, so the bounds of
+    # the non-root clusters sum past int32 and the sweep keeps them in int64
+    ds, index = data.draw(indexes(suffix_mode=st.just(suffix_mode)))
+    f = pssm(data.draw, index.m)
+    cheap = data.draw(st.lists(st.integers(0, len(ALPHA) - 1), min_size=index.m, max_size=index.m))
+    tables = f.tables + 2**31
+    tables[np.arange(index.m), cheap] -= 2**31
+    f = fx.pssm_query(tables, ALPHA)
+    q = fx.normalize(f)
+    assert fx.lower_bound_table(q, index.scheme).top >= 2**31
+
+    hits, _ = fx.knn_search(index, q, k)
+    knn = fx.linear_scan_knn(ds, f, k)
+    assert [(v + q.shift, r.seq_id, r.offset) for r, v in hits] == [
+        (v, r.seq_id, r.offset) for r, v in knn
+    ]
+    kth = max(knn.values(), default=0)
+    radius = data.draw(st.sampled_from([kth - 1, kth, kth + 1, 2**62]), label="radius")
+    hits, _ = fx.range_search(index, q, radius - q.shift)
+    assert rows(hits, q.shift) == rows(fx.linear_scan_range(ds, f, radius), 0)
 
 
 @pytest.mark.parametrize("suffix_mode", [False, True])

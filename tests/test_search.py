@@ -161,6 +161,31 @@ class TestProcessBin:
                 )
         assert checked > 100 and skipped > 0
 
+    def test_query_longer_than_a_uint8_lcp(self, toy_alpha):
+        # a 300-letter query: the kernel's lcp arrays are uint8, and the
+        # positions past the checkpoint, up to 300, must not wrap
+        rng = np.random.default_rng(257)
+        db = random_db(rng, toy_alpha, n_seqs=4, min_len=300, max_len=340)
+        bad = random_db(rng, toy_alpha, n_seqs=2, min_len=300, max_len=340, bad_rate=0.01)
+        db = fx.SequenceDB(records=db.records + tuple((f"x{n}", t) for n, t in bad.records))
+        ds = fx.extract_fragments(db, 3, alphabet=toy_alpha, suffix_mode=True)
+        index = fx.build(ds, random_partition(rng, toy_alpha, 3, max_clusters=2))
+        q = fx.normalize(random_query(rng, toy_alpha, 300, "pssm"))
+        values = sorted(fx.linear_scan_range(ds, q.base, 2**62).values())
+        found = 0
+        for eps in (values[0], values[len(values) // 2], values[-1]):
+            for u in range(index.n_bins):
+                lo, hi = index.bin_slice(u)
+                if lo == hi:
+                    continue
+                hits, stats = fx.process_bin(index, u, q, eps)
+                ref_hits, ref_residues = reference_span_scan(index, lo, hi, q, eps)
+                want = [(int(index.sids[i]), int(index.offs[i]), v) for i, v in ref_hits]
+                assert sorted(hits.triples()) == sorted(want)
+                assert stats.residues_scanned == ref_residues
+                found += len(hits)
+        assert found > len(values)  # hits at every radius, all of them at the last
+
 
 class TestEmptySubtreePruning:
     """The worked example's query on an index holding three bins.
