@@ -72,7 +72,8 @@ def cmd_build(args) -> int:
         suffix_mode=args.suffix_mode, floor=args.floor,
     )
     marks.append(time.perf_counter())
-    index = build(dataset, scheme)
+    build_phases: dict = {}  # the build's own phases, within "build"
+    index = build(dataset, scheme, build_phases)
     marks.append(time.perf_counter())
     size = index.save(args.out)
     marks.append(time.perf_counter())
@@ -85,7 +86,7 @@ def cmd_build(args) -> int:
         phases_ms={
             phase: 1e3 * (b - a)
             for phase, a, b in zip(("parse", "extract", "build", "save"), marks, marks[1:])
-        },
+        } | build_phases,
     )
     print(json.dumps(manifest, indent=2, sort_keys=True))
     return 0

@@ -139,6 +139,10 @@ class LowerBoundTable:
     minus the root's and ``child_bounds[i]`` its bound, which the child
     adds to its parent's (the root's cluster bounds zero).  ``top`` is the
     largest bound of any bin, each position's largest cluster bound summed.
+    The steps are int32 when the scheme has under 2**31 bins (a block of
+    ranks ends at ``n_bins``), the child bounds when ``top`` is under
+    2**31, else int64 (``_int_type``): the sweep's ranks and bounds take
+    these types, cast once per table rather than per sweep step.
     """
 
     scheme: PartitionScheme
@@ -157,6 +161,11 @@ class LowerBoundTable:
     def bound_of(self, digits) -> int:
         """Lower bound for the query over the bin with the given digits."""
         return int(sum(self.bounds[i][r] for i, r in enumerate(digits)))
+
+
+def _int_type(largest: int) -> type:
+    """int32 for values up to ``largest`` when it fits, else int64."""
+    return np.int32 if largest < 2**31 else np.int64
 
 
 def lower_bound_table(
@@ -186,7 +195,9 @@ def lower_bound_table(
     root = minima.argmin(axis=1)  # argmin ties break to the lowest rank
     steps = np.arange(minima.shape[1]) - root[:, None]
     child = (steps != 0) & (steps < (sizes - root)[:, None])  # the non-root clusters
-    steps, child_bounds = steps[child], minima[child]
+    top = int(minima.max(axis=1, where=child, initial=0).sum())
+    steps = steps[child].astype(_int_type(scheme.n_bins), copy=False)
+    child_bounds = minima[child].astype(_int_type(top), copy=False)
     minima.flags.writeable = steps.flags.writeable = child_bounds.flags.writeable = False
     ends = np.cumsum(sizes - 1).tolist()
     cuts = list(zip([0, *ends], ends))  # each position's slice of the children
@@ -197,5 +208,5 @@ def lower_bound_table(
         second_min=tuple(np.sort(minima, axis=1)[:, 1].tolist()),
         child_steps=tuple(steps[a:b] for a, b in cuts),
         child_bounds=tuple(child_bounds[a:b] for a, b in cuts),
-        top=int(minima.max(axis=1, where=child, initial=0).sum()),
+        top=top,
     )

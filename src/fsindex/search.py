@@ -423,11 +423,6 @@ def _scan_rows(
     return idx[hit], vals, residues, keys
 
 
-def _int_type(largest: int) -> type:
-    """int32 for values up to ``largest`` when it fits, else int64."""
-    return np.int32 if largest < 2**31 else np.int64
-
-
 def _window_values(codes, tables: np.ndarray, pos: np.ndarray, lo: int, hi: int) -> np.ndarray:
     """Values over positions ``lo`` to ``hi`` of the windows at code
     positions ``pos``, clean that far: one gather per position (a 2-D
@@ -475,15 +470,15 @@ def _sweep(
 
     Returns the accepted nodes' ranks (digits past the table's depth
     zero) and bounds, the root first, then the nodes accepted at each
-    position in turn.  Ranks are int32 under 2**31 bins, bounds while the
-    table's ``top`` is under 2**31 (``_int_type``), else int64; the radius
-    is first capped at ``top``, which no bound exceeds.
+    position in turn, in the types of the table's ``child_steps`` and
+    ``child_bounds`` (int32 where they fit, chosen once per table); the
+    radius is first capped at ``top``, which no bound exceeds.
     """
     root, least = lbt.root_rank, lbt.bound_of(lbt.root_digits)
     stats.sweeps += 1
     stats.nodes_visited += 1
     eps = min(eps, lbt.top)  # no bound exceeds top: the same nodes, and eps fits the bounds
-    rank_t, bound_t = _int_type(index.n_bins), _int_type(lbt.top)  # a block ends at n_bins
+    rank_t, bound_t = lbt.child_steps[0].dtype, lbt.child_bounds[0].dtype
     ranks, bounds = np.array([root], dtype=rank_t), np.array([least], dtype=bound_t)
     if least > eps:
         return ranks[:0], bounds[:0]
@@ -491,7 +486,6 @@ def _sweep(
         top = eps - lbt.second_min[j]  # the largest bound a parent may have
         if least > top:  # no parent: the root's bound is the least
             continue
-        steps, cand_f = steps.astype(rank_t), cand_f.astype(bound_t)
         w = int(lbt.scheme.radix_weights[j])
         tail = root % w
         par = np.flatnonzero(bounds <= top)
@@ -548,7 +542,7 @@ def _scan_blocks(
     def spans(lo: int, hi: int) -> tuple[np.ndarray, int]:
         r = ranks[lo:hi]
         if width == 1:
-            first = index.nonempty_below(r[index.occupied(index.m - 1, r)])
+            first = index.nonempty_below(r.compress(index.occupied(index.m - 1, r)))
             last = first + 1
         else:
             first, last = index.nonempty_below(r), index.nonempty_below(r + width)

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import fsindex as fx
-from fsindex import search
+from fsindex import query, search
 
 ACCEPTANCE_LINES: list[str] = []
 
@@ -197,7 +197,8 @@ def split_small(min_part: int = 4, cpus: int = 3):
 
 @contextlib.contextmanager
 def wide_types():
-    """Keep the arrays a search narrows to 32 bits (the sweep's ranks and
-    bounds) in int64, whatever their values."""
-    with mock.patch.object(search, "_int_type", lambda largest: np.int64):
+    """Keep the arrays a search narrows to 32 bits (a lower-bound table's
+    child steps and bounds, so the sweep's ranks and bounds) in int64,
+    whatever their values."""
+    with mock.patch.object(query, "_int_type", lambda largest: np.int64):
         yield

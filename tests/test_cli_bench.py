@@ -152,8 +152,10 @@ class TestSearchCommand:
             "--partition", PARTITION, "-m", "6", "--out", str(tmp_path / "x.fsi"),
         ]) == 0
         phases = json.loads(capsys.readouterr().out)["phases_ms"]
-        assert sorted(phases) == ["build", "extract", "parse", "save"]
+        own = ["keys", "letters", "lcp", "occupancy", "sort"]  # the build's own phases
+        assert sorted(phases) == sorted(["build", "extract", "parse", "save", *own])
         assert all(v > 0 for v in phases.values())
+        assert sum(phases[p] for p in own) <= phases["build"]
 
     def test_similarity_threshold_conversion(self, workdir, capsys):
         # radius = self-score - threshold; check agreement with explicit radius

@@ -45,11 +45,10 @@ def test_wide_types_give_the_same_answers(corpus):
     # the same hits in the same row order, and every counter, narrow and wide
     indexes, d = corpus
     q = fx.normalize(fx.distance_query(d, RECORD[0]["query"]))
-    lbt = fx.lower_bound_table(q, indexes["fixed"].scheme)
-    assert sweep_dtypes(indexes["fixed"], lbt) == {np.dtype(np.int32)}
+    assert sweep_dtypes(indexes["fixed"], q) == {np.dtype(np.int32)}
     narrow = [run_case(indexes, d, case) for case in RECORD]
     with wide_types():
-        assert sweep_dtypes(indexes["fixed"], lbt) == {np.dtype(np.int64)}
+        assert sweep_dtypes(indexes["fixed"], q) == {np.dtype(np.int64)}
         wide = [run_case(indexes, d, case) for case in RECORD]
     for case, (hits, stats), (wide_hits, wide_stats) in zip(RECORD, narrow, wide):
         assert all(
@@ -58,8 +57,10 @@ def test_wide_types_give_the_same_answers(corpus):
         assert counters(stats) == counters(wide_stats), case
 
 
-def sweep_dtypes(index, lbt) -> set:
-    """The types of the ranks and bounds the sweep returns for ``lbt``."""
+def sweep_dtypes(index, q) -> set:
+    """The types of the ranks and bounds the sweep returns for ``q``'s
+    lower-bound table, whose making picks them."""
+    lbt = fx.lower_bound_table(q, index.scheme)
     ranks, bounds = search._sweep(lbt, index, 50, fx.SearchStats())
     return {ranks.dtype, bounds.dtype}
 

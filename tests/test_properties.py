@@ -12,18 +12,20 @@ which the sweep keeps in int64.  The traversal must evaluate, scan and
 prune the nodes a recursive walk of the implicit tree does.  A saved
 index must load back to the same file, bins and answers.  The build's
 sorted run, on random alphabets of up to 255 letters and keys of more
-than 64 bits, must equal Python's ``sorted``.
+than 64 bits, must equal Python's ``sorted``, and the radix sort under it
+a stable sort of its key words (``np.lexsort``).
 """
 
 import os
 import tempfile
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import fsindex as fx
-from fsindex import search
+from fsindex import core, search
 from conftest import reference_span_scan, split_small
 
 ALPHA = fx.Alphabet("abcdefg")
@@ -462,3 +464,36 @@ def test_build_and_flat_run_match_sorted(case):
     assert flat.sids.tolist() == ds.sids[order].tolist()
     assert flat.offs.tolist() == ds.offs[order].tolist()
     assert flat.lcp.tolist() == lcp
+
+
+@st.composite
+def key_words(draw) -> np.ndarray:
+    """(words, n) uint64 keys with many ties: 1-3 words, each drawn from a
+    few values of up to 64 bits at any shift, some apart only in their
+    lowest or highest bit; ``n`` is 0, 1, 2 or a power of two or one past
+    it, where the bit count ``r`` of a row's place changes, and some words
+    are ``64 - r`` or ``65 - r`` bits wide, one pass's digit or one more."""
+    k = draw(st.integers(0, 12))
+    n = draw(st.sampled_from([0, 1, 2, 2**k, 2**k + 1]))
+    r = max(n - 1, 0).bit_length()
+    keys = np.empty((draw(st.integers(1, 3)), n), dtype=np.uint64)
+    for word in keys:
+        bits = draw(st.integers(0, 64) | st.sampled_from([64 - r, min(65 - r, 64)]))
+        shift = draw(st.integers(0, 64 - bits))
+        base, top = draw(st.integers(0, 2**bits - 1)), 2**bits - 1
+        flips = st.sampled_from([0, 1, 2**bits >> 1]) | st.integers(0, top)
+        pool = [(base ^ f) & top for f in draw(st.lists(flips, min_size=1, max_size=4))]
+        pool = np.array([v << shift for v in pool], dtype=np.uint64)
+        word[:] = pool[np.random.default_rng(draw(st.integers(0, 2**32))).integers(0, pool.size, n)]
+    return keys
+
+
+@SETTINGS
+@given(keys=key_words())
+def test_radix_order_is_a_stable_sort(keys):
+    want = np.lexsort((np.arange(keys.shape[1]), *reversed(keys))).tolist()
+    order = core._sorted_order(keys)
+    assert order.dtype == np.intp
+    assert order.tolist() == want
+    with mock.patch.object(core, "_KEY_ROWS", 3):  # the places added in many pieces
+        assert core._sorted_order(keys).tolist() == want
