@@ -70,8 +70,12 @@ class FlatIndex:
     dataset: FragmentDataset  # its fragments in sorted order: the sids and offs below
     sids: np.ndarray     # (n,) uint32, sorted order
     offs: np.ndarray     # (n,) uint32, sorted order
-    letters: np.ndarray  # (n, m) codes in sorted order
+    letters: np.ndarray  # (keys, m) codes of the key rows in sorted order
     lcp: np.ndarray      # (n+1,) uint8
+    key_starts: np.ndarray  # (keys + 1,) uint32, the key rows then n (``core._keys``)
+    key_lcp: np.ndarray     # (keys + 1,) uint8
+    key_gain: np.ndarray    # (keys,) uint8
+    key_sizes: np.ndarray   # (keys,) uint8
 
     @property
     def n(self) -> int:
@@ -79,8 +83,8 @@ class FlatIndex:
 
 
 def flat_build(ds: FragmentDataset) -> FlatIndex:
-    run, letters, lcp, _, _ = _sorted_run(ds)
-    return FlatIndex(dataset=run, sids=run.sids, offs=run.offs, letters=letters, lcp=lcp)
+    run, keys, letters, lcp, _, _ = _sorted_run(ds)
+    return FlatIndex(dataset=run, sids=run.sids, offs=run.offs, letters=letters, lcp=lcp, **keys)
 
 
 def flat_search(
@@ -95,7 +99,7 @@ def flat_search(
     if q.m != ds.m:
         raise ValueError(f"query length {q.m} != fragment length {ds.m}")
     stats.bins_scanned = 1 if flat.n else 0
-    idx, vals = _scan_spans(flat, q, np.arange(flat.n), radius, stats)
+    idx, vals = _scan_spans(flat, q, np.arange(flat.key_starts.size - 1), radius, stats)
     return _finish(flat, idx, vals, stats, t0)
 
 

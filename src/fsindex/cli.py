@@ -79,6 +79,7 @@ def cmd_build(args) -> int:
     marks.append(time.perf_counter())
     manifest = dataset_manifest(dataset)
     manifest.update(
+        keys=index.n_keys,
         bins=index.n_bins,
         empty_bins=index.empty_bins(),
         index_bytes=size,

@@ -14,21 +14,30 @@ bit_length(n - 1)`` bits) above each row's place, with numpy's unstable
 sort (``_sorted_order``); the 1.1M-fragment length-9 key takes two.  Bins
 start where the rank field changes, and a fragment's lcp is the first
 ordinal field in which its key differs from its predecessor's, capped at
-its key length.  The letters are gathered once, in sorted order.
-``build`` reports the time of each of these phases if asked.  The arrays
-that result:
+its key length.  A row whose lcp is ``m`` repeats its predecessor's
+letters (an lcp of a sorted run marks every duplicate, as a suffix
+array's does), so the letters are gathered once per distinct key, in
+sorted order.  ``build`` reports the time of each of these phases if
+asked.  The arrays that result:
 
 * ``frag`` - fragment references ordered by (bin rank, fragment letters);
 * ``occupancy`` - per position ``j``, 64-bit words with a bit per aligned
   block of ``radix_weights[j]`` ranks, set when the block holds a
   fragment: the last level has a bit per bin;
-* ``bins`` - offsets into ``frag`` of the non-empty bins, then ``n``; a
-  bin's entry is a rank over the last level's bits;
+* ``bins`` - offsets into the key rows of the non-empty bins, then the
+  key count; a bin's entry is a rank over the last level's bits;
 * ``lcp``  - n+1 shared-prefix lengths between neighbouring fragments,
   forced to 0 at every bin's first slot and after the last fragment, so
   a bin scan never reuses state it did not compute;
-* ``letters`` - each fragment's first ``m`` letter codes in frag order; a
-  key shorter than ``m`` ends where its pad codes (``len(alphabet)``) start.
+* ``letters`` - the first ``m`` letter codes of each key row, a fragment
+  whose lcp is below ``m``, in frag order; a key shorter than ``m`` ends
+  where its pad codes (``len(alphabet)``) start.  A fragment's letters
+  are those of the last key row at or before it.
+
+The keys' first rows (``key_starts``), their lcp (``key_lcp``), what the
+lcp of the row after each adds to it (``key_gain``) and their row counts
+(``key_sizes``) are not stored: ``build`` and ``load`` derive them from
+the lcp, 7 bytes per key (``_keys``).
 
 The index is immutable after construction and safe to share across
 concurrent searches.  ``save`` writes these arrays after a header;
@@ -55,10 +64,10 @@ except ImportError:  # interpreters built without it
     from hashlib import blake2b
 
 MAGIC = b"FSIX"
-FORMAT_VERSION = 2
-# magic, version, m, n, bins, non-empty bins, largest bin, alphabet and
-# partition text bytes, suffix flag, digest of the encoded sequence set
-_HEADER = struct.Struct("<4sIIQQQQIIB32s")
+FORMAT_VERSION = 3
+# magic, version, m, n, keys, bins, non-empty bins, largest bin, alphabet
+# and partition text bytes, suffix flag, digest of the encoded sequence set
+_HEADER = struct.Struct("<4sIIQQQQQIIB32s")
 # the arrays after the header, in file order; the first starts 8-byte aligned
 _ARRAYS = (("occupancy", "<u8"), ("bins", "<u4"), ("sids", "<u4"), ("offs", "<u4"),
            ("lcp", "<u1"), ("letters", "<u1"))
@@ -138,22 +147,29 @@ def _key_tables(
 def _packed_keys(ds: FragmentDataset, tables: np.ndarray) -> np.ndarray:
     """(words, n) uint64 keys: per fragment the sum of ``tables[:, j, code]``
     over its first ``m`` codes, read from the code array a pass of rows at a
-    time; a suffix's codes past its end count as the pad."""
+    time into buffers reused by every pass; a suffix's codes past its end
+    count as the pad.  The gathers write with ``mode="clip"``: their indices
+    are in bounds, and ``"raise"`` would copy ``out`` first."""
     n, m, pad = ds.n, ds.m, len(ds.alphabet)
     live = tables.any(axis=2)  # the positions with a field in each word
     keys = np.zeros((len(tables), n), dtype=np.uint64)
     padded = np.concatenate([ds.codes, np.full(m, pad, dtype=np.uint8)])
+    lengths = ds.seq_lengths
+    size = min(n, _KEY_ROWS)
+    pos, room = np.empty(size, dtype=np.int64), np.empty(size, dtype=np.int64)
+    codes, part = np.empty(size, dtype=np.uint8), np.empty(size, dtype=np.uint64)
     for a in range(0, n, _KEY_ROWS):
-        rows = slice(a, a + _KEY_ROWS)
-        sids, offs = ds.sids[rows], ds.offs[rows]
-        pos = ds.starts[sids] + offs
-        room = ds.seq_lengths[sids] - offs  # letters left in the sequence
+        b = min(a + _KEY_ROWS, n)
+        sids, offs, k = ds.sids[a:b], ds.offs[a:b], b - a
+        np.add(ds.starts.take(sids, out=pos[:k], mode="clip"), offs, out=pos[:k])
+        if ds.suffix_mode:  # letters left in the sequence
+            np.subtract(lengths.take(sids, out=room[:k], mode="clip"), offs, out=room[:k])
         for j in range(m):
-            codes = padded[j:].take(pos)
+            padded[j:].take(pos[:k], out=codes[:k], mode="clip")
             if ds.suffix_mode:
-                codes[room <= j] = pad
+                codes[:k][room[:k] <= j] = pad
             for w in np.flatnonzero(live[:, j]):
-                keys[w, rows] += tables[w, j].take(codes)
+                keys[w, a:b] += tables[w, j].take(codes[:k], out=part[:k], mode="clip")
     return keys
 
 
@@ -252,19 +268,20 @@ def _sorted_keys(
 
 def _sorted_run(
     ds: FragmentDataset, scheme: PartitionScheme | None = None, phases: dict | None = None
-) -> tuple[FragmentDataset, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[FragmentDataset, dict, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Sort the fragments by (bin rank, letters with the pad first), or by
     letters alone without a scheme, equal keys in extraction order.
 
     Each fragment gets one packed key (``_key_tables``, ``_packed_keys``);
     the flat run's one cluster per position is the whole alphabet.  Returns
-    the sorted dataset, its (n, m) letters, its (n+1,) uint8 lcp, and the
-    first row of each run of equal leading key fields with that field's
-    value: given a scheme, each bin's first row and rank.  A row's lcp is
-    the first position field in which its key differs from its
-    predecessor's, capped at its key length; a rank difference gives 0,
-    as do the first row and the slot after the last.  ``phases`` (``build``)
-    gets the milliseconds of each phase."""
+    the sorted dataset, its keys (``_keys``), the (keys, m) letters of
+    their first rows, its (n+1,) uint8 lcp, and the first row of each
+    run of equal leading key fields with that field's value: given a
+    scheme, each bin's first row and rank.  A row's lcp is the first
+    position field in which its key differs from its predecessor's, capped
+    at its key length; a rank difference gives 0, as do the first row and
+    the slot after the last.  ``phases`` (``build``) gets the milliseconds
+    of each phase."""
     n, m = ds.n, ds.m
     if m > np.iinfo(np.uint8).max:
         raise ValueError(f"fragment length {m} exceeds the uint8 lcp limit 255")
@@ -278,13 +295,53 @@ def _sorted_run(
     lcp[1:n] = lcp_of.take(field)
     del order, field  # n-long; freed before the letters are gathered
     t = _lap(phases, "lcp", t)
-    # uint8 like the lcp (m <= 255), not an n-long int64 held through the letter gather
-    klen = run.key_lengths().astype(np.uint8) if ds.suffix_mode else None
-    letters = run.letter_matrix(klen)
-    if ds.suffix_mode:
-        lcp[:n] = np.minimum(klen, lcp[:n], out=klen)
+    klen = None
+    if ds.suffix_mode:  # uint8 like the lcp (m <= 255), not an n-long int64
+        klen = run.key_lengths().astype(np.uint8)
+        np.minimum(klen, lcp[:n], out=lcp[:n])
+    keys = _keys(lcp, m)
+    rows = keys["key_starts"][:-1]
+    firsts = replace(run, sids=run.sids.take(rows), offs=run.offs.take(rows))
+    letters = firsts.letter_matrix(None if klen is None else klen.take(rows))
     _lap(phases, "letters", t)
-    return run, letters, lcp, first, lead
+    return run, keys, letters, lcp, first, lead
+
+
+def _keys(lcp: np.ndarray, m: int) -> dict:
+    """The keys of a sorted run, from its (n+1,) lcp: a key is a run of
+    rows with equal letters, and starts at each row whose lcp is below
+    ``m``.  Returns ``key_starts``, (keys + 1,) uint32, those rows then
+    ``n``; ``key_lcp``, (keys + 1,) uint8, their lcp then the last slot's;
+    ``key_gain``, (keys,) uint8, by how much the lcp of the row after each
+    key's first exceeds the key's lcp, if it does: ``m - lcp`` on a key of
+    more rows; and ``key_sizes``, (keys,) uint8, each key's row count, 255
+    for 255 or more.  They are found ``_CHECK_ROWS`` rows at a time, so no
+    n-long array is made."""
+    n = lcp.size - 1
+    body = lcp[:n]
+    pieces = range(0, n, _CHECK_ROWS)
+    size = sum(np.count_nonzero(body[a:a + _CHECK_ROWS] < m) for a in pieces)
+    starts = np.empty(size + 1, dtype=np.uint32)
+    key_lcp, gain = np.empty(size + 1, dtype=np.uint8), np.empty(size, dtype=np.uint8)
+    at = 0
+    for a in pieces:
+        rows = np.flatnonzero(body[a:a + _CHECK_ROWS] < m)
+        got = slice(at, at + rows.size)
+        own = lcp[a:].take(rows, out=key_lcp[got], mode="clip")
+        rows += 1
+        after = lcp[a:].take(rows, out=gain[got], mode="clip")
+        np.maximum(after, own, out=after)
+        after -= own
+        rows += a - 1
+        starts[got] = rows
+        at += rows.size
+    starts[size], key_lcp[size] = n, lcp[n]
+    sizes = np.empty(size, dtype=np.uint8)
+    for a in range(0, size, _CHECK_ROWS):
+        b = min(a + _CHECK_ROWS, size)
+        rows = starts[a + 1:b + 1] - starts[a:b]
+        sizes[a:b] = np.minimum(rows, 255, out=rows)
+    return {"key_starts": starts, "key_lcp": key_lcp, "key_gain": gain, "key_sizes": sizes}
 
 
 def _level_words(scheme: PartitionScheme) -> list[int]:
@@ -292,22 +349,24 @@ def _level_words(scheme: PartitionScheme) -> list[int]:
     return [scheme.n_bins // int(w) // 64 + 1 for w in scheme.radix_weights]
 
 
+_BITS = np.uint64(1) << np.arange(64, dtype=np.uint64)  # bit b of a word, by b
+
+
 def _occupancy(scheme: PartitionScheme, filled: np.ndarray) -> np.ndarray:
     """Every level's bits for the ascending non-empty bin ranks ``filled``,
     concatenated.  Each level's distinct blocks come from the next level's,
-    and each word is set once: no temporary holds a byte per bit."""
+    and each word is set once, the or of its blocks' bits (read from a
+    64-entry table): no temporary holds a byte per bit."""
     sizes = _level_words(scheme)
     words = np.zeros(sum(sizes), dtype=np.uint64)
     starts, weights = np.cumsum([0, *sizes]).tolist(), [*map(int, scheme.radix_weights), 1]
-    blocks = filled.astype(np.uint64)
+    blocks = filled
     for j in reversed(range(scheme.m) if blocks.size else ()):
         blocks = blocks // (weights[j] // weights[j + 1])
-        blocks = blocks[np.r_[True, blocks[1:] != blocks[:-1]]]  # distinct, ascending
+        blocks = blocks.compress(np.r_[True, blocks[1:] != blocks[:-1]])  # distinct, ascending
         word = blocks >> 6
-        last = np.flatnonzero(np.r_[word[1:] != word[:-1], True])  # each word's last block
-        # a word's bits are distinct, so their sum is their or; wrapped sums subtract exactly
-        total = np.cumsum(np.uint64(1) << (blocks & 63))[last]
-        words[starts[j] + word[last]] = np.diff(total, prepend=np.uint64(0))
+        head = np.flatnonzero(np.r_[True, word[1:] != word[:-1]])  # each word's first block
+        words[starts[j] + word.take(head)] = np.bitwise_or.reduceat(_BITS.take(blocks & 63), head)
     return words.astype("<u8", copy=False)
 
 
@@ -329,17 +388,25 @@ class FSIndex:
     dataset: FragmentDataset  # its fragments in frag order: the sids and offs below
     scheme: PartitionScheme
     occupancy: np.ndarray  # "<u8" words, the levels' bitmaps in position order
-    bins: np.ndarray     # (non-empty bins + 1,) uint32 offsets into the frag arrays
+    bins: np.ndarray     # (non-empty bins + 1,) uint32 offsets into the key rows
     sids: np.ndarray     # (n,) uint32, frag order
     offs: np.ndarray     # (n,) uint32, frag order
     lcp: np.ndarray      # (n+1,) uint8
-    letters: np.ndarray  # (n, m) uint8 codes, frag order; pad = |alphabet|
+    letters: np.ndarray  # (keys, m) uint8 codes of the key rows, frag order; pad = |alphabet|
+    # derived from the lcp, not stored (``_keys``): the key rows, then n; their
+    # lcp, then 0; how far the lcp of the row after each key's first exceeds it;
+    # its rows, up to 255
+    key_starts: np.ndarray  # (keys + 1,) uint32
+    key_lcp: np.ndarray     # (keys + 1,) uint8
+    key_gain: np.ndarray    # (keys,) uint8
+    key_sizes: np.ndarray   # (keys,) uint8
     # derived: each level's view of ``occupancy``; the set bits before each last-level word
     levels: tuple = field(init=False, repr=False, compare=False)
     _counts: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        for arr in (self.occupancy, self.bins, self.sids, self.offs, self.lcp, self.letters):
+        for arr in (self.occupancy, self.bins, self.sids, self.offs, self.lcp, self.letters,
+                    self.key_starts, self.key_lcp, self.key_gain, self.key_sizes):
             arr.flags.writeable = False
         cuts = np.cumsum([0, *_level_words(self.scheme)])
         levels = tuple(self.occupancy[a:b] for a, b in zip(cuts, cuts[1:]))
@@ -354,6 +421,10 @@ class FSIndex:
     @property
     def n(self) -> int:
         return int(self.sids.shape[0])
+
+    @property
+    def n_keys(self) -> int:
+        return int(self.letters.shape[0])
 
     @property
     def n_bins(self) -> int:
@@ -383,7 +454,8 @@ class FSIndex:
         return self._counts.take(word) + np.bitwise_count(self.levels[-1].take(word) & mask)
 
     def bin_slice(self, u: int) -> tuple[int, int]:
-        lo, hi = self.bins[self.nonempty_below(np.array([u, u + 1]))]
+        """The frag rows of bin ``u``."""
+        lo, hi = self.key_starts[self.bins[self.nonempty_below(np.array([u, u + 1]))]]
         return int(lo), int(hi)
 
     def bin_size(self, u: int) -> int:
@@ -396,36 +468,41 @@ class FSIndex:
     def audit(self) -> None:
         """Verify every structural invariant; raises AssertionError on failure."""
         n, m = self.n, self.m
-        bins, lcp = self.bins, self.lcp
+        bins, lcp, starts = self.bins, self.lcp, self.key_starts
         assert [lv.size for lv in self.levels] == _level_words(self.scheme)
         filled = _set_bits(self.levels[-1])
+        assert lcp.shape == (n + 1,)
+        for name, want in _keys(lcp, m).items():
+            assert np.array_equal(getattr(self, name), want), f"{name} not derived from the lcp"
+        assert self.letters.shape == (self.n_keys, m) and starts.size == self.n_keys + 1
         assert bins.shape == (filled.size + 1,), "one bin offset per occupied bin"
-        assert bins[0] == 0 and bins[-1] == n, "bin offsets must span the frag array"
-        sizes = np.diff(bins.astype(np.int64))
-        assert (sizes > 0).all(), "occupied bins must hold fragments"
+        assert bins[0] == 0 and bins[-1] == self.n_keys, "bin offsets must span the key rows"
+        assert (np.diff(bins.astype(np.int64)) > 0).all(), "occupied bins must hold fragments"
+        sizes = np.diff(starts.take(bins).astype(np.int64))
         for j, w in enumerate(self.scheme.radix_weights):
             blocks = np.unique(filled // int(w))
             assert np.array_equal(_set_bits(self.levels[j]), blocks), f"level {j} bits wrong"
-        assert lcp.shape == (n + 1,)
         assert lcp[0] == 0 and lcp[n] == 0
         if n == 0:
             return
-        ranks = self.scheme.ranks(self.letters)
+        # each fragment's letters: its key row's, which repeats no row of its own
+        letters = np.repeat(self.letters, np.diff(starts.astype(np.int64)), axis=0)
+        ranks = self.scheme.ranks(letters)
         # each fragment must sit inside the bin of its own rank
         assert np.array_equal(ranks, np.repeat(filled, sizes)), "fragment in the wrong bin"
         # key lengths from the sequence set, not from the letters
         pad = len(self.alphabet)
         key_len = np.minimum(self.dataset.seq_lengths[self.sids] - self.offs, m)
         assert np.array_equal(
-            self.letters == pad, np.arange(m)[None, :] >= key_len[:, None]
+            letters == pad, np.arange(m)[None, :] >= key_len[:, None]
         ), "letters not padded exactly past each key"
         own = replace(self.dataset, sids=self.sids, offs=self.offs).letter_matrix()
-        assert np.array_equal(self.letters, own), "letters differ from the sequence set"
-        keys = _sort_keys(self.letters, pad)
+        assert np.array_equal(letters, own), "letters differ from the sequence set"
+        keys = _sort_keys(letters, pad)
         raw = _raw_lcp(keys)
         capped = np.minimum(raw, np.minimum(np.r_[key_len[:1], key_len[:-1]], key_len))
         bin_first = np.zeros(n, dtype=bool)
-        bin_first[bins[:-1]] = True
+        bin_first[starts.take(bins[:-1])] = True
         # lexicographic order within each bin: neighbours are equal keys
         # or first differ where the predecessor's sort key is smaller (a
         # shorter key's pad sorts first)
@@ -444,9 +521,9 @@ class FSIndex:
         """Write the index file, replacing any old one whole; returns the byte count."""
         alpha = self.alphabet.letters.encode()
         spec = self.scheme.spec_string.encode()
-        largest = int(np.diff(self.bins.astype(np.int64)).max(initial=0))
+        largest = int(np.diff(self.key_starts.take(self.bins).astype(np.int64)).max(initial=0))
         head = _HEADER.pack(
-            MAGIC, FORMAT_VERSION, self.m, self.n, self.n_bins, self.bins.size - 1,
+            MAGIC, FORMAT_VERSION, self.m, self.n, self.n_keys, self.n_bins, self.bins.size - 1,
             largest, len(alpha), len(spec), 1 if self.suffix_mode else 0,
             _sequence_digest(self.dataset.codes, self.dataset.starts),
         ) + alpha + spec
@@ -489,14 +566,18 @@ def build(
     if n > np.iinfo(np.uint32).max:
         raise ValueError(f"{n} fragments exceed the uint32 bin offsets")
 
-    run, letters, lcp, first, ranks = _sorted_run(dataset, scheme, phases)
+    run, keys, letters, lcp, first, ranks = _sorted_run(dataset, scheme, phases)
     t = time.perf_counter()
     occupancy = _occupancy(scheme, ranks)
+    # every bin's first row starts a key (its lcp is 0): its place among the key rows
+    mark = np.zeros(n, dtype=bool)
+    mark[first] = True
+    starts = keys["key_starts"]
+    bins = np.append(np.flatnonzero(mark.take(starts[:-1])), starts.size - 1).astype(np.uint32)
     _lap(phases, "occupancy", t)
     return FSIndex(
-        dataset=run, scheme=scheme, occupancy=occupancy,
-        bins=np.append(first, n).astype(np.uint32), sids=run.sids, offs=run.offs, lcp=lcp,
-        letters=letters,
+        dataset=run, scheme=scheme, occupancy=occupancy, bins=bins, sids=run.sids,
+        offs=run.offs, lcp=lcp, letters=letters, **keys,
     )
 
 
@@ -512,15 +593,21 @@ def _read_header(fh) -> dict:
     raw = fh.read(_HEADER.size)
     if raw[:4] != MAGIC:
         raise IndexFormatError("not an index file (bad magic)")
+    if len(raw) < 8:
+        raise IndexFormatError("truncated index file")
+    version = int.from_bytes(raw[4:8], "little")
+    if version != FORMAT_VERSION:
+        raise IndexFormatError(
+            f"index format version {version} is not read by this fsindex, which reads "
+            f"version {FORMAT_VERSION}: rebuild the index with `fsindex build`"
+        )
     if len(raw) != _HEADER.size:
         raise IndexFormatError("truncated index file")
-    _, version, m, n, n_bins, nonempty, largest, alpha_len, spec_len, suffix_flag, digest = (
+    _, _, m, n, keys, n_bins, nonempty, largest, alpha_len, spec_len, suffix_flag, digest = (
         _HEADER.unpack(raw)
     )
-    if version != FORMAT_VERSION:
-        raise IndexFormatError(f"unsupported index version {version}")
     return {
-        "version": version, "fragment_length": m, "fragments": n, "bins": n_bins,
+        "version": version, "fragment_length": m, "fragments": n, "keys": keys, "bins": n_bins,
         "empty_bins": n_bins - nonempty, "largest_bin": largest,
         "mean_bin_size": float(n / n_bins) if n_bins else 0.0,
         "suffix_mode": bool(suffix_flag), "sequence_digest": digest.hex(),
@@ -542,7 +629,7 @@ def load(path, db: SequenceDB) -> FSIndex:
     # over the path, so the mapped file stays whole while any of its arrays lives.
     with open(path, "rb", buffering=0) as fh:
         info = _read_header(fh)
-        m, n, n_bins = info["fragment_length"], info["fragments"], info["bins"]
+        m, n, keys, n_bins = (info[k] for k in ("fragment_length", "fragments", "keys", "bins"))
         nonempty = n_bins - info["empty_bins"]
         alphabet = Alphabet(info["alphabet"])
         scheme = parse_partition(info["partition"], alphabet, m)
@@ -550,23 +637,38 @@ def load(path, db: SequenceDB) -> FSIndex:
             raise IndexFormatError("bin count disagrees with partition spec")
 
         pos = fh.tell() + -fh.tell() % 8
-        counts = (sum(_level_words(scheme)), nonempty + 1, n, n, n + 1, n * m)
+        counts = (sum(_level_words(scheme)), nonempty + 1, n, n, n + 1)
         size = pos + sum(np.dtype(t).itemsize * c for (_, t), c in zip(_ARRAYS, counts))
-        if os.fstat(fh.fileno()).st_size != size:
-            raise IndexFormatError("index arrays truncated or oversized")
+        tail = os.fstat(fh.fileno()).st_size - size  # the letters block, last in the file
+        if tail < 0:
+            raise IndexFormatError("index arrays truncated")
+        if tail != keys * m:
+            raise IndexFormatError(
+                f"letters block of {tail} bytes is not {keys} keys x {m} letters "
+                "(truncated or oversized)"
+            )
+        counts += (keys * m,)
         blob = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)
     arrays = {}
     for (name, dtype), count in zip(_ARRAYS, counts):
         arrays[name] = np.frombuffer(blob, dtype=dtype, count=count, offset=pos)
         pos += arrays[name].nbytes
-    arrays["letters"] = arrays["letters"].reshape(n, m)
-    sids, offs, bins = arrays["sids"], arrays["offs"], arrays["bins"]
-    if n and arrays["letters"].max() > len(alphabet):
+    arrays["letters"] = arrays["letters"].reshape(keys, m)
+    sids, offs, bins, lcp = arrays["sids"], arrays["offs"], arrays["bins"], arrays["lcp"]
+    if keys and arrays["letters"].max() > len(alphabet):
         raise IndexFormatError("letter code past the pad code")
-    if arrays["lcp"].max() > m:
+    if lcp.max() > m:
         raise IndexFormatError("shared prefix longer than the fragments")
-    if bins[0] != 0 or bins[-1] != n or (bins[1:] <= bins[:-1]).any():
-        raise IndexFormatError("bin offsets not increasing from 0 to the fragment count")
+    if lcp[0] or lcp[n]:
+        raise IndexFormatError("shared prefix before the first fragment or after the last")
+    arrays.update(_keys(lcp, m))
+    if arrays["key_starts"].size - 1 != keys:
+        raise IndexFormatError(
+            f"header key count {keys} differs from the {arrays['key_starts'].size - 1} "
+            f"fragments whose shared prefix is below {m}"
+        )
+    if bins[0] != 0 or bins[-1] != keys or (bins[1:] <= bins[:-1]).any():
+        raise IndexFormatError("bin offsets not increasing from 0 to the key count")
 
     codes, starts = encode_db(db, alphabet)
     if _sequence_digest(codes, starts).hex() != info["sequence_digest"]:

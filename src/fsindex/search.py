@@ -23,28 +23,26 @@ earlier sweep accepted, in one call of the same kernel.  A
 ``Tracer`` keeps a range search's accepted nodes and derives the
 pruned ones from them when read, empty subtrees among them, so tracing
 adds no work to the search.  One block scan turns accepted nodes into
-frag-array spans, and one span-scan kernel evaluates every span, for the
-index, ``process_bin`` and the flat baseline.  Rows with equal letters
-over the query's positions share their value, so the kernel evaluates
-one row per run of such rows when the runs are few enough to pay for
-gathering them by run (``_RUN_SHARE``), and a hit run's rows all hit.
-Hits come back as a ``HitList`` of three arrays, with no Python object
-per hit; k-NN hits, the oracles' included, take the (value, seq_id,
-offset) order of ``sorted_by_value``.
+spans of key rows, and one span-scan kernel evaluates every span, for
+the index, ``process_bin`` and the flat baseline.  The index stores each
+distinct key's letters once, so the kernel evaluates each key once, and
+a hit key's frag rows all hit.  Hits come back as a ``HitList`` of three
+arrays, with no Python object per hit; k-NN hits, the oracles' included,
+take the (value, seq_id, offset) order of ``sorted_by_value``.
 
 Large phases run in pieces on every CPU available to the process: a
 sweep step's children (split by cluster rows), the conversion of accepted
-nodes into spans and the scanned rows, each piece at least ``_MIN_PART``
+nodes into spans and the scanned keys, each piece at least ``_MIN_PART``
 children's worth of work.  The caller joins the pieces in order and adds
 up their counters, so results, counters and traces equal an unsplit
 run's; phase times are wall time.
 
 Scan counters (bins/fragments/residues scanned) follow the reference
 scan's cost model exactly; the vectorized implementation touches other
-cells internally (more per row, for one row per run) but reports what
-the sequential algorithm would do.  ``keys_scanned`` counts the scanned
-rows whose key over the query's positions differs from the previous
-row's, the runs of an uncut scan.  ``nodes_visited`` counts the bounds
+cells internally (more per key, and one key for all its rows) but
+reports what the sequential algorithm would do.  ``keys_scanned`` counts
+the scanned rows whose key over the query's positions differs from the
+previous row's.  ``nodes_visited`` counts the bounds
 the traversal evaluated, including those of children then dropped as
 empty.
 """
@@ -67,23 +65,17 @@ INF_RADIUS = int(np.iinfo(np.int64).max)
 
 # Least work per piece when a phase is split across CPUs, counted in
 # sweep children; a node turned into a span weighs one child and a
-# scanned row _ROW_COST children.  On the 1.1M-fragment corpus a child
-# takes ~20 ns and a row ~80-120 ns, so a piece takes at least ~2.6 ms,
-# against ~0.1-0.3 ms to start and join a thread (with rare waits of
-# several ms for an idle CPU to wake).  Range queries at the 100-NN
-# radius there evaluate at most ~230k children in a step (median ~48k)
-# and scan at most ~36k rows, so they run on one thread.
+# scanned key _KEY_COST children.  On the 1.1M-fragment corpus a child
+# takes ~20 ns, so a sweep or span piece takes at least ~2.6 ms, against
+# ~0.1-0.3 ms to start and join a thread (with rare waits of several ms
+# for an idle CPU to wake).  A key takes ~22 ns, but a scan split in two
+# was faster than one piece from ~28k keys (the suffix-mode corpus's
+# long-query part scans, best of 7, 2 CPUs), so scans split from 2^15
+# keys.  Range queries at the 100-NN radius there evaluate at most ~230k
+# children in a step (median ~48k) and scan at most ~36k rows (~19k
+# keys), so they run on one thread.
 _MIN_PART = 1 << 17
-_ROW_COST = 4
-
-# The span scan evaluates one row per run of equal keys when the runs are
-# at most _RUN_SHARE of its rows past the first _RUN_FIXED, and every row on
-# its own otherwise.  Gathering by run costs ~8 us more per call and saves
-# ~25-35 ns per row that repeats its run's key: on synthetic rows with a
-# set share of run starts, the two ways broke even at a share of 0.83-0.89
-# of 14k-200k rows, 0.65-0.7 of 2k rows and below 0.3 of 500 rows.
-_RUN_SHARE = 0.85
-_RUN_FIXED = 500
+_KEY_COST = 8
 
 
 @dataclass
@@ -98,7 +90,7 @@ class SearchStats:
     clean window (the others are not evaluated), its filter and
     de-duplication as ``spans_s`` and its evaluation as ``scan_s``.  The
     phase times are wall seconds: the lower-bound table, the sweep, turning
-    accepted nodes into frag-array spans, scanning the spans and
+    accepted nodes into spans of key rows, scanning the spans and
     materializing the hits; ``elapsed`` also holds a k-NN search's
     bookkeeping between them.  A large sweep step, block conversion or
     scan runs in pieces on every CPU available (``_split``), so its wall
@@ -309,118 +301,140 @@ def _scan_spans(
     index, q: NormalizedQuery, idx: np.ndarray, eps: int, stats: SearchStats,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Cost-model scan of frag-array spans at a fixed radius, given as
-    their rows ``idx`` in scan order.
+    their key rows ``idx`` in scan order.
 
-    ``index`` is an ``FSIndex`` or a ``FlatIndex``: rows of ``letters``
-    and ``lcp`` in scan order.  A row's key reaches position ``j`` when
-    its letter there is not the pad code.  A query longer than the rows
-    also reads ``sids``, ``offs`` and ``dataset`` to evaluate the
-    positions past them.  Returns (row indices, values) of hits and
-    updates the fragment, residue and key counters exactly as the
-    sequential bin scan would.
+    ``index`` is an ``FSIndex`` or a ``FlatIndex``: ``letters``,
+    ``key_lcp``, ``key_gain`` and ``key_sizes`` by key row, and
+    ``key_starts``.  A key reaches position ``j`` when its letter there is
+    not the pad code.  A query longer than the rows also reads ``sids``,
+    ``offs``, ``lcp`` and ``dataset`` to evaluate the positions past them.
+    Returns (frag rows, values) of hits and updates the fragment, residue
+    and key counters exactly as the sequential bin scan would.
 
-    Every row is scanned on its own (its lcp with both neighbours is
-    stored, and is zero at a bin's first row), so the rows are cut into
-    pieces anywhere, one per CPU when they weigh at least ``2 * _MIN_PART``
-    at ``_ROW_COST`` each (``_split``), and the pieces' hits are joined in
-    row order.
+    Every key is scanned on its own (the lcp of its rows with their
+    neighbours is stored, and is zero at a bin's first row), so the keys
+    are cut into pieces anywhere, one per CPU when they weigh at least
+    ``2 * _MIN_PART`` at ``_KEY_COST`` each (``_split``), and the pieces'
+    hits are joined in row order.
     """
     t = time.perf_counter()
     stats.scan_chunks += 1
-    stats.fragments_scanned += idx.size
     qtab = _query_table(q)
 
-    def scan(lo: int, hi: int) -> tuple[np.ndarray, np.ndarray, int, int]:
+    def scan(lo: int, hi: int) -> tuple[np.ndarray, np.ndarray, int, int, int]:
         return _scan_rows(index, qtab, idx[lo:hi], q.m, eps)
 
-    pieces = _split(idx.size, scan, _ROW_COST)
-    stats.residues_scanned += sum(residues for _, _, residues, _ in pieces)
-    stats.keys_scanned += sum(keys for _, _, _, keys in pieces)
+    pieces = _split(idx.size, scan, _KEY_COST)
+    stats.fragments_scanned += sum(p[2] for p in pieces)
+    stats.residues_scanned += sum(p[3] for p in pieces)
+    stats.keys_scanned += sum(p[4] for p in pieces)
     _lap(stats, "scan_s", t)
     return _joined([hit for hit, *_ in pieces]), _joined([vals for _, vals, *_ in pieces])
 
 
 def _scan_rows(
     index, qtab: np.ndarray, idx: np.ndarray, eval_len: int, eps: int,
-) -> tuple[np.ndarray, np.ndarray, int, int]:
-    """``_scan_spans`` on the rows ``idx``: their hits, values, the
-    residues the sequential scan reads on them and their keys, the rows
-    whose first ``w`` letters differ from their predecessor's.
+) -> tuple[np.ndarray, np.ndarray, int, int, int]:
+    """``_scan_spans`` on the key rows ``idx``: the frag rows of their
+    hits, in row order, their values, their frag rows' count, the residues
+    the sequential scan reads on those rows and their keys, those whose
+    first ``w`` letters differ from their predecessor's.
 
-    Rows are evaluated one per run of equal keys over the first ``w``
-    positions (``w`` the query length capped at the row length).  A run
-    starts at a row whose lcp with its predecessor is below ``w``, and at
-    the first row of ``idx``, which may lie inside a run when the rows are
-    cut into pieces.  Every row of a run has the letters of its first row,
-    so the same value and reach; every row but the last shares ``w``
-    positions with its successor, so only the last row's checkpoint can
-    lie below ``w``.  The runs' first rows are gathered once, as one row
-    per position.  Position by position, each run's table value is added
-    to its running sum, kept per position as ``cum[j]``, the run's value
-    over its first ``j`` positions; the checkpoint, at which the
-    sequential scan rejects a row early, is the running sum at the prefix
-    the run's last row shares with its successor, read with one gather.
-    Tables are non-negative, so a run's rows hit all together or not at
-    all, and its hits expand to its rows in row order.  The residues the
-    sequential scan reads follow from the lcp alone, plus the positions
-    past the checkpoint of each accepted last row.
-
-    When the runs are too many for gathering by run to pay (more than
-    ``_RUN_SHARE`` of the rows past the first ``_RUN_FIXED``), or the
-    query is longer than the rows, every row is its own run: the run
-    arrays are the row arrays, and the gathers by run are skipped.  A
-    longer query, which only ``process_bin`` scans (``range_search`` cuts
-    it into parts), accepts a row only if its window is clean over the
-    whole query (``clean_runs``) and reads the rest from the codes.  The
-    lcp stays uint8, as stored, widened to int64 only to index the
-    checkpoints and to count the positions past them.
+    Each key, a run of frag rows with equal letters, is evaluated once
+    over its first ``w`` positions (``w`` the query length capped at the
+    row length).  Its first row's lcp ``lo`` is below ``m``; every later
+    row shares ``m`` positions with its predecessor and its successor, and
+    its last row shares ``ln``, the next key's ``lo``, with its successor.
+    The sequential scan reads ``max(ln' - lo, 0)`` residues of a key's
+    rows up to their checkpoints, ``ln'`` being ``w`` for a key of more
+    than one row and ``ln`` for one row (each capped at ``w``): the key's
+    ``key_gain``, capped at ``w - lo`` when ``w < m``.  Only the last
+    row's checkpoint can lie below ``w``.  A key's rows are counted from
+    ``key_sizes``, and from ``key_starts`` past 255.  The keys' letters are
+    gathered once, as one row per position.  Position by position, each
+    key's table value is added to its running sum, kept per position as
+    ``cum[j]``, the key's value over its first ``j`` positions; the
+    checkpoint, at which the sequential scan rejects a row early, is the
+    running sum at ``ln``, read with one gather.  An accepted last row
+    reads ``eval_len - ln`` more residues.  Tables are non-negative, so a
+    key's rows hit all together or not at all, and a hit key expands to
+    its frag rows.  A query longer than the rows, which only
+    ``process_bin`` scans (``range_search`` cuts it into parts), has its
+    keys expanded to their frag rows before the checkpoints instead: a
+    row is accepted only if its window is clean over the whole query
+    (``clean_runs``), and the rest is read from the codes.  The lcp stays
+    uint8, as stored, widened to int64 only to index the checkpoints and
+    to count the positions past them.
     """
     n = idx.size
     if n == 0:
-        return idx, np.zeros(0, dtype=np.int64), 0, 0
+        return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64), 0, 0, 0
     m = index.letters.shape[1]
     w = min(eval_len, m)  # positions resolvable from stored letters
+    sizes = index.key_sizes.take(idx)
+    fragments = int(sizes.sum(dtype=np.int64))
+    if sizes.max() == 255:  # keys of 255 rows or more: their rows from the starts
+        first, end = _key_rows(index, idx.compress(sizes == 255))
+        fragments += int((end - first - 255).sum())
 
-    # lcp <= m, so capping it at w caps it at the query length
-    lcp_own, lcp_next = index.lcp.take(idx), index.lcp[1:].take(idx)
-    np.minimum(lcp_own, w, out=lcp_own)
-    np.minimum(lcp_next, w, out=lcp_next)
-    below = np.minimum(lcp_next, lcp_own)  # the residues are sum(max(lcp_next - lcp_own, 0))
-    residues = int(lcp_next.sum(dtype=np.int64) - below.sum(dtype=np.int64))
-    starts = np.empty(n + 1, dtype=bool)  # and the end of the last run
-    np.less(lcp_own, w, out=starts[:n])
-    keys = int(np.count_nonzero(starts[:n]))
-    if eval_len > m or keys + (not starts[0]) > _RUN_SHARE * (n - _RUN_FIXED):
-        first = ends = None
-        run_idx, run_next = idx, lcp_next
-    else:
-        starts[0] = starts[n] = True
-        bounds = np.flatnonzero(starts)
-        first, ends = bounds[:-1], bounds[1:]
-        run_idx, run_next = idx.take(first), lcp_next.take(ends - 1)
-    runs = run_idx.size
-    rows = np.take(index.letters, run_idx, axis=0).T.copy()
-    cum = np.empty((w + 1, runs), dtype=np.int64)
+    ln, gain = index.key_lcp[1:].take(idx), index.key_gain.take(idx)
+    keys = n  # every lo is below m
+    if w < m:  # lcp <= m, so capping it at w caps it at the query length
+        lo = index.key_lcp.take(idx)
+        keys = int(np.count_nonzero(lo < w))
+        np.minimum(ln, w, out=ln)
+        # max(min(ln', w) - min(lo, w), 0) is the gain capped at w - min(lo, w)
+        np.minimum(gain, w - np.minimum(lo, w, out=lo), out=gain)
+    residues = int(gain.sum(dtype=np.int64))
+    rows = np.take(index.letters, idx, axis=0).T.copy()
+    cum = np.empty((w + 1, n), dtype=np.int64)
     cum[0] = 0
     for j in range(w):
         np.add(cum[j], qtab[j].take(rows[j]), out=cum[j + 1])
-    checkpoint = cum.ravel().take(run_next.astype(np.int64) * runs + np.arange(runs)) <= eps
     reach = rows[w - 1] < len(index.dataset.alphabet)  # the key reaches w
+    if eval_len > m:
+        hit, vals, more = _scan_long(index, qtab, idx, cum, reach, eval_len, eps)
+        return hit, vals, fragments, residues + more, keys
 
-    accepted = checkpoint & reach
+    checkpoint = np.multiply(ln, n, dtype=np.int64)
+    checkpoint += np.arange(n)
+    accepted = reach & (cum.ravel().take(checkpoint) <= eps)
+    residues += int((eval_len - ln[accepted].astype(np.int64)).sum())
     vals = cum[w]
-    if eval_len > m:  # only process_bin: the rest of each clean window, from its sequence
-        ds = index.dataset
-        pos = ds.starts.take(index.sids.take(idx)) + index.offs.take(idx)
-        accepted &= ds.clean_runs.take(pos) >= eval_len
-        vals[accepted] += _window_values(ds.codes, qtab, pos[accepted], m, eval_len)
     hit = np.flatnonzero(accepted & (vals <= eps))
-    vals = vals.take(hit)
-    if first is not None and hit.size:  # each hit run's rows, in row order
-        lo, hi = first.take(hit), ends.take(hit)
-        vals, hit = np.repeat(vals, hi - lo), _multi_arange(lo, hi)
-    residues += int((eval_len - run_next[accepted].astype(np.int64)).sum())
-    return idx[hit], vals, residues, keys
+    first, end = _key_rows(index, idx.take(hit))
+    hits = _multi_arange(first, end), np.repeat(vals.take(hit), end - first)
+    return *hits, fragments, residues, keys
+
+
+def _key_rows(index, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The first frag row of each key row ``idx`` and the row past its last."""
+    starts = index.key_starts
+    return starts.take(idx).astype(np.int64), starts[1:].take(idx).astype(np.int64)
+
+
+def _scan_long(
+    index, qtab: np.ndarray, idx: np.ndarray, cum: np.ndarray, reach: np.ndarray,
+    eval_len: int, eps: int,
+) -> tuple[np.ndarray, np.ndarray, int]:
+    """``_scan_rows``' end for a query longer than the rows: each frag row
+    of the keys ``idx``, with its key's running sums ``cum`` and ``reach``,
+    checked at its own checkpoint and, if its window is clean over the
+    whole query, evaluated on the positions past the rows.  Returns the
+    hit rows, their values and the residues past the checkpoints."""
+    m = index.letters.shape[1]
+    first, end = _key_rows(index, idx)
+    row = _multi_arange(first, end)
+    key = np.repeat(np.arange(idx.size), end - first)
+    nxt = np.minimum(index.lcp[1:].take(row), m).astype(np.int64)
+    ds = index.dataset
+    pos = ds.starts.take(index.sids.take(row)) + index.offs.take(row)
+    accepted = reach.take(key) & (cum.ravel().take(nxt * idx.size + key) <= eps)
+    accepted &= ds.clean_runs.take(pos) >= eval_len
+    vals = cum[m].take(key)
+    vals[accepted] += _window_values(ds.codes, qtab, pos[accepted], m, eval_len)
+    hit = np.flatnonzero(accepted & (vals <= eps))
+    return row.take(hit), vals.take(hit), int((eval_len - nxt[accepted]).sum())
 
 
 def _window_values(codes, tables: np.ndarray, pos: np.ndarray, lo: int, hi: int) -> np.ndarray:
@@ -531,11 +545,11 @@ def _scan_blocks(
     stats: SearchStats,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Scan the bins of the rank blocks ``[r, r + width)``, one per rank
-    ``r``: each block is one contiguous frag-array span.  Counts the
+    ``r``: each block is one contiguous span of key rows.  Counts the
     blocks' non-empty bins, a difference of two ranks over the occupancy
-    bits, and returns the hits as ``_scan_spans`` does.  A block of one
-    bin is kept only if its last-level bit is set, and then spans exactly
-    the next bin.  The ranks are turned into the spans' rows in pieces
+    bits, and returns the hits as ``_scan_spans`` does.  A block of one bin is kept
+    only if its last-level bit is set, and then spans exactly the next
+    bin.  The ranks are turned into the spans' key rows in pieces
     (``_split``), joined in rank order."""
     t = time.perf_counter()
 
@@ -552,7 +566,7 @@ def _scan_blocks(
 
     pieces = _split(ranks.size, spans)
     stats.bins_scanned += sum(bins for _, bins in pieces)
-    idx = _joined([rows for rows, _ in pieces])
+    idx = _joined([keys for keys, _ in pieces])
     _lap(stats, "spans_s", t)
     return _scan_spans(index, q, idx, eps, stats)
 

@@ -116,27 +116,37 @@ def random_query(rng, alphabet: fx.Alphabet, m: int, kind: str,
     return fx.pssm_query(table, alphabet)
 
 
+def row_letters(index) -> np.ndarray:
+    """(n, m) letters of every frag row of an ``FSIndex`` or ``FlatIndex``,
+    expanded along the lcp: a row whose lcp is ``m`` repeats its
+    predecessor's letters, and every other row has its own key row."""
+    m = index.letters.shape[1]
+    return index.letters[np.cumsum(index.lcp[:-1] < m) - 1]
+
+
 def reference_span_scan(index: fx.FSIndex, lo: int, hi: int,
                         q: fx.NormalizedQuery, eps: int) -> tuple[list, int]:
     """Literal sequential transcription of the bin-scan procedure.
 
     Returns (hits as (frag_row, value), residues evaluated).  Used as the
-    cost-model oracle for the vectorized scanner.  A query longer than
-    the rows reads positions past them from the dataset's codes; a row
-    whose occurrence has no full window of clean letters is skipped after
-    the checkpoint.
+    cost-model oracle for the vectorized scanner.  It walks the frag rows
+    ``lo`` to ``hi`` with their letters expanded (``row_letters``).  A
+    query longer than the rows reads positions past them from the
+    dataset's codes; a row whose occurrence has no full window of clean
+    letters is skipped after the checkpoint.
     """
     m_eval = q.m
     qt = q.base.tables
     ds = index.dataset
     m = index.letters.shape[1]
+    letters = row_letters(index)
     cd = [0] * (m_eval + 1)
     hits = []
     residues = 0
     for i in range(lo, hi):
         lcp_own = min(int(index.lcp[i]), m_eval)
         lcp_next = min(int(index.lcp[i + 1]), m_eval)
-        row = index.letters[i]
+        row = letters[i]
         for j in range(lcp_own, lcp_next):
             cd[j + 1] = cd[j] + int(qt[j, row[j]])
             residues += 1

@@ -50,6 +50,7 @@ class TestBuildCommand:
         manifest = json.loads(capsys.readouterr().out)
         # windows: 11 + 11 + 0 (s3 too short)
         assert manifest["fragments"] == 22
+        assert manifest["keys"] == 22  # no window repeats
         assert manifest["records"] == 3
         assert manifest["bins"] == 6 ** 6
 
@@ -258,7 +259,8 @@ class TestStatsCommand:
     def test_header_report(self, workdir, capsys):
         assert main(["stats", "--index", str(workdir / "db.fsi")]) == 0
         doc = json.loads(capsys.readouterr().out)
-        assert doc["fragments"] == 22
+        assert doc["fragments"] == doc["keys"] == 22
+        assert doc["version"] == 3
         assert doc["alphabet"] == "ARNDCQEGHILKMFPSTWYV"
         assert doc["partition"].count(";") == 5
 

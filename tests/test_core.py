@@ -66,6 +66,29 @@ class TestBuild:
     def test_full_cube_fills_every_bin_evenly(self, toy_index):
         assert [toy_index.bin_size(u) for u in range(8)] == [8] * 8
 
+    def test_no_repeats_store_a_key_per_fragment(self, toy_index, tmp_path):
+        # every fragment of the cube once: each row is a key of its own
+        assert toy_index.n_keys == toy_index.n == 64
+        assert toy_index.letters.shape == (64, 3)
+        assert toy_index.key_starts.tolist() == list(range(65))
+        assert toy_index.key_sizes.tolist() == [1] * 64
+        assert toy_index.bins.tolist() == list(range(0, 65, 8))
+        toy_index.save(tmp_path / "c.fsi")
+        assert fx.core.read_index_header(tmp_path / "c.fsi")["keys"] == 64
+
+    def test_repeats_store_one_key(self, toy_alpha, toy_scheme):
+        db = fx.SequenceDB(records=(("r", "aaaaa"), ("s", "aaab")))
+        index = fx.build(fx.extract_fragments(db, 3, alphabet=toy_alpha), toy_scheme)
+        index.audit()
+        # aaa four times, then aab in another bin
+        assert index.n == 5 and index.n_keys == 2
+        assert index.letters.tolist() == [[0, 0, 0], [0, 0, 1]]
+        assert index.key_starts.tolist() == [0, 4, 5]
+        assert index.key_sizes.tolist() == [4, 1]
+        assert index.key_lcp.tolist() == [0, 0, 0] and index.key_gain.tolist() == [3, 0]
+        assert index.bins.tolist() == [0, 1, 2]
+        assert [index.bin_slice(u) for u in (0, 1)] == [(0, 4), (4, 5)]
+
     def test_duplicates_share_full_prefix(self, toy_alpha, toy_scheme):
         db = fx.SequenceDB(records=(("r", "aaaa"),))
         ds = fx.extract_fragments(db, 3, alphabet=toy_alpha)
@@ -313,6 +336,65 @@ class TestSerialization:
         with pytest.raises(fx.IndexFormatError, match="version"):
             fx.core.read_index_header(p)
 
+    def test_format_2_rejected_with_a_rebuild_hint(self, toy_index, tmp_path):
+        p = tmp_path / "v2.fsi"
+        toy_index.save(p)
+        blob = bytearray(p.read_bytes())
+        blob[4:8] = (2).to_bytes(4, "little")
+        p.write_bytes(bytes(blob))
+        with pytest.raises(fx.IndexFormatError, match=r"version 2 .*rebuild"):
+            fx.load(p, toy_index.dataset.db)
+        with pytest.raises(fx.IndexFormatError, match=r"version 2 .*rebuild"):
+            fx.core.read_index_header(p)
+
+    @staticmethod
+    def repeated(toy_alpha, toy_scheme, path):
+        """A saved index of 6 fragments and 2 keys ("aba", "bab"), the file's
+        bytes and where its key count and bins lie in them."""
+        db = fx.SequenceDB(records=(("r", "abababab"),))
+        index = fx.build(fx.extract_fragments(db, 3, alphabet=toy_alpha), toy_scheme)
+        assert (index.n, index.n_keys) == (6, 2)
+        index.save(path)
+        head = (fx.core._HEADER.size + len(toy_alpha.letters.encode())
+                + len(toy_scheme.spec_string.encode()))
+        bins = head + -head % 8 + index.occupancy.nbytes
+        return index, bytearray(path.read_bytes()), bins
+
+    @pytest.mark.parametrize("keys, extra, match", [
+        (3, 3, "key count 3 differs from the 2"),  # a third key row appended
+        (1, 0, "letters block of 6 bytes is not 1 keys"),
+        (2, 3, "letters block of 9 bytes is not 2 keys"),
+    ])
+    def test_key_count_checked(self, toy_alpha, toy_scheme, tmp_path, keys, extra, match):
+        p = tmp_path / "k.fsi"
+        index, blob, _ = self.repeated(toy_alpha, toy_scheme, p)
+        blob[20:28] = keys.to_bytes(8, "little")  # after magic, version, m and n
+        p.write_bytes(bytes(blob) + bytes(extra))
+        with pytest.raises(fx.IndexFormatError, match=match):
+            fx.load(p, index.dataset.db)
+
+    @pytest.mark.parametrize("row, value", [(2, 6), (2, 3), (0, 1)])
+    def test_bins_must_rise_to_the_key_count(self, toy_alpha, toy_scheme, tmp_path, row, value):
+        # bins [0, 1, 2]: the fragment count 6 or a count past the keys in
+        # the last entry, or a first entry above 0
+        p = tmp_path / "b.fsi"
+        index, blob, at = self.repeated(toy_alpha, toy_scheme, p)
+        assert index.bins.tolist() == [0, 1, 2]
+        blob[at + 4 * row: at + 4 * row + 4] = value.to_bytes(4, "little")
+        p.write_bytes(bytes(blob))
+        with pytest.raises(fx.IndexFormatError, match="not increasing from 0 to the key count"):
+            fx.load(p, index.dataset.db)
+
+    @pytest.mark.parametrize("row", [0, 6])
+    def test_lcp_zero_at_both_ends(self, toy_alpha, toy_scheme, tmp_path, row):
+        p = tmp_path / "l.fsi"
+        index, blob, _ = self.repeated(toy_alpha, toy_scheme, p)
+        at = len(blob) - index.letters.nbytes - index.lcp.nbytes
+        blob[at + row] = 1
+        p.write_bytes(bytes(blob))
+        with pytest.raises(fx.IndexFormatError, match="shared prefix before the first"):
+            fx.load(p, index.dataset.db)
+
     def test_other_sequence_set_rejected(self, tmp_path):
         # A and S share a cluster, so both sets fill the same bins with
         # the same counts; only the digest of the sequences tells them apart
@@ -361,6 +443,7 @@ class TestSerialization:
         size = toy_index.save(p)
         info = fx.core.read_index_header(p)
         assert info["fragments"] == 64
+        assert info["keys"] == 64
         assert info["bins"] == 8
         assert info["empty_bins"] == 0
         assert info["largest_bin"] == 8

@@ -13,9 +13,12 @@ prune the nodes a recursive walk of the implicit tree does.  A saved
 index must load back to the same file, bins and answers.  The build's
 sorted run, on random alphabets of up to 255 letters and keys of more
 than 64 bits, must equal Python's ``sorted``, and the radix sort under it
-a stable sort of its key words (``np.lexsort``).
+a stable sort of its key words (``np.lexsort``).  On datasets of repeated
+sequences, the letters stored once per key must expand along the lcp to
+the sorted run's letters, with no repeated key row within a bin.
 """
 
+import dataclasses
 import os
 import tempfile
 from unittest import mock
@@ -26,7 +29,7 @@ from hypothesis import given, settings, strategies as st
 
 import fsindex as fx
 from fsindex import core, search
-from conftest import reference_span_scan, split_small
+from conftest import reference_span_scan, row_letters, split_small
 
 ALPHA = fx.Alphabet("abcdefg")
 MAX_M = 4  # the longest fragments drawn
@@ -454,7 +457,7 @@ def test_build_and_flat_run_match_sorted(case):
     assert index.sids.tolist() == ds.sids[order].tolist()
     assert index.offs.tolist() == ds.offs[order].tolist()
     assert index.lcp.tolist() == lcp
-    assert index.bins.tolist() == first + [ds.n]
+    assert index.key_starts[index.bins].tolist() == first + [ds.n]
     for j, w in enumerate(scheme.radix_weights.tolist()):
         blocks = np.arange(scheme.n_bins // w)
         assert index.occupied(j, blocks).tolist() == np.isin(blocks, ranks // w).tolist()
@@ -497,3 +500,57 @@ def test_radix_order_is_a_stable_sort(keys):
     assert order.tolist() == want
     with mock.patch.object(core, "_KEY_ROWS", 3):  # the places added in many pieces
         assert core._sorted_order(keys).tolist() == want
+
+
+@st.composite
+def repeat_cases(draw):
+    """Sequences drawn each 1 to 4 times, some copies with a point
+    mutation or an invalid letter, so that keys repeat; fragments of up to
+    12 letters in fixed or suffix mode at a random floor, and 2 or 3
+    clusters per position."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    m = draw(st.integers(1, 12))
+    letters = np.array(list(ALPHA.letters + "x"))
+    seqs = []
+    for _ in range(draw(st.integers(1, 4))):
+        pool = letters[:int(rng.integers(2, len(ALPHA) + 1))]
+        base = rng.choice(pool, int(rng.integers(1, 3 * m + 6)))
+        for _ in range(int(rng.integers(1, 5))):
+            seq = base.copy()
+            if rng.integers(3) == 0:
+                seq[rng.integers(seq.size)] = rng.choice(letters)
+            seqs.append("".join(seq))
+    db = fx.SequenceDB(records=tuple((f"s{i}", s) for i, s in enumerate(seqs)))
+    specs = []
+    for _ in range(m):
+        order = rng.permutation(list(ALPHA.letters))
+        cuts = np.sort(rng.choice(np.arange(1, len(ALPHA)), int(rng.integers(1, 3)), replace=False))
+        specs.append(",".join("".join(order[a:b]) for a, b in zip([0, *cuts], [*cuts, len(ALPHA)])))
+    scheme = fx.parse_partition(";".join(specs), ALPHA, m)
+    suffix_mode = draw(st.booleans())
+    floor = draw(st.integers(1, m)) if suffix_mode else 1
+    return fx.extract_fragments(db, m, alphabet=ALPHA, suffix_mode=suffix_mode, floor=floor), scheme
+
+
+@SETTINGS
+@given(case=repeat_cases())
+def test_key_rows_expand_to_the_sorted_letters(case):
+    ds, scheme = case
+    index, flat = fx.build(ds, scheme), fx.flat_build(ds)
+    index.audit()
+    for run in (index, flat):
+        want = dataclasses.replace(ds, sids=run.sids, offs=run.offs).letter_matrix()
+        assert np.array_equal(row_letters(run), want)
+        assert np.array_equal(run.key_starts[:-1], np.flatnonzero(run.lcp[:-1] < ds.m))
+    # one key per distinct full-length key; a short suffix is a key of its own
+    texts = [ds.fragment_text(int(s), int(o), ds.m) for s, o in zip(ds.sids, ds.offs)]
+    full = {t for t in texts if len(t) == ds.m}
+    assert index.n_keys == flat.key_starts.size - 1 == len(full) + len(texts) - sum(
+        len(t) == ds.m for t in texts
+    )
+    # no two adjacent key rows of a bin are equal
+    bin_of_key = np.repeat(np.arange(index.bins.size - 1), np.diff(index.bins.astype(np.int64)))
+    same_bin = bin_of_key[1:] == bin_of_key[:-1]
+    full_rows = (index.letters[1:] < len(ALPHA)).all(axis=1)
+    repeated = (index.letters[1:] == index.letters[:-1]).all(axis=1)
+    assert not (repeated & same_bin & full_rows).any()

@@ -67,8 +67,8 @@ def suffix(db, blosum):
 
 @pytest.fixture(scope="module")
 def redundant(db, blosum):
-    """Every sequence of ``db`` two or three times, so that runs of equal
-    keys span several rows and the scan's pieces cut them."""
+    """Every sequence of ``db`` two or three times, so that keys span
+    several rows and the scan's pieces end on such keys."""
     copies = fx.SequenceDB(records=tuple(
         (f"{name}c{c}", seq) for i, (name, seq) in enumerate(db.records) for c in range(3 - i % 2)
     ))
@@ -157,14 +157,12 @@ def test_redundant_rows_cut_inside_runs(kind, text, which, blosum, redundant, mo
         "knn": lambda: fx.knn_search(index, q, 100),
         "flat": lambda: fx.flat_search(flat, q, eps),
     }[kind]
-    # pieces of a few rows are evaluated by run too
-    monkeypatch.setattr(search, "_RUN_FIXED", 0)
-    starts = []  # (first row, positions compared) of each kernel call
+    starts = []  # the first key of each kernel call
     kernel = search._scan_rows
 
     def spy(index_, qtab, idx, eval_len, eps_):
         if idx.size:
-            starts.append((int(idx[0]), min(eval_len, index.m)))
+            starts.append(int(idx[0]))
         return kernel(index_, qtab, idx, eval_len, eps_)
 
     monkeypatch.setattr(search, "_scan_rows", spy)
@@ -172,8 +170,10 @@ def test_redundant_rows_cut_inside_runs(kind, text, which, blosum, redundant, mo
     assert len(hits) > 0
     assert list(same_hits) == list(hits)
     assert counters(same) == counters(stats)
-    assert stats.keys_scanned < search._RUN_SHARE * stats.fragments_scanned  # evaluated by run
-    assert any(index.lcp[row] >= w for row, w in starts)  # a piece began inside a run
+    assert stats.keys_scanned < 0.75 * stats.fragments_scanned  # one evaluation per key
+    scanned = flat if kind == "flat" else index
+    sizes = np.diff(scanned.key_starts.astype(np.int64))
+    assert any(k and sizes[k - 1] > 1 for k in starts)  # a piece began after a key of several rows
 
 
 def test_piece_count_rule(monkeypatch):
