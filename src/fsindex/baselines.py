@@ -23,10 +23,10 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .alphabet import ScoreMatrix, check_quasi_metric, distance_from_score
-from .ingest import FragmentDataset
+from .ingest import FragmentDataset, seq_refs
 from .query import NormalizedQuery, QueryFunction
 from .search import HitList, SearchStats, _finish, _scan_spans
-from .core import _sorted_run
+from .core import KeyRows, _sorted_run
 
 
 def _evaluate(ds: FragmentDataset, tables: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -42,8 +42,9 @@ def _evaluate(ds: FragmentDataset, tables: np.ndarray) -> tuple[np.ndarray, np.n
     if width > ds.m and not ds.suffix_mode:
         raise ValueError("query longer than fixed-mode fragments")
     padded = np.concatenate([ds.codes, np.full(width, pad, dtype=np.uint8)])
-    windows = sliding_window_view(padded, width)[ds.starts[ds.sids] + ds.offs]
-    inside = ds.seq_lengths[ds.sids] - ds.offs >= width
+    windows = sliding_window_view(padded, width)[ds.pos]
+    sids, offs = seq_refs(ds.starts, ds.pos)
+    inside = ds.seq_lengths.take(sids) - offs >= width
     rows = np.flatnonzero(inside & (windows < pad).all(axis=1))
     return rows, tables[np.arange(width), windows[rows]].sum(axis=1)
 
@@ -52,7 +53,7 @@ def linear_scan_range(ds: FragmentDataset, q: QueryFunction, radius: int) -> Hit
     """Exhaustive oracle: full evaluation of every occurrence."""
     rows, vals = _evaluate(ds, q.tables)
     keep = vals <= radius
-    return HitList(ds.sids[rows[keep]], ds.offs[rows[keep]], vals[keep])
+    return HitList(ds.pos.take(rows[keep]), vals[keep], ds.starts)
 
 
 def linear_scan_knn(ds: FragmentDataset, q: QueryFunction, k: int) -> HitList:
@@ -60,31 +61,22 @@ def linear_scan_knn(ds: FragmentDataset, q: QueryFunction, k: int) -> HitList:
     if k < 1:
         raise ValueError("k must be >= 1")
     rows, vals = _evaluate(ds, q.tables)
-    return HitList(ds.sids[rows], ds.offs[rows], vals).sorted_by_value(k)
+    return HitList(ds.pos.take(rows), vals, ds.starts).sorted_by_value(k)
 
 
 @dataclass(frozen=True)
-class FlatIndex:
+class FlatIndex(KeyRows):
     """All fragments in one lexicographic run, in the index's row layout."""
 
-    dataset: FragmentDataset  # its fragments in sorted order: the sids and offs below
-    sids: np.ndarray     # (n,) uint32, sorted order
-    offs: np.ndarray     # (n,) uint32, sorted order
-    letters: np.ndarray  # (keys, m) codes of the key rows in sorted order
-    lcp: np.ndarray      # (n+1,) uint8
-    key_starts: np.ndarray  # (keys + 1,) uint32, the key rows then n (``core._keys``)
-    key_lcp: np.ndarray     # (keys + 1,) uint8
-    key_gain: np.ndarray    # (keys,) uint8
-    key_sizes: np.ndarray   # (keys,) uint8
-
-    @property
-    def n(self) -> int:
-        return int(self.sids.size)
+    dataset: FragmentDataset  # its fragments in sorted order
+    lcp: np.ndarray         # (n+1,) uint8
+    records: np.ndarray     # (keys, m + 4) uint8 records of the key rows in sorted order
+    key_starts: np.ndarray  # (keys + 1,) uint32, the key rows then n
 
 
 def flat_build(ds: FragmentDataset) -> FlatIndex:
-    run, keys, letters, lcp, _, _ = _sorted_run(ds)
-    return FlatIndex(dataset=run, sids=run.sids, offs=run.offs, letters=letters, lcp=lcp, **keys)
+    run, starts, records, lcp, _, _ = _sorted_run(ds)
+    return FlatIndex(dataset=run, lcp=lcp, records=records, key_starts=starts)
 
 
 def flat_search(
@@ -153,4 +145,4 @@ def fibre_range_query(
     rows, rho2 = _evaluate(ds, (d.values + d.values.T)[codes])
     keep = rho2 <= 2 * radius + (part.weights - w_omega)
     rows = rows[keep]
-    return HitList(ds.sids[rows], ds.offs[rows], (rho2 + w_omega - part.weights)[keep] // 2)
+    return HitList(ds.pos.take(rows), (rho2 + w_omega - part.weights)[keep] // 2, ds.starts)

@@ -10,9 +10,14 @@ from __future__ import annotations
 
 import json
 import math
+import os
+import platform
 import statistics
+import sys
 import time
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from .alphabet import DistanceMatrix
 from .baselines import flat_build, flat_search, linear_scan_knn, linear_scan_range
@@ -58,12 +63,28 @@ class BenchRow:
         return self.knn.bins_scanned / self.rng.bins_scanned
 
 
+def environment() -> dict:
+    """What a run's times depend on beside the code: the versions, the
+    CPUs, and whether imports write bytecode (if not, every process
+    compiles the package)."""
+    from . import __version__
+
+    return {
+        "fsindex": __version__,
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "cpu_count": os.cpu_count(),
+        "dont_write_bytecode": sys.dont_write_bytecode,
+    }
+
+
 @dataclass
 class BenchReport:
     m: int
     rows: list[BenchRow] = field(default_factory=list)
     oracle_checked: bool = False
     elapsed: float = 0.0
+    file_bytes: int | None = None  # the index file's, when read from one
 
     def aggregates(self) -> dict:
         rows = self.rows
@@ -86,6 +107,8 @@ class BenchReport:
             "fragment_length": self.m,
             "oracle_checked": self.oracle_checked,
             "elapsed_s": self.elapsed,
+            "environment": environment(),
+            "file_bytes": self.file_bytes,
             "radius": dist([r.radius for r in rows]),
             "hits": dist([r.hits for r in rows]),
             "bins_scanned": dist([r.rng.bins_scanned for r in rows]),
@@ -183,14 +206,14 @@ def run_bench(
             )
             if check_oracle:
                 expect = linear_scan_range(index.dataset, f, row.radius)
-                got = HitList(hits.sids, hits.offs, hits.vals + q.shift)
+                got = HitList(hits.pos, hits.vals + q.shift, hits.starts)
                 if got.as_multiset() != expect.as_multiset():
                     raise OracleMismatch(
                         f"query {fragment!r} k={k}: index returned {len(got)} hits, "
                         f"scan returned {len(expect)} (or values differ)"
                     )
                 if k is not None:
-                    got = HitList(khits.sids, khits.offs, khits.vals + q.shift)
+                    got = HitList(khits.pos, khits.vals + q.shift, khits.starts)
                     if got.triples() != linear_scan_knn(index.dataset, f, k).triples():
                         raise OracleMismatch(
                             f"query {fragment!r} k={k}: k-NN hits or their order "

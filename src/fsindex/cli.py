@@ -94,12 +94,15 @@ def cmd_build(args) -> int:
 
 
 def _open_index(args):
-    """The index and the wall times (ms) of its cold phases: FASTA parse, load."""
+    """The index and the wall times (ms) of its cold phases: FASTA parse,
+    load, then load's own phases, each within "load" (``core.load``)."""
     start = time.perf_counter()
     db = _read_fasta(args.fasta)
     parsed = time.perf_counter()
-    index = load(args.index, db)
-    return index, {"parse": 1e3 * (parsed - start), "load": 1e3 * (time.perf_counter() - parsed)}
+    load_phases: dict = {}
+    index = load(args.index, db, load_phases)
+    phases = {"parse": 1e3 * (parsed - start), "load": 1e3 * (time.perf_counter() - parsed)}
+    return index, phases | {f"load.{name}": ms for name, ms in load_phases.items()}
 
 
 def _spot_audit(index, hits, f, shift: int, sample: int = 5) -> None:
@@ -217,6 +220,7 @@ def cmd_bench(args) -> int:
     except OracleMismatch as exc:
         print(f"oracle mismatch: {exc}", file=sys.stderr)
         return 2
+    report.file_bytes = os.path.getsize(args.index)
     _emit("\n".join(report.tsv_lines()), args.out)
     _emit(report.to_json(), args.out + ".json" if args.out else None)
     return 0

@@ -1,4 +1,4 @@
-"""The fragment index: occupancy bits and per-bin sorted fragment references.
+"""The fragment index: occupancy bits and per-bin sorted fragment positions.
 
 Construction, ``_sorted_run``, which the flat baseline shares, sorts one
 packed unsigned key per fragment.  The key holds the bin rank's bits,
@@ -16,11 +16,13 @@ start where the rank field changes, and a fragment's lcp is the first
 ordinal field in which its key differs from its predecessor's, capped at
 its key length.  A row whose lcp is ``m`` repeats its predecessor's
 letters (an lcp of a sorted run marks every duplicate, as a suffix
-array's does), so the letters are gathered once per distinct key, in
-sorted order.  ``build`` reports the time of each of these phases if
-asked.  The arrays that result:
+array's does), so each distinct key is stored once, in sorted order.
+``build`` reports the time of each of these phases if asked.  The arrays
+that result:
 
-* ``frag`` - fragment references ordered by (bin rank, fragment letters);
+* ``pos`` - each fragment's code position (the dataset's), ordered by
+  (bin rank, fragment letters), as a suffix array orders text positions:
+  uint32 up to 2^32 codes, uint64 above (``ingest.POS_LIMIT``);
 * ``occupancy`` - per position ``j``, 64-bit words with a bit per aligned
   block of ``radix_weights[j]`` ranks, set when the block holds a
   fragment: the last level has a bit per bin;
@@ -29,15 +31,18 @@ asked.  The arrays that result:
 * ``lcp``  - n+1 shared-prefix lengths between neighbouring fragments,
   forced to 0 at every bin's first slot and after the last fragment, so
   a bin scan never reuses state it did not compute;
-* ``letters`` - the first ``m`` letter codes of each key row, a fragment
-  whose lcp is below ``m``, in frag order; a key shorter than ``m`` ends
-  where its pad codes (``len(alphabet)``) start.  A fragment's letters
-  are those of the last key row at or before it.
+* ``records`` - one (m + 4)-byte record per key row, a fragment whose
+  lcp is below ``m``, in frag order: the key's first ``m`` letter codes
+  (a key shorter than ``m`` ends where its pad codes, ``len(alphabet)``,
+  start), its lcp, the next key's lcp, by how much the lcp of the row
+  after its first exceeds its own (its gain: ``m - lcp`` on a key of
+  more rows) and its row count, capped at the pad code.  So every byte
+  of a record is at most the pad code when ``m`` is, and one ``max`` over
+  the block checks the letters.  A fragment's letters are those of the
+  last key row at or before it.
 
-The keys' first rows (``key_starts``), their lcp (``key_lcp``), what the
-lcp of the row after each adds to it (``key_gain``) and their row counts
-(``key_sizes``) are not stored: ``build`` and ``load`` derive them from
-the lcp, 7 bytes per key (``_keys``).
+The keys' first rows (``key_starts``) are not stored: ``build`` and
+``load`` derive them from the lcp (``_key_starts``).
 
 The index is immutable after construction and safe to share across
 concurrent searches.  ``save`` writes these arrays after a header;
@@ -56,7 +61,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .alphabet import Alphabet, PartitionScheme, parse_partition
-from .ingest import FragmentDataset, SequenceDB, encode_db
+from .ingest import FragmentDataset, SequenceDB, encode_db, seq_refs
 
 try:  # hashlib would also load OpenSSL's _hashlib, 3-4 ms of every cold search
     from _blake2 import blake2b
@@ -64,13 +69,16 @@ except ImportError:  # interpreters built without it
     from hashlib import blake2b
 
 MAGIC = b"FSIX"
-FORMAT_VERSION = 3
+FORMAT_VERSION = 4
 # magic, version, m, n, keys, bins, non-empty bins, largest bin, alphabet
-# and partition text bytes, suffix flag, digest of the encoded sequence set
-_HEADER = struct.Struct("<4sIIQQQQQIIB32s")
-# the arrays after the header, in file order; the first starts 8-byte aligned
-_ARRAYS = (("occupancy", "<u8"), ("bins", "<u4"), ("sids", "<u4"), ("offs", "<u4"),
-           ("lcp", "<u1"), ("letters", "<u1"))
+# and partition text bytes, suffix flag, bytes per position, digest of the
+# encoded sequence set
+_HEADER = struct.Struct("<4sIIQQQQQIIBB32s")
+# the arrays after the header, in file order, the first 8-byte aligned;
+# positions take the header's width
+_ARRAYS = (("occupancy", "<u8"), ("bins", "<u4"), ("pos", None), ("lcp", "<u1"),
+           ("records", "<u1"))
+_FIELDS = 4  # record bytes after a key's letters: lcp, next key's lcp, gain, rows
 
 
 class IndexFormatError(ValueError):
@@ -101,7 +109,7 @@ def _raw_lcp(rows: np.ndarray) -> np.ndarray:
 
 
 _KEY_ROWS = 1 << 16  # rows per piece when packing and sorting keys: the temporaries stay small
-_CHECK_ROWS = 1 << 16  # fragments per piece of the load's offset check
+_CHECK_ROWS = 1 << 16  # rows per piece when deriving the key starts and records
 
 
 def _cluster_ordinals(scheme: PartitionScheme) -> np.ndarray:
@@ -148,25 +156,25 @@ def _packed_keys(ds: FragmentDataset, tables: np.ndarray) -> np.ndarray:
     """(words, n) uint64 keys: per fragment the sum of ``tables[:, j, code]``
     over its first ``m`` codes, read from the code array a pass of rows at a
     time into buffers reused by every pass; a suffix's codes past its end
-    count as the pad.  The gathers write with ``mode="clip"``: their indices
-    are in bounds, and ``"raise"`` would copy ``out`` first."""
+    count as the pad (its first ``min(length, m)`` letters are clean, so its
+    clean run tells where it ends).  The gathers write with ``mode="clip"``:
+    their indices are in bounds, and ``"raise"`` would copy ``out`` first."""
     n, m, pad = ds.n, ds.m, len(ds.alphabet)
     live = tables.any(axis=2)  # the positions with a field in each word
     keys = np.zeros((len(tables), n), dtype=np.uint64)
     padded = np.concatenate([ds.codes, np.full(m, pad, dtype=np.uint8)])
-    lengths = ds.seq_lengths
+    runs = ds.clean_runs if ds.suffix_mode else None
     size = min(n, _KEY_ROWS)
-    pos, room = np.empty(size, dtype=np.int64), np.empty(size, dtype=np.int64)
+    room = None if runs is None else np.empty(size, dtype=runs.dtype)
     codes, part = np.empty(size, dtype=np.uint8), np.empty(size, dtype=np.uint64)
     for a in range(0, n, _KEY_ROWS):
         b = min(a + _KEY_ROWS, n)
-        sids, offs, k = ds.sids[a:b], ds.offs[a:b], b - a
-        np.add(ds.starts.take(sids, out=pos[:k], mode="clip"), offs, out=pos[:k])
-        if ds.suffix_mode:  # letters left in the sequence
-            np.subtract(lengths.take(sids, out=room[:k], mode="clip"), offs, out=room[:k])
+        pos, k = ds.pos[a:b], b - a
+        if runs is not None:
+            runs.take(pos, out=room[:k], mode="clip")
         for j in range(m):
-            padded[j:].take(pos[:k], out=codes[:k], mode="clip")
-            if ds.suffix_mode:
+            padded[j:].take(pos, out=codes[:k], mode="clip")
+            if runs is not None:
                 codes[:k][room[:k] <= j] = pad
             for w in np.flatnonzero(live[:, j]):
                 keys[w, a:b] += tables[w, j].take(codes[:k], out=part[:k], mode="clip")
@@ -268,26 +276,27 @@ def _sorted_keys(
 
 def _sorted_run(
     ds: FragmentDataset, scheme: PartitionScheme | None = None, phases: dict | None = None
-) -> tuple[FragmentDataset, dict, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[FragmentDataset, np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Sort the fragments by (bin rank, letters with the pad first), or by
     letters alone without a scheme, equal keys in extraction order.
 
     Each fragment gets one packed key (``_key_tables``, ``_packed_keys``);
     the flat run's one cluster per position is the whole alphabet.  Returns
-    the sorted dataset, its keys (``_keys``), the (keys, m) letters of
-    their first rows, its (n+1,) uint8 lcp, and the first row of each
-    run of equal leading key fields with that field's value: given a
-    scheme, each bin's first row and rank.  A row's lcp is the first
-    position field in which its key differs from its predecessor's, capped
-    at its key length; a rank difference gives 0, as do the first row and
-    the slot after the last.  ``phases`` (``build``) gets the milliseconds
-    of each phase."""
+    the sorted dataset, its key starts (``_key_starts``), the (keys, m + 4)
+    records of their first rows (``_key_fields``), its (n+1,) uint8 lcp,
+    and the first row of each run of equal leading key fields with that
+    field's value: given a scheme, each bin's first row and rank.  A row's
+    lcp is the first position field in which its key differs from its
+    predecessor's, capped at its key length; a rank difference gives 0, as
+    do the first row and the slot after the last.  ``phases`` (``build``)
+    gets the milliseconds of each phase."""
     n, m = ds.n, ds.m
     if m > np.iinfo(np.uint8).max:
         raise ValueError(f"fragment length {m} exceeds the uint8 lcp limit 255")
     order, field, first, lead = _sorted_keys(ds, scheme, phases)
     t = time.perf_counter()
-    run = replace(ds, sids=ds.sids[order], offs=ds.offs[order])
+    run = replace(ds, pos=ds.pos.take(order))
+    run.pos.flags.writeable = False
     t = _lap(phases, "letters", t)
     lcp = np.zeros(n + 1, dtype=np.uint8)
     # the lcp per first differing field: 0 for the rank, j for position j, m for none
@@ -296,52 +305,56 @@ def _sorted_run(
     del order, field  # n-long; freed before the letters are gathered
     t = _lap(phases, "lcp", t)
     klen = None
-    if ds.suffix_mode:  # uint8 like the lcp (m <= 255), not an n-long int64
-        klen = run.key_lengths().astype(np.uint8)
+    if ds.suffix_mode:  # the key lengths, uint8 like the lcp (m <= 255)
+        klen = ds.clean_runs.take(run.pos)
+        klen = np.minimum(klen, m, out=klen).astype(np.uint8)
         np.minimum(klen, lcp[:n], out=lcp[:n])
-    keys = _keys(lcp, m)
-    rows = keys["key_starts"][:-1]
-    firsts = replace(run, sids=run.sids.take(rows), offs=run.offs.take(rows))
-    letters = firsts.letter_matrix(None if klen is None else klen.take(rows))
+    starts = _key_starts(lcp, m)
+    rows = starts[:-1]
+    firsts = replace(run, pos=run.pos.take(rows))
+    records = firsts.letter_matrix(None if klen is None else klen.take(rows), _FIELDS)
+    _key_fields(records, lcp, starts, len(ds.alphabet))
     _lap(phases, "letters", t)
-    return run, keys, letters, lcp, first, lead
+    return run, starts, records, lcp, first, lead
 
 
-def _keys(lcp: np.ndarray, m: int) -> dict:
-    """The keys of a sorted run, from its (n+1,) lcp: a key is a run of
-    rows with equal letters, and starts at each row whose lcp is below
-    ``m``.  Returns ``key_starts``, (keys + 1,) uint32, those rows then
-    ``n``; ``key_lcp``, (keys + 1,) uint8, their lcp then the last slot's;
-    ``key_gain``, (keys,) uint8, by how much the lcp of the row after each
-    key's first exceeds the key's lcp, if it does: ``m - lcp`` on a key of
-    more rows; and ``key_sizes``, (keys,) uint8, each key's row count, 255
-    for 255 or more.  They are found ``_CHECK_ROWS`` rows at a time, so no
-    n-long array is made."""
+def _key_starts(lcp: np.ndarray, m: int) -> np.ndarray:
+    """The key rows of a sorted run, from its (n+1,) lcp, then ``n``, as
+    (keys + 1,) uint32: a key is a run of rows with equal letters, and
+    starts at each row whose lcp is below ``m``.  They are found
+    ``_CHECK_ROWS`` rows at a time, so no n-long array is made."""
     n = lcp.size - 1
     body = lcp[:n]
     pieces = range(0, n, _CHECK_ROWS)
     size = sum(np.count_nonzero(body[a:a + _CHECK_ROWS] < m) for a in pieces)
     starts = np.empty(size + 1, dtype=np.uint32)
-    key_lcp, gain = np.empty(size + 1, dtype=np.uint8), np.empty(size, dtype=np.uint8)
     at = 0
     for a in pieces:
         rows = np.flatnonzero(body[a:a + _CHECK_ROWS] < m)
-        got = slice(at, at + rows.size)
-        own = lcp[a:].take(rows, out=key_lcp[got], mode="clip")
-        rows += 1
-        after = lcp[a:].take(rows, out=gain[got], mode="clip")
-        np.maximum(after, own, out=after)
-        after -= own
-        rows += a - 1
-        starts[got] = rows
+        rows += a
+        starts[at:at + rows.size] = rows
         at += rows.size
-    starts[size], key_lcp[size] = n, lcp[n]
-    sizes = np.empty(size, dtype=np.uint8)
-    for a in range(0, size, _CHECK_ROWS):
-        b = min(a + _CHECK_ROWS, size)
-        rows = starts[a + 1:b + 1] - starts[a:b]
-        sizes[a:b] = np.minimum(rows, 255, out=rows)
-    return {"key_starts": starts, "key_lcp": key_lcp, "key_gain": gain, "key_sizes": sizes}
+    starts[size] = n
+    return starts
+
+
+def _key_fields(records: np.ndarray, lcp: np.ndarray, starts: np.ndarray, pad: int) -> None:
+    """Write each key's fields after its letters in ``records``, from the
+    lcp and the key starts, ``_CHECK_ROWS`` keys at a time: its lcp; the
+    next key's (the last slot's, 0, after the last key); by how much the
+    lcp of the row after its first exceeds its own, if it does (``m -
+    lcp`` on a key of more rows); and its row count, capped at ``pad``."""
+    keys, m = records.shape[0], records.shape[1] - _FIELDS
+    for a in range(0, keys, _CHECK_ROWS):
+        b = min(a + _CHECK_ROWS, keys)
+        first, end, rec = starts[a:b], starts[a + 1:b + 1], records[a:b]
+        own = lcp.take(first)
+        rec[:, m] = own
+        rec[:, m + 1] = lcp.take(end)
+        after = lcp.take(first + 1)
+        np.maximum(after, own, out=after)
+        rec[:, m + 2] = after - own
+        rec[:, m + 3] = np.minimum(end - first, pad)
 
 
 def _level_words(scheme: PartitionScheme) -> list[int]:
@@ -381,32 +394,55 @@ def _sequence_digest(codes: np.ndarray, starts: np.ndarray) -> bytes:
     return digest.digest()
 
 
+class KeyRows:
+    """The row layout of an ``FSIndex`` or ``FlatIndex``: its dataset's
+    fragments in frag order, their lcp, a record per key (``records``) and
+    the key starts.  The references and letters are read from those."""
+
+    @property
+    def pos(self) -> np.ndarray:
+        return self.dataset.pos
+
+    @property
+    def sids(self) -> np.ndarray:
+        return self.dataset.sids
+
+    @property
+    def offs(self) -> np.ndarray:
+        return self.dataset.offs
+
+    @property
+    def n(self) -> int:
+        return self.dataset.n
+
+    @property
+    def n_keys(self) -> int:
+        return int(self.records.shape[0])
+
+    @property
+    def letters(self) -> np.ndarray:
+        """(keys, m) codes of the key rows: a view of the records."""
+        return self.records[:, :-_FIELDS]
+
+
 @dataclass(frozen=True)
-class FSIndex:
+class FSIndex(KeyRows):
     """Immutable search index over a fragment dataset."""
 
-    dataset: FragmentDataset  # its fragments in frag order: the sids and offs below
+    dataset: FragmentDataset  # its fragments in frag order: the positions
     scheme: PartitionScheme
     occupancy: np.ndarray  # "<u8" words, the levels' bitmaps in position order
     bins: np.ndarray     # (non-empty bins + 1,) uint32 offsets into the key rows
-    sids: np.ndarray     # (n,) uint32, frag order
-    offs: np.ndarray     # (n,) uint32, frag order
     lcp: np.ndarray      # (n+1,) uint8
-    letters: np.ndarray  # (keys, m) uint8 codes of the key rows, frag order; pad = |alphabet|
-    # derived from the lcp, not stored (``_keys``): the key rows, then n; their
-    # lcp, then 0; how far the lcp of the row after each key's first exceeds it;
-    # its rows, up to 255
-    key_starts: np.ndarray  # (keys + 1,) uint32
-    key_lcp: np.ndarray     # (keys + 1,) uint8
-    key_gain: np.ndarray    # (keys,) uint8
-    key_sizes: np.ndarray   # (keys,) uint8
+    records: np.ndarray  # (keys, m + 4) uint8, frag order: letters (pad = |alphabet|), fields
+    key_starts: np.ndarray  # (keys + 1,) uint32, the key rows, then n; derived, not stored
     # derived: each level's view of ``occupancy``; the set bits before each last-level word
     levels: tuple = field(init=False, repr=False, compare=False)
     _counts: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        for arr in (self.occupancy, self.bins, self.sids, self.offs, self.lcp, self.letters,
-                    self.key_starts, self.key_lcp, self.key_gain, self.key_sizes):
+        for arr in (self.occupancy, self.bins, self.pos, self.lcp, self.records,
+                    self.key_starts):
             arr.flags.writeable = False
         cuts = np.cumsum([0, *_level_words(self.scheme)])
         levels = tuple(self.occupancy[a:b] for a, b in zip(cuts, cuts[1:]))
@@ -417,14 +453,6 @@ class FSIndex:
     @property
     def m(self) -> int:
         return self.scheme.m
-
-    @property
-    def n(self) -> int:
-        return int(self.sids.shape[0])
-
-    @property
-    def n_keys(self) -> int:
-        return int(self.letters.shape[0])
 
     @property
     def n_bins(self) -> int:
@@ -472,9 +500,11 @@ class FSIndex:
         assert [lv.size for lv in self.levels] == _level_words(self.scheme)
         filled = _set_bits(self.levels[-1])
         assert lcp.shape == (n + 1,)
-        for name, want in _keys(lcp, m).items():
-            assert np.array_equal(getattr(self, name), want), f"{name} not derived from the lcp"
-        assert self.letters.shape == (self.n_keys, m) and starts.size == self.n_keys + 1
+        assert np.array_equal(starts, _key_starts(lcp, m)), "key starts not derived from the lcp"
+        assert self.records.shape == (self.n_keys, m + _FIELDS)
+        fields = self.records.copy()
+        _key_fields(fields, lcp, starts, len(self.alphabet))
+        assert np.array_equal(self.records, fields), "key fields not derived from the lcp"
         assert bins.shape == (filled.size + 1,), "one bin offset per occupied bin"
         assert bins[0] == 0 and bins[-1] == self.n_keys, "bin offsets must span the key rows"
         assert (np.diff(bins.astype(np.int64)) > 0).all(), "occupied bins must hold fragments"
@@ -491,12 +521,17 @@ class FSIndex:
         # each fragment must sit inside the bin of its own rank
         assert np.array_equal(ranks, np.repeat(filled, sizes)), "fragment in the wrong bin"
         # key lengths from the sequence set, not from the letters
-        pad = len(self.alphabet)
-        key_len = np.minimum(self.dataset.seq_lengths[self.sids] - self.offs, m)
+        pad, ds = len(self.alphabet), self.dataset
+        sids, offs = seq_refs(ds.starts, self.pos)
+        key_len = np.minimum(ds.seq_lengths.take(sids) - offs, m)
+        # each position starts a fragment the extraction rule admits, once
+        admits = ds.clean_runs.take(self.pos) >= (key_len if self.suffix_mode else m)
+        assert admits.all(), "position starts no fragment"
+        assert np.unique(self.pos).size == n, "position stored twice"
         assert np.array_equal(
             letters == pad, np.arange(m)[None, :] >= key_len[:, None]
         ), "letters not padded exactly past each key"
-        own = replace(self.dataset, sids=self.sids, offs=self.offs).letter_matrix()
+        own = ds.letter_matrix(key_len)
         assert np.array_equal(letters, own), "letters differ from the sequence set"
         keys = _sort_keys(letters, pad)
         raw = _raw_lcp(keys)
@@ -524,11 +559,13 @@ class FSIndex:
         largest = int(np.diff(self.key_starts.take(self.bins).astype(np.int64)).max(initial=0))
         head = _HEADER.pack(
             MAGIC, FORMAT_VERSION, self.m, self.n, self.n_keys, self.n_bins, self.bins.size - 1,
-            largest, len(alpha), len(spec), 1 if self.suffix_mode else 0,
+            largest, len(alpha), len(spec), 1 if self.suffix_mode else 0, self.pos.itemsize,
             _sequence_digest(self.dataset.codes, self.dataset.starts),
         ) + alpha + spec
         parts = [head, bytes(-len(head) % 8)]
-        parts += [getattr(self, name).astype(t, copy=False) for name, t in _ARRAYS]
+        for name, t in _ARRAYS:
+            arr = getattr(self, name)
+            parts.append(arr.astype(t or arr.dtype.newbyteorder("<"), copy=False))
         # written beside the target, then renamed over it: a failed write
         # leaves any previous file whole
         tmp = f"{os.fspath(path)}.{os.urandom(6).hex()}.tmp"
@@ -553,7 +590,7 @@ def build(
 
     ``phases``, if given, gets the wall milliseconds of each phase: key
     packing (``keys``), ``sort``, the first differences and lcp (``lcp``),
-    the sorted references, key lengths and letters (``letters``) and
+    the sorted positions, key lengths and key records (``letters``) and
     ``occupancy``."""
     if scheme.alphabet != dataset.alphabet:
         raise ValueError("dataset and scheme alphabets differ")
@@ -566,18 +603,17 @@ def build(
     if n > np.iinfo(np.uint32).max:
         raise ValueError(f"{n} fragments exceed the uint32 bin offsets")
 
-    run, keys, letters, lcp, first, ranks = _sorted_run(dataset, scheme, phases)
+    run, starts, records, lcp, first, ranks = _sorted_run(dataset, scheme, phases)
     t = time.perf_counter()
     occupancy = _occupancy(scheme, ranks)
     # every bin's first row starts a key (its lcp is 0): its place among the key rows
     mark = np.zeros(n, dtype=bool)
     mark[first] = True
-    starts = keys["key_starts"]
     bins = np.append(np.flatnonzero(mark.take(starts[:-1])), starts.size - 1).astype(np.uint32)
     _lap(phases, "occupancy", t)
     return FSIndex(
-        dataset=run, scheme=scheme, occupancy=occupancy, bins=bins, sids=run.sids,
-        offs=run.offs, lcp=lcp, letters=letters, **keys,
+        dataset=run, scheme=scheme, occupancy=occupancy, bins=bins, lcp=lcp, records=records,
+        key_starts=starts,
     )
 
 
@@ -603,14 +639,16 @@ def _read_header(fh) -> dict:
         )
     if len(raw) != _HEADER.size:
         raise IndexFormatError("truncated index file")
-    _, _, m, n, keys, n_bins, nonempty, largest, alpha_len, spec_len, suffix_flag, digest = (
-        _HEADER.unpack(raw)
-    )
+    (_, _, m, n, keys, n_bins, nonempty, largest, alpha_len, spec_len, suffix_flag, width,
+     digest) = _HEADER.unpack(raw)
+    if width not in (4, 8):
+        raise IndexFormatError(f"positions of {width} bytes: 4 or 8 expected")
     return {
         "version": version, "fragment_length": m, "fragments": n, "keys": keys, "bins": n_bins,
         "empty_bins": n_bins - nonempty, "largest_bin": largest,
         "mean_bin_size": float(n / n_bins) if n_bins else 0.0,
-        "suffix_mode": bool(suffix_flag), "sequence_digest": digest.hex(),
+        "suffix_mode": bool(suffix_flag), "position_bytes": width,
+        "sequence_digest": digest.hex(),
         "alphabet": _read_exact(fh, alpha_len).decode(),
         "partition": _read_exact(fh, spec_len).decode(),
     }
@@ -622,11 +660,18 @@ def read_index_header(path) -> dict:
         return dict(_read_header(fh), file_bytes=os.fstat(fh.fileno()).st_size)
 
 
-def load(path, db: SequenceDB) -> FSIndex:
-    """Load an index file; ``db`` must be the sequence set it was built from."""
+def load(path, db: SequenceDB, phases: dict | None = None) -> FSIndex:
+    """Load an index file; ``db`` must be the sequence set it was built from.
+
+    ``phases``, if given, gets the wall milliseconds of each phase: the
+    header, the map and the letter and lcp checks (``map``), the key starts
+    and the bin offsets' check (``key_starts``), encoding the sequence set
+    (``encode``), its ``digest`` and the check that every position lies
+    within the codes (``positions``)."""
     # Header from the open file, then a read-only map of it: every array is a view
     # of the map, the occupancy words 8-byte aligned.  ``save`` renames a new file
     # over the path, so the mapped file stays whole while any of its arrays lives.
+    clock = time.perf_counter()
     with open(path, "rb", buffering=0) as fh:
         info = _read_header(fh)
         m, n, keys, n_bins = (info[k] for k in ("fragment_length", "fragments", "keys", "bins"))
@@ -636,66 +681,59 @@ def load(path, db: SequenceDB) -> FSIndex:
         if scheme.n_bins != n_bins:
             raise IndexFormatError("bin count disagrees with partition spec")
 
-        pos = fh.tell() + -fh.tell() % 8
-        counts = (sum(_level_words(scheme)), nonempty + 1, n, n, n + 1)
-        size = pos + sum(np.dtype(t).itemsize * c for (_, t), c in zip(_ARRAYS, counts))
-        tail = os.fstat(fh.fileno()).st_size - size  # the letters block, last in the file
+        at = fh.tell() + -fh.tell() % 8
+        types = [dtype or f"<u{info['position_bytes']}" for _, dtype in _ARRAYS]
+        counts = (sum(_level_words(scheme)), nonempty + 1, n, n + 1)
+        size = at + sum(np.dtype(dtype).itemsize * c for dtype, c in zip(types, counts))
+        tail = os.fstat(fh.fileno()).st_size - size  # the records block, last in the file
         if tail < 0:
             raise IndexFormatError("index arrays truncated")
-        if tail != keys * m:
+        if tail != keys * (m + _FIELDS):
             raise IndexFormatError(
-                f"letters block of {tail} bytes is not {keys} keys x {m} letters "
+                f"records block of {tail} bytes is not {keys} keys x {m + _FIELDS} bytes "
                 "(truncated or oversized)"
             )
-        counts += (keys * m,)
+        counts += (keys * (m + _FIELDS),)
         blob = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)
     arrays = {}
-    for (name, dtype), count in zip(_ARRAYS, counts):
-        arrays[name] = np.frombuffer(blob, dtype=dtype, count=count, offset=pos)
-        pos += arrays[name].nbytes
-    arrays["letters"] = arrays["letters"].reshape(keys, m)
-    sids, offs, bins, lcp = arrays["sids"], arrays["offs"], arrays["bins"], arrays["lcp"]
-    if keys and arrays["letters"].max() > len(alphabet):
+    for (name, _), dtype, count in zip(_ARRAYS, types, counts):
+        arrays[name] = np.frombuffer(blob, dtype=dtype, count=count, offset=at)
+        at += arrays[name].nbytes
+    records = arrays["records"] = arrays["records"].reshape(keys, m + _FIELDS)
+    pos, bins, lcp = arrays.pop("pos"), arrays["bins"], arrays["lcp"]
+    pad = len(alphabet)
+    # every other byte is at most the pad code when m is: one max over the block first
+    if keys and records.max() > pad and records[:, :m].max() > pad:
         raise IndexFormatError("letter code past the pad code")
     if lcp.max() > m:
         raise IndexFormatError("shared prefix longer than the fragments")
     if lcp[0] or lcp[n]:
         raise IndexFormatError("shared prefix before the first fragment or after the last")
-    arrays.update(_keys(lcp, m))
-    if arrays["key_starts"].size - 1 != keys:
+    clock = _lap(phases, "map", clock)
+    starts = arrays["key_starts"] = _key_starts(lcp, m)
+    if starts.size - 1 != keys:
         raise IndexFormatError(
-            f"header key count {keys} differs from the {arrays['key_starts'].size - 1} "
+            f"header key count {keys} differs from the {starts.size - 1} "
             f"fragments whose shared prefix is below {m}"
         )
     if bins[0] != 0 or bins[-1] != keys or (bins[1:] <= bins[:-1]).any():
         raise IndexFormatError("bin offsets not increasing from 0 to the key count")
+    clock = _lap(phases, "key_starts", clock)
 
-    codes, starts = encode_db(db, alphabet)
-    if _sequence_digest(codes, starts).hex() != info["sequence_digest"]:
+    codes, seq_starts = encode_db(db, alphabet)
+    clock = _lap(phases, "encode", clock)
+    if _sequence_digest(codes, seq_starts).hex() != info["sequence_digest"]:
         raise IndexFormatError("index built from a different sequence set")
-    if n and sids.max() >= len(db):
-        raise IndexFormatError("fragment reference outside the sequence set")
-    if n and _offset_past_end(offs, sids, starts):
-        raise IndexFormatError("fragment offset outside its sequence")
+    clock = _lap(phases, "digest", clock)
+    if n and pos.max() >= codes.size:
+        raise IndexFormatError(f"fragment position past the {codes.size} residues")
+    _lap(phases, "positions", clock)
     # rejected windows are unknown post hoc; the manifest comes from extraction
     dataset = FragmentDataset(
-        db=db, alphabet=alphabet, m=m, suffix_mode=info["suffix_mode"], sids=sids,
-        offs=offs, rejected=0, codes=codes, starts=starts,
+        db=db, alphabet=alphabet, m=m, suffix_mode=info["suffix_mode"], pos=pos,
+        rejected=0, codes=codes, starts=seq_starts,
     )
     index = FSIndex(dataset=dataset, scheme=scheme, **arrays)
     if index._counts[-1] != nonempty:
         raise IndexFormatError("occupancy bits disagree with the bin count")
     return index
-
-
-def _offset_past_end(offs: np.ndarray, sids: np.ndarray, starts: np.ndarray) -> bool:
-    """Whether an offset passes its sequence's last letter, compared as
-    uint32 a piece of rows at a time: offsets are uint32, so clipping the
-    last letters' offsets to that range keeps every answer."""
-    last = np.minimum(np.diff(starts) - 1, np.iinfo(np.uint32).max).astype(np.uint32)
-    buf = np.empty(min(offs.size, _CHECK_ROWS), dtype=np.uint32)
-    for a in range(0, offs.size, _CHECK_ROWS):
-        piece = offs[a:a + _CHECK_ROWS]
-        if (piece > last.take(sids[a:a + _CHECK_ROWS], out=buf[:piece.size])).any():
-            return True
-    return False

@@ -20,8 +20,8 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .alphabet import Alphabet, STANDARD_ALPHABET
 
-# the largest sequence ordinal or start offset a fragment reference holds (uint32)
-REF_LIMIT = int(np.iinfo(np.uint32).max)
+# code arrays of at most this many codes take uint32 fragment positions, longer ones uint64
+POS_LIMIT = 1 << 32
 
 
 class FastaFormatError(ValueError):
@@ -106,21 +106,34 @@ class FragmentDataset:
     mode each fragment is a sequence tail (at least the extraction
     floor long) whose first ``min(length, m)`` letters are clean; longer
     tails may extend past ``m`` (used by longer-than-index queries).
+
+    A fragment is its code position, as a suffix array's entry is a text
+    position: its sequence ordinal and offset (``sids``, ``offs``) are
+    derived from it on demand, by one binary search over ``starts``.
     """
 
     db: SequenceDB
     alphabet: Alphabet
     m: int
     suffix_mode: bool
-    sids: np.ndarray  # (n,) uint32 sequence ordinals, extraction order
-    offs: np.ndarray  # (n,) uint32 start offsets
+    pos: np.ndarray  # (n,) code positions, extraction order: uint32, or uint64 past POS_LIMIT
     rejected: int
     codes: np.ndarray  # concatenated residue codes; invalid letters = len(alphabet)
     starts: np.ndarray  # (len(db)+1,) int64 offsets into codes
 
     @property
     def n(self) -> int:
-        return int(self.sids.shape[0])
+        return int(self.pos.shape[0])
+
+    @property
+    def sids(self) -> np.ndarray:
+        """(n,) sequence ordinals, derived from the positions."""
+        return seq_refs(self.starts, self.pos)[0]
+
+    @property
+    def offs(self) -> np.ndarray:
+        """(n,) offsets within their sequences, derived from the positions."""
+        return seq_refs(self.starts, self.pos)[1]
 
     @property
     def seq_lengths(self) -> np.ndarray:
@@ -132,17 +145,17 @@ class FragmentDataset:
         return seq[offset:min(end, len(seq))]
 
     def key_lengths(self) -> np.ndarray:
-        """Per fragment: min(suffix length, m); always m in fixed mode."""
-        out = self.seq_lengths[self.sids]
-        out -= self.offs
-        return np.minimum(out, self.m, out=out)
+        """Per fragment: min(suffix length, m); always m in fixed mode.  A
+        fragment's first ``min(length, m)`` letters are clean, so its clean
+        run, capped at ``m``, is that length."""
+        return np.minimum(self.clean_runs.take(self.pos), self.m)
 
     @cached_property
     def unstarted(self) -> np.ndarray:
         """Code positions of the valid letters at which no fragment starts,
         in code order; derived on first use."""
         started = np.zeros(self.codes.size, dtype=bool)
-        started[self.starts[self.sids] + self.offs] = True
+        started[self.pos] = True
         return np.flatnonzero(~started & (self.codes < len(self.alphabet)))
 
     @cached_property
@@ -162,28 +175,39 @@ class FragmentDataset:
         out -= np.arange(out.size, dtype=dtype)
         return out
 
-    def letter_matrix(self, klen: np.ndarray | None = None) -> np.ndarray:
-        """(n, m) codes in extraction order; positions past a short suffix
-        hold the pad code len(alphabet).
+    def letter_matrix(self, klen: np.ndarray | None = None, room: int = 0) -> np.ndarray:
+        """(n, m + room) codes in extraction order; positions past a short
+        suffix hold the pad code len(alphabet), and the last ``room``
+        columns the codes that follow, for the caller to overwrite.
 
-        One row gather over the width-``m`` windows of the code array,
-        with ``m`` pad codes appended so the last sequence's windows stay
-        in bounds; only suffix rows shorter than ``m`` need their tail
-        (which runs into the next sequence) reset to the pad code.  A
-        caller that holds the ``key_lengths()`` passes them as ``klen``.
+        One row gather over the width-``m + room`` windows of the code
+        array, with as many pad codes appended so the last sequence's
+        windows stay in bounds; only suffix rows shorter than ``m`` need
+        their tail (which runs into the next sequence) reset to the pad
+        code.  A caller that holds the ``key_lengths()`` passes them as
+        ``klen``.
         """
         pad = len(self.alphabet)
         m = self.m
-        padded = np.concatenate([self.codes, np.full(m, pad, dtype=np.uint8)])
-        out = sliding_window_view(padded, m)[self.starts[self.sids] + self.offs]
+        padded = np.concatenate([self.codes, np.full(m + room, pad, dtype=np.uint8)])
+        out = sliding_window_view(padded, m + room)[self.pos]
         if self.suffix_mode:
             klen = self.key_lengths() if klen is None else klen
             short = np.flatnonzero(klen < m)
             if short.size:
-                rows = out[short]
+                rows = out[short, :m]
                 rows[np.arange(m)[None, :] >= klen[short, None]] = pad
-                out[short] = rows
+                out[short, :m] = rows
         return out
+
+
+def seq_refs(starts: np.ndarray, pos: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(sequence ordinals, offsets) of code positions, for sequences
+    starting at ``starts``, read-only: one binary search per position."""
+    sids = np.searchsorted(starts, pos, side="right") - 1
+    offs = pos.astype(np.int64) - starts.take(sids)
+    sids.flags.writeable = offs.flags.writeable = False
+    return sids, offs
 
 
 def encode_db(db: SequenceDB, alphabet: Alphabet) -> tuple[np.ndarray, np.ndarray]:
@@ -240,24 +264,15 @@ def extract_fragments(
         np.minimum(end, np.repeat(starts[1:], counts), out=end)
     clean = bad_cum[end] == bad_cum[pos]
     del end
-    possible = pos.size
-    sids = np.repeat(np.arange(len(db)), counts)[clean]
-    offs = pos[clean] - starts[sids]
-    if sids.size and sids[-1] > REF_LIMIT:
-        raise ValueError(f"sequence ordinal {sids[-1]} exceeds the uint32 limit {REF_LIMIT}")
-    if offs.size and offs.max() > REF_LIMIT:
-        raise ValueError(f"fragment offset {offs.max()} exceeds the uint32 limit {REF_LIMIT}")
-    sids, offs = sids.astype(np.uint32), offs.astype(np.uint32)
-    sids.flags.writeable = False
-    offs.flags.writeable = False
+    kept = pos.compress(clean).astype(np.uint32 if codes.size <= POS_LIMIT else np.uint64)
+    kept.flags.writeable = False
     return FragmentDataset(
         db=db,
         alphabet=alphabet,
         m=m,
         suffix_mode=suffix_mode,
-        sids=sids,
-        offs=offs,
-        rejected=possible - sids.size,
+        pos=kept,
+        rejected=pos.size - kept.size,
         codes=codes,
         starts=starts,
     )

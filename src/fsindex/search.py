@@ -26,9 +26,10 @@ adds no work to the search.  One block scan turns accepted nodes into
 spans of key rows, and one span-scan kernel evaluates every span, for
 the index, ``process_bin`` and the flat baseline.  The index stores each
 distinct key's letters once, so the kernel evaluates each key once, and
-a hit key's frag rows all hit.  Hits come back as a ``HitList`` of three
-arrays, with no Python object per hit; k-NN hits, the oracles' included,
-take the (value, seq_id, offset) order of ``sorted_by_value``.
+a hit key's frag rows all hit.  Hits come back as a ``HitList`` of code
+positions and values, with no Python object per hit; k-NN hits, the
+oracles' included, take the (value, pos) order of ``sorted_by_value``,
+which is (value, seq_id, offset) order.
 
 Large phases run in pieces on every CPU available to the process: a
 sweep step's children (split by cluster rows), the conversion of accepted
@@ -54,11 +55,12 @@ import threading
 import time
 from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .core import FSIndex
-from .ingest import FragmentRef
+from .ingest import FragmentRef, seq_refs
 from .query import LowerBoundTable, NormalizedQuery, QueryFunction, lower_bound_table
 
 INF_RADIUS = int(np.iinfo(np.int64).max)
@@ -127,19 +129,35 @@ def _lap(stats: SearchStats, phase: str, since: float) -> float:
 
 @dataclass(eq=False)
 class HitList:
-    """Search results as arrays: hit ``i`` is the fragment at ``offs[i]`` of
-    sequence ``sids[i]``, with query value ``vals[i]``.  Python objects per
-    hit (pairs, values, triples, the multiset) are built when asked for."""
+    """Search results as arrays: hit ``i`` is the fragment at code position
+    ``pos[i]`` of a sequence set whose sequences start at ``starts``, with
+    query value ``vals[i]``.  Its sequence ordinals and offsets (``sids``,
+    ``offs``) are derived on first use, by one binary search over the
+    starts per hit; the order of the positions is (seq_id, offset) order.
+    Python objects per hit (pairs, values, triples, the multiset) are built
+    when asked for."""
 
-    sids: np.ndarray
-    offs: np.ndarray
+    pos: np.ndarray
     vals: np.ndarray
+    starts: np.ndarray
 
     def __len__(self) -> int:
         return self.vals.size
 
     def __iter__(self):
         return iter(self.entries)
+
+    @cached_property
+    def _refs(self) -> tuple[np.ndarray, np.ndarray]:
+        return seq_refs(self.starts, self.pos)
+
+    @property
+    def sids(self) -> np.ndarray:
+        return self._refs[0]
+
+    @property
+    def offs(self) -> np.ndarray:
+        return self._refs[1]
 
     @property
     def entries(self) -> list[tuple[FragmentRef, int]]:
@@ -148,16 +166,18 @@ class HitList:
 
     def triples(self, first: int | None = None) -> list[tuple[int, int, int]]:
         """(seq_id, offset, value) of the first ``first`` hits (all by default)."""
-        return list(zip(*(a[:first].tolist() for a in (self.sids, self.offs, self.vals))))
+        refs = self._refs if first is None else seq_refs(self.starts, self.pos[:first])
+        return list(zip(*(a.tolist() for a in (*refs, self.vals[:first]))))
 
     def values(self) -> list[int]:
         return self.vals.tolist()
 
     def sorted_by_value(self, first: int | None = None) -> "HitList":
-        """The hits in (value, seq_id, offset) order, the k-NN order of
-        every search and oracle; the first ``first`` of them if given."""
-        order = np.lexsort((self.offs, self.sids, self.vals))[:first]
-        return HitList(self.sids[order], self.offs[order], self.vals[order])
+        """The hits in (value, pos) order, which is (value, seq_id, offset)
+        order, the k-NN order of every search and oracle; the first
+        ``first`` of them if given."""
+        order = np.lexsort((self.pos, self.vals))[:first]
+        return HitList(self.pos.take(order), self.vals.take(order), self.starts)
 
     def as_multiset(self) -> Counter:
         """(seq_id, offset, value) -> number of hits."""
@@ -303,11 +323,10 @@ def _scan_spans(
     """Cost-model scan of frag-array spans at a fixed radius, given as
     their key rows ``idx`` in scan order.
 
-    ``index`` is an ``FSIndex`` or a ``FlatIndex``: ``letters``,
-    ``key_lcp``, ``key_gain`` and ``key_sizes`` by key row, and
-    ``key_starts``.  A key reaches position ``j`` when its letter there is
-    not the pad code.  A query longer than the rows also reads ``sids``,
-    ``offs``, ``lcp`` and ``dataset`` to evaluate the positions past them.
+    ``index`` is an ``FSIndex`` or a ``FlatIndex``: ``records`` by key
+    row, and ``key_starts``.  A key reaches position ``j`` when its letter
+    there is not the pad code.  A query longer than the rows also reads
+    ``pos``, ``lcp`` and ``dataset`` to evaluate the positions past them.
     Returns (frag rows, values) of hits and updates the fragment, residue
     and key counters exactly as the sequential bin scan would.
 
@@ -348,10 +367,11 @@ def _scan_rows(
     The sequential scan reads ``max(ln' - lo, 0)`` residues of a key's
     rows up to their checkpoints, ``ln'`` being ``w`` for a key of more
     than one row and ``ln`` for one row (each capped at ``w``): the key's
-    ``key_gain``, capped at ``w - lo`` when ``w < m``.  Only the last
-    row's checkpoint can lie below ``w``.  A key's rows are counted from
-    ``key_sizes``, and from ``key_starts`` past 255.  The keys' letters are
-    gathered once, as one row per position.  Position by position, each
+    gain, capped at ``w - lo`` when ``w < m``.  Only the last row's
+    checkpoint can lie below ``w``.  One row gather reads each key's
+    record, its letters, ``lo``, ``ln``, gain and row count, transposed to
+    one row per field; a key's rows are counted from its record, and from
+    ``key_starts`` at the cap (the pad code).  Position by position, each
     key's table value is added to its running sum, kept per position as
     ``cum[j]``, the key's value over its first ``j`` positions; the
     checkpoint, at which the sequential scan rejects a row early, is the
@@ -369,29 +389,27 @@ def _scan_rows(
     n = idx.size
     if n == 0:
         return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64), 0, 0, 0
-    m = index.letters.shape[1]
+    pad, m = len(index.dataset.alphabet), index.letters.shape[1]
+    rows = np.take(index.records, idx, axis=0).T.copy()
     w = min(eval_len, m)  # positions resolvable from stored letters
-    sizes = index.key_sizes.take(idx)
+    lo, ln, gain, sizes = rows[m:]
     fragments = int(sizes.sum(dtype=np.int64))
-    if sizes.max() == 255:  # keys of 255 rows or more: their rows from the starts
-        first, end = _key_rows(index, idx.compress(sizes == 255))
-        fragments += int((end - first - 255).sum())
+    if sizes.max() == pad:  # keys of at least the cap's rows: their rows from the starts
+        first, end = _key_rows(index, idx.compress(sizes == pad))
+        fragments += int((end - first - pad).sum())
 
-    ln, gain = index.key_lcp[1:].take(idx), index.key_gain.take(idx)
     keys = n  # every lo is below m
     if w < m:  # lcp <= m, so capping it at w caps it at the query length
-        lo = index.key_lcp.take(idx)
         keys = int(np.count_nonzero(lo < w))
         np.minimum(ln, w, out=ln)
         # max(min(ln', w) - min(lo, w), 0) is the gain capped at w - min(lo, w)
         np.minimum(gain, w - np.minimum(lo, w, out=lo), out=gain)
     residues = int(gain.sum(dtype=np.int64))
-    rows = np.take(index.letters, idx, axis=0).T.copy()
     cum = np.empty((w + 1, n), dtype=np.int64)
     cum[0] = 0
     for j in range(w):
         np.add(cum[j], qtab[j].take(rows[j]), out=cum[j + 1])
-    reach = rows[w - 1] < len(index.dataset.alphabet)  # the key reaches w
+    reach = rows[w - 1] < pad  # the key reaches w
     if eval_len > m:
         hit, vals, more = _scan_long(index, qtab, idx, cum, reach, eval_len, eps)
         return hit, vals, fragments, residues + more, keys
@@ -422,13 +440,13 @@ def _scan_long(
     checked at its own checkpoint and, if its window is clean over the
     whole query, evaluated on the positions past the rows.  Returns the
     hit rows, their values and the residues past the checkpoints."""
-    m = index.letters.shape[1]
+    m = cum.shape[0] - 1
     first, end = _key_rows(index, idx)
     row = _multi_arange(first, end)
     key = np.repeat(np.arange(idx.size), end - first)
     nxt = np.minimum(index.lcp[1:].take(row), m).astype(np.int64)
     ds = index.dataset
-    pos = ds.starts.take(index.sids.take(row)) + index.offs.take(row)
+    pos = index.pos.take(row)
     accepted = reach.take(key) & (cum.ravel().take(nxt * idx.size + key) <= eps)
     accepted &= ds.clean_runs.take(pos) >= eval_len
     vals = cum[m].take(key)
@@ -533,7 +551,7 @@ def _finish(
     """Hits for rows ``idx`` of an ``FSIndex`` or ``FlatIndex``, in row
     order; given ``first``, the first ``first`` hits in k-NN order."""
     t = time.perf_counter()
-    hits = HitList(index.sids[idx], index.offs[idx], vals)
+    hits = HitList(index.pos.take(idx), vals, index.dataset.starts)
     hits = hits if first is None else hits.sorted_by_value(first)
     stats.hits = len(hits)
     stats.elapsed = _lap(stats, "finish_s", t) - t0
@@ -612,9 +630,9 @@ def range_search(
     for lo, hi, eps in _part_plan(q.m, index.m, radius):
         part = NormalizedQuery(QueryFunction(q.alphabet, q.base.tables[lo:hi]), 0)
         parts.append((lo, _search_rows(index, part, eps, trace, stats)[0]))
-    sids, offs, vals = _check_windows(index, q, parts, radius, stats)
+    pos, vals = _check_windows(index, q, parts, radius, stats)
     t = time.perf_counter()
-    hits = HitList(sids, offs, vals)
+    hits = HitList(pos, vals, index.dataset.starts)
     stats.hits = len(hits)
     stats.elapsed = _lap(stats, "finish_s", t) - t0
     return hits, stats
@@ -660,9 +678,9 @@ def _part_plan(length: int, m: int, eps: int) -> list[tuple[int, int, int]]:
 def _check_windows(
     index: FSIndex, q: NormalizedQuery, parts: list[tuple[int, np.ndarray]], eps: int,
     stats: SearchStats,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(sids, offs, values) of the windows within ``eps`` of a query longer
-    than the index, in (sequence, offset) order, from its parts' hits:
+) -> tuple[np.ndarray, np.ndarray]:
+    """(code positions, values) of the windows within ``eps`` of a query
+    longer than the index, in position order, from its parts' hits:
     ``(start, rows)`` per part.
 
     A hit at offset ``o`` of the part that starts at query position ``s``
@@ -680,7 +698,7 @@ def _check_windows(
     ds, length = index.dataset, q.m
     found = []
     for i, (lo, rows) in enumerate(parts):
-        pos = ds.starts.take(index.sids.take(rows)) + index.offs.take(rows)
+        pos = index.pos.take(rows).astype(np.int64)
         found.append((np.r_[pos, ds.unstarted] if i else pos) - lo)
     pos = np.concatenate(found)
     pos = pos[pos >= 0]  # not before the first sequence
@@ -692,11 +710,8 @@ def _check_windows(
     stats.residues_scanned += pos.size * length
     vals = _window_values(ds.codes, q.base.tables, pos, 0, length)
     hit = np.flatnonzero(vals <= eps)
-    pos, vals = pos.take(hit), vals.take(hit)
-    sids = np.searchsorted(ds.starts, pos, side="right") - 1
-    offs = pos - ds.starts.take(sids)
     _lap(stats, "scan_s", t)
-    return sids.astype(index.sids.dtype), offs.astype(index.offs.dtype), vals
+    return pos.take(hit), vals.take(hit)
 
 
 def long_query_search(

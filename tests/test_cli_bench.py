@@ -1,5 +1,6 @@
 import json
 import os
+import platform
 import subprocess
 import sys
 from pathlib import Path
@@ -142,8 +143,10 @@ class TestSearchCommand:
         for mode in (["--radius", "40"], ["--k", "3"]):
             assert main(args + mode) == 0
             doc = json.loads(capsys.readouterr().out)
-            assert sorted(doc["phases_ms"]) == ["load", "parse", "search"]
+            own = ["load." + p for p in ("map", "key_starts", "encode", "digest", "positions")]
+            assert sorted(doc["phases_ms"]) == sorted(["load", "parse", "search", *own])
             assert all(v > 0 for v in doc["phases_ms"].values())
+            assert sum(doc["phases_ms"][p] for p in own) <= doc["phases_ms"]["load"]
             # the search phase holds the call that the stats time
             assert doc["phases_ms"]["search"] >= doc["stats"]["elapsed_ms"]
 
@@ -260,12 +263,25 @@ class TestStatsCommand:
         assert main(["stats", "--index", str(workdir / "db.fsi")]) == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["fragments"] == doc["keys"] == 22
-        assert doc["version"] == 3
+        assert doc["version"] == 4 and doc["position_bytes"] == 4
         assert doc["alphabet"] == "ARNDCQEGHILKMFPSTWYV"
         assert doc["partition"].count(";") == 5
 
 
 class TestBenchCommand:
+    def test_bench_reports_environment_and_file_bytes(self, workdir, capsys):
+        rc = main([
+            "bench", "--index", str(workdir / "db.fsi"), "--fasta", str(workdir / "db.fa"),
+            "--matrix", "BLOSUM62", "--queries", "2", "--seed", "5", "--k-list", "2",
+        ])
+        assert rc == 0
+        doc = json.loads("{" + capsys.readouterr().out.split("{", 1)[1])
+        assert doc["file_bytes"] == (workdir / "db.fsi").stat().st_size
+        env = doc["environment"]
+        assert env["fsindex"] == fx.__version__ and env["numpy"] == np.__version__
+        assert env["python"] == platform.python_version() and env["cpu_count"] == os.cpu_count()
+        assert env["dont_write_bytecode"] is sys.dont_write_bytecode
+
     def test_bench_with_oracle_and_flat(self, workdir, capsys):
         rc = main([
             "bench", "--index", str(workdir / "db.fsi"), "--fasta", str(workdir / "db.fa"),
@@ -311,7 +327,7 @@ class TestBenchCommand:
 
         def drop_first_hit(*args, **kwargs):
             hits, stats = search(*args, **kwargs)
-            return fx.HitList(hits.sids[1:], hits.offs[1:], hits.vals[1:]), stats
+            return fx.HitList(hits.pos[1:], hits.vals[1:], hits.starts), stats
 
         monkeypatch.setattr(fsindex.bench, "range_search", drop_first_hit)
         rc = main([
@@ -328,7 +344,7 @@ class TestBenchCommand:
         def repeat_first_hit(*args, **kwargs):
             hits, stats = search(*args, **kwargs)
             rows = np.r_[0, np.arange(len(hits))]
-            return fx.HitList(hits.sids[rows], hits.offs[rows], hits.vals[rows]), stats
+            return fx.HitList(hits.pos[rows], hits.vals[rows], hits.starts), stats
 
         monkeypatch.setattr(fsindex.bench, "range_search", repeat_first_hit)
         rc = main([
@@ -345,7 +361,7 @@ class TestBenchCommand:
 
         def reversed_hits(*args, **kwargs):
             hits, stats = search(*args, **kwargs)
-            return fx.HitList(hits.sids[::-1], hits.offs[::-1], hits.vals[::-1]), stats
+            return fx.HitList(hits.pos[::-1], hits.vals[::-1], hits.starts), stats
 
         monkeypatch.setattr(fsindex.bench, "knn_search", reversed_hits)
         rc = main([

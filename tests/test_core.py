@@ -71,7 +71,7 @@ class TestBuild:
         assert toy_index.n_keys == toy_index.n == 64
         assert toy_index.letters.shape == (64, 3)
         assert toy_index.key_starts.tolist() == list(range(65))
-        assert toy_index.key_sizes.tolist() == [1] * 64
+        assert toy_index.records[:, -1].tolist() == [1] * 64  # one row each
         assert toy_index.bins.tolist() == list(range(0, 65, 8))
         toy_index.save(tmp_path / "c.fsi")
         assert fx.core.read_index_header(tmp_path / "c.fsi")["keys"] == 64
@@ -84,8 +84,8 @@ class TestBuild:
         assert index.n == 5 and index.n_keys == 2
         assert index.letters.tolist() == [[0, 0, 0], [0, 0, 1]]
         assert index.key_starts.tolist() == [0, 4, 5]
-        assert index.key_sizes.tolist() == [4, 1]
-        assert index.key_lcp.tolist() == [0, 0, 0] and index.key_gain.tolist() == [3, 0]
+        # letters, lcp, next key's lcp, gain and rows (4, the toy pad code, caps them)
+        assert index.records.tolist() == [[0, 0, 0, 0, 0, 3, 4], [0, 0, 1, 0, 0, 0, 1]]
         assert index.bins.tolist() == [0, 1, 2]
         assert [index.bin_slice(u) for u in (0, 1)] == [(0, 4), (4, 5)]
 
@@ -157,20 +157,20 @@ class TestBuild:
         # a short key's last cell holds the pad code; "a" shares its digit,
         # so only the padding check can tell
         row = int(np.flatnonzero(index.letters[:, 2] == len(toy_alpha))[0])
-        letters = index.letters.copy()
-        letters[row, 2] = toy_alpha.ordinal("a")
+        records = index.records.copy()
+        records[row, 2] = toy_alpha.ordinal("a")
         with pytest.raises(AssertionError, match="padded"):
-            dataclasses.replace(index, letters=letters).audit()
+            dataclasses.replace(index, records=records).audit()
 
     def test_audit_rejects_letters_of_other_sequences(self, toy_index, toy_scheme):
         # a letter swapped within its cluster keeps every rank and pad code
         alpha = toy_index.alphabet
-        letters = toy_index.letters.copy()
-        old = alpha.letters[letters[0, 0]]
+        records = toy_index.records.copy()
+        old = alpha.letters[records[0, 0]]
         new = next(c for c in toy_scheme.cluster_of(0, old) if c != old)
-        letters[0, 0] = alpha.ordinal(new)
+        records[0, 0] = alpha.ordinal(new)
         with pytest.raises(AssertionError, match="sequence set"):
-            dataclasses.replace(toy_index, letters=letters).audit()
+            dataclasses.replace(toy_index, records=records).audit()
 
     def test_widest_alphabet(self):
         # 255 letters: the pad code is 255 and code 254 sorts as 255
@@ -347,6 +347,18 @@ class TestSerialization:
         with pytest.raises(fx.IndexFormatError, match=r"version 2 .*rebuild"):
             fx.core.read_index_header(p)
 
+    def test_format_3_rejected_with_a_rebuild_hint(self, toy_index, tmp_path):
+        # format 3 stored sequence ordinals, offsets and letters: no reader is kept
+        p = tmp_path / "v3.fsi"
+        toy_index.save(p)
+        blob = bytearray(p.read_bytes())
+        blob[4:8] = (3).to_bytes(4, "little")
+        p.write_bytes(bytes(blob))
+        with pytest.raises(fx.IndexFormatError, match=r"version 3 .*version 4: rebuild"):
+            fx.load(p, toy_index.dataset.db)
+        with pytest.raises(fx.IndexFormatError, match=r"version 3 .*version 4: rebuild"):
+            fx.core.read_index_header(p)
+
     @staticmethod
     def repeated(toy_alpha, toy_scheme, path):
         """A saved index of 6 fragments and 2 keys ("aba", "bab"), the file's
@@ -361,9 +373,9 @@ class TestSerialization:
         return index, bytearray(path.read_bytes()), bins
 
     @pytest.mark.parametrize("keys, extra, match", [
-        (3, 3, "key count 3 differs from the 2"),  # a third key row appended
-        (1, 0, "letters block of 6 bytes is not 1 keys"),
-        (2, 3, "letters block of 9 bytes is not 2 keys"),
+        (3, 7, "key count 3 differs from the 2"),  # a third key record appended
+        (1, 0, "records block of 14 bytes is not 1 keys"),
+        (2, 3, "records block of 17 bytes is not 2 keys"),
     ])
     def test_key_count_checked(self, toy_alpha, toy_scheme, tmp_path, keys, extra, match):
         p = tmp_path / "k.fsi"
@@ -389,7 +401,7 @@ class TestSerialization:
     def test_lcp_zero_at_both_ends(self, toy_alpha, toy_scheme, tmp_path, row):
         p = tmp_path / "l.fsi"
         index, blob, _ = self.repeated(toy_alpha, toy_scheme, p)
-        at = len(blob) - index.letters.nbytes - index.lcp.nbytes
+        at = len(blob) - index.records.nbytes - index.lcp.nbytes
         blob[at + row] = 1
         p.write_bytes(bytes(blob))
         with pytest.raises(fx.IndexFormatError, match="shared prefix before the first"):
@@ -411,6 +423,7 @@ class TestSerialization:
         ("lcp", 5, 4, "prefix"),        # m = 3
         ("bins", 8, 65, "bin offsets"),  # n = 64
         ("bins", 3, 16, "bin offsets"),  # bins[2] == 16: an empty bin
+        ("pos", 9, 192, "position past the 192 residues"),  # 64 sequences of 3
     ])
     def test_array_values_checked(self, toy_index, tmp_path, name, row, value, match):
         p = tmp_path / "x.fsi"
@@ -419,11 +432,15 @@ class TestSerialization:
         head = (fx.core._HEADER.size + len(toy_index.alphabet.letters.encode())
                 + len(toy_index.scheme.spec_string.encode()))
         pos = head + -head % 8
-        for arr, dtype in fx.core._ARRAYS:
-            if arr == name:
+        for arr, _ in fx.core._ARRAYS:
+            if arr == name or (arr, name) == ("records", "letters"):
                 break
-            pos += getattr(toy_index, arr).astype(dtype).nbytes
-        size = np.dtype(dtype).itemsize
+            pos += getattr(toy_index, arr).nbytes
+        if name == "letters":  # the letters' flat row, in its key's record
+            m = toy_index.m
+            pos, row = pos + row // m * (m + 4) + row % m, 0
+        dtype = getattr(toy_index, arr).dtype.newbyteorder("<")
+        size = dtype.itemsize
         blob[pos + row * size: pos + (row + 1) * size] = np.array([value], dtype).tobytes()
         p.write_bytes(bytes(blob))
         with pytest.raises(fx.IndexFormatError, match=match):
@@ -487,29 +504,32 @@ class TestMappedLoad:
         with pytest.raises(fx.IndexFormatError, match=match):
             fx.load(p, toy_index.dataset.db)
 
-    @pytest.mark.parametrize("name, value, match", [
-        ("sids", 63, None),                       # the last of 64 sequences
-        ("sids", 64, "outside the sequence set"),
-        ("offs", 2, None),                        # the last letter of a 3-letter sequence
-        ("offs", 3, "outside its sequence"),
+    @pytest.mark.parametrize("value, match", [
+        (191, None),                                # the last of 192 residues
+        (192, "position past the 192 residues"),
     ])
-    def test_references_checked_in_every_piece(self, toy_index, tmp_path, monkeypatch,
-                                               name, value, match):
-        # the offset check runs in pieces of 5 rows; row 47 sits in the tenth
+    def test_positions_checked_in_every_piece(self, toy_index, tmp_path, monkeypatch,
+                                              value, match):
+        # in pieces of 5 rows, a position in each piece in turn, and the last row
         monkeypatch.setattr(fx.core, "_CHECK_ROWS", 5)
         p = tmp_path / "r.fsi"
         toy_index.save(p)
-        blob = bytearray(p.read_bytes())
-        pos = len(blob) - toy_index.letters.nbytes - toy_index.lcp.nbytes - 4 * toy_index.n
-        if name == "sids":
-            pos -= 4 * toy_index.n
-        blob[pos + 4 * 47: pos + 4 * 48] = np.array([value], "<u4").tobytes()
-        p.write_bytes(bytes(blob))
-        if match is None:
-            assert int(getattr(fx.load(p, toy_index.dataset.db), name)[47]) == value
-        else:
-            with pytest.raises(fx.IndexFormatError, match=match):
-                fx.load(p, toy_index.dataset.db)
+        clean = p.read_bytes()
+        at = len(clean) - toy_index.records.nbytes - toy_index.lcp.nbytes - 4 * toy_index.n
+        for row in [*range(0, toy_index.n, 5), toy_index.n - 1]:
+            blob = bytearray(clean)
+            blob[at + 4 * row: at + 4 * row + 4] = np.array([value], "<u4").tobytes()
+            p = tmp_path / f"r{row}.fsi"
+            p.write_bytes(bytes(blob))
+            if match is None:
+                loaded = fx.load(p, toy_index.dataset.db)
+                assert int(loaded.pos[row]) == value
+                # no length-3 window starts at the last letter
+                with pytest.raises(AssertionError, match="starts no fragment"):
+                    loaded.audit()
+            else:
+                with pytest.raises(fx.IndexFormatError, match=match):
+                    fx.load(p, toy_index.dataset.db)
 
 
 class TestImmutability:

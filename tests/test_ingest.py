@@ -127,23 +127,28 @@ class TestExtractFragments:
             fx.extract_fragments(db, 2, alphabet=fx.Alphabet("".join(map(chr, range(256)))))
 
 
-    def test_references_beyond_uint32_rejected(self, monkeypatch):
-        # the limit lowered to 2: ordinals and offsets above it must not wrap
-        monkeypatch.setattr(fx.ingest, "REF_LIMIT", 2)
-        three = fx.SequenceDB(records=tuple((f"s{i}", "MKV") for i in range(3)))
-        assert fx.extract_fragments(three, 3).sids.tolist() == [0, 1, 2]
-        four = fx.SequenceDB(records=tuple((f"s{i}", "MKV") for i in range(4)))
-        with pytest.raises(ValueError, match="sequence ordinal 3 exceeds the uint32 limit 2"):
-            fx.extract_fragments(four, 3)
-        # ordinal 3 holds no clean window, so no reference needs it
-        four = fx.SequenceDB(records=(*three.records, ("s3", "MXV")))
-        assert fx.extract_fragments(four, 3).sids.tolist() == [0, 1, 2]
-        long = fx.SequenceDB(records=(("s", "MKVLA"),))
-        assert fx.extract_fragments(long, 3).offs.tolist() == [0, 1, 2]
-        with pytest.raises(ValueError, match="fragment offset 3 exceeds the uint32 limit 2"):
-            fx.extract_fragments(long, 2)
-        with pytest.raises(ValueError, match="offset 4 exceeds"):
-            fx.extract_fragments(long, 3, suffix_mode=True)
+    def test_positions_past_the_limit_are_uint64(self, monkeypatch, tmp_path):
+        # the limit lowered to 8 codes: 13 codes take uint64 positions, which
+        # the index file keeps, with the same fragments and answers
+        db = fx.SequenceDB(records=(("s0", "MKVLA"), ("s1", "MKVXLATT")))
+        scheme = fx.parse_partition("TSAN,ILVM,KR,DEQ,WFYH,GPC", fx.STANDARD_ALPHABET, 3)
+        narrow = fx.build(fx.extract_fragments(db, 3), scheme)
+        monkeypatch.setattr(fx.ingest, "POS_LIMIT", 8)
+        ds = fx.extract_fragments(db, 3)
+        assert ds.pos.dtype == np.uint64 and ds.pos.tolist() == [0, 1, 2, 5, 9, 10]
+        assert ds.sids.tolist() == [0, 0, 0, 1, 1, 1] and ds.offs.tolist() == [0, 1, 2, 0, 4, 5]
+        wide = fx.build(ds, scheme)
+        wide.save(tmp_path / "w.fsi")
+        assert fx.core.read_index_header(tmp_path / "w.fsi")["position_bytes"] == 8
+        loaded = fx.load(tmp_path / "w.fsi", db)
+        loaded.audit()
+        assert loaded.pos.dtype == np.uint64 and narrow.pos.dtype == np.uint32
+        assert loaded.pos.tolist() == narrow.pos.tolist()
+        d = fx.distance_from_score(fx.load_builtin_matrix("BLOSUM62"))
+        q = fx.normalize(fx.distance_query(d, "MKV"))
+        for index in (wide, loaded):
+            for search in (lambda i: fx.range_search(i, q, 40), lambda i: fx.knn_search(i, q, 4)):
+                assert search(index)[0].triples() == search(narrow)[0].triples()
 
 
 # alphabet letters, their lowercase, X, a latin-1 letter past ASCII, and

@@ -15,8 +15,14 @@ sorted run, on random alphabets of up to 255 letters and keys of more
 than 64 bits, must equal Python's ``sorted``, and the radix sort under it
 a stable sort of its key words (``np.lexsort``).  On datasets of repeated
 sequences, the letters stored once per key must expand along the lcp to
-the sorted run's letters, with no repeated key row within a bin.
+the sorted run's letters, with no repeated key row within a bin, and each
+key's record must hold the per-key arrays format 3 derived from the lcp.
+A hit list's sequence ordinals and offsets, derived from its positions on
+first use, must equal a binary search per position, and (value, position)
+order must be (value, seq_id, offset) order.
 """
+
+import bisect
 
 import dataclasses
 import os
@@ -539,7 +545,7 @@ def test_key_rows_expand_to_the_sorted_letters(case):
     index, flat = fx.build(ds, scheme), fx.flat_build(ds)
     index.audit()
     for run in (index, flat):
-        want = dataclasses.replace(ds, sids=run.sids, offs=run.offs).letter_matrix()
+        want = dataclasses.replace(ds, pos=run.pos).letter_matrix()
         assert np.array_equal(row_letters(run), want)
         assert np.array_equal(run.key_starts[:-1], np.flatnonzero(run.lcp[:-1] < ds.m))
     # one key per distinct full-length key; a short suffix is a key of its own
@@ -554,3 +560,62 @@ def test_key_rows_expand_to_the_sorted_letters(case):
     full_rows = (index.letters[1:] < len(ALPHA)).all(axis=1)
     repeated = (index.letters[1:] == index.letters[:-1]).all(axis=1)
     assert not (repeated & same_bin & full_rows).any()
+
+
+def format_3_key_arrays(lcp: list, m: int) -> tuple[list, list, list, list]:
+    """The per-key arrays format 3 derived from the lcp, by a plain loop:
+    the key rows then n, their lcp then the last slot's, each key's gain
+    and its row count, up to 255."""
+    n = len(lcp) - 1
+    starts = [i for i in range(n) if lcp[i] < m] + [n]
+    key_lcp = [lcp[s] for s in starts]
+    gain = [max(lcp[s + 1] - lcp[s], 0) for s in starts[:-1]]
+    sizes = [min(b - a, 255) for a, b in zip(starts, starts[1:])]
+    return starts, key_lcp, gain, sizes
+
+
+@SETTINGS
+@given(case=repeat_cases())
+def test_key_records_hold_the_format_3_key_arrays(case):
+    # letters, lcp, the next key's lcp, gain and rows capped at the pad code
+    ds, scheme = case
+    m, pad = ds.m, len(ALPHA)
+    for run in (fx.build(ds, scheme), fx.flat_build(ds)):
+        starts, key_lcp, gain, sizes = format_3_key_arrays(run.lcp.tolist(), m)
+        rec = run.records
+        assert rec.shape == (len(starts) - 1, m + 4) and run.key_starts.tolist() == starts
+        assert np.array_equal(rec[:, :m], run.dataset.letter_matrix()[starts[:-1]])
+        assert rec[:, m].tolist() == key_lcp[:-1] and rec[:, m + 1].tolist() == key_lcp[1:]
+        assert rec[:, m + 2].tolist() == gain
+        assert rec[:, m + 3].tolist() == [min(size, pad) for size in sizes]
+
+
+@SETTINGS
+@given(case=indexes(), data=st.data(), radius=st.integers(-3, 60))
+def test_hit_references_derived_on_first_use(case, data, radius):
+    ds, index = case
+    f = pssm(data.draw, data.draw(st.integers(1, index.m + 3)) if ds.suffix_mode else index.m)
+    q = fx.normalize(f)
+    hits, _ = fx.range_search(index, q, radius - q.shift)
+    assert "_refs" not in vars(hits)  # nothing derived yet
+    starts = ds.starts.tolist()
+    sids = [bisect.bisect_right(starts, p) - 1 for p in hits.pos.tolist()]
+    assert hits.sids.tolist() == sids
+    assert hits.offs.tolist() == [p - starts[s] for p, s in zip(hits.pos.tolist(), sids)]
+    first = data.draw(st.integers(0, len(hits)), label="first")
+    assert hits.triples(first) == hits.triples()[:first]
+
+
+@SETTINGS
+@given(case=indexes(), data=st.data(), k=st.integers(1, 12))
+def test_value_and_position_order_is_the_knn_order(case, data, k):
+    ds, _ = case
+    f = pssm(data.draw, data.draw(st.integers(1, ds.m + 3 if ds.suffix_mode else ds.m)))
+    every = fx.linear_scan_range(ds, f, 2**62)
+    shuffle = np.array(data.draw(st.permutations(range(len(every))), label="hit order"), dtype=int)
+    every = fx.HitList(every.pos[shuffle], every.vals[shuffle], every.starts)
+    by_pos = every.sorted_by_value(k)
+    assert sorted((v, s, o) for s, o, v in every.triples())[:k] == [
+        (v, s, o) for s, o, v in by_pos.triples()
+    ]
+    assert by_pos.triples() == fx.linear_scan_knn(ds, f, k).triples()
