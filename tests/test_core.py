@@ -531,6 +531,31 @@ class TestMappedLoad:
                 with pytest.raises(fx.IndexFormatError, match=match):
                     fx.load(p, toy_index.dataset.db)
 
+    @pytest.mark.parametrize("sid, off, match", [
+        pytest.param(63, 0, None, id="sids-63-None"),  # the last of 64 sequences
+        pytest.param(64, 0, "position past the 192 residues", id="sids-64-outside the sequence set"),
+        pytest.param(None, 2, None, id="offs-2-None"),  # the last letter of a 3-letter sequence
+        pytest.param(63, 3, "position past the 192 residues", id="offs-3-outside its sequence"),
+    ])
+    def test_references_checked_in_every_piece(self, toy_index, tmp_path, monkeypatch,
+                                               sid, off, match):
+        # a (sequence, offset) reference is stored as its position, 3 * sid + off
+        # here; the check runs in pieces of 5 rows, and row 47 sits in the tenth
+        monkeypatch.setattr(fx.core, "_CHECK_ROWS", 5)
+        sid = int(toy_index.sids[47]) if sid is None else sid
+        p = tmp_path / "r.fsi"
+        toy_index.save(p)
+        blob = bytearray(p.read_bytes())
+        at = len(blob) - toy_index.records.nbytes - toy_index.lcp.nbytes - 4 * toy_index.n
+        blob[at + 4 * 47: at + 4 * 48] = np.array([3 * sid + off], "<u4").tobytes()
+        p.write_bytes(bytes(blob))
+        if match is None:
+            loaded = fx.load(p, toy_index.dataset.db)
+            assert (int(loaded.sids[47]), int(loaded.offs[47])) == (sid, off)
+        else:
+            with pytest.raises(fx.IndexFormatError, match=match):
+                fx.load(p, toy_index.dataset.db)
+
 
 class TestImmutability:
     def test_arrays_read_only(self, toy_index):
