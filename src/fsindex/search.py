@@ -31,12 +31,8 @@ positions and values, with no Python object per hit; k-NN hits, the
 oracles' included, take the (value, pos) order of ``sorted_by_value``,
 which is (value, seq_id, offset) order.
 
-Large phases run in pieces on every CPU available to the process: a
-sweep step's children (split by cluster rows), the conversion of accepted
-nodes into spans and the scanned keys, each piece at least ``_MIN_PART``
-children's worth of work.  The caller joins the pieces in order and adds
-up their counters, so results, counters and traces equal an unsplit
-run's; phase times are wall time.
+A search runs on its calling thread and leaves the index as it found it,
+so several threads may search one index at once.
 
 Scan counters (bins/fragments/residues scanned) follow the reference
 scan's cost model exactly; the vectorized implementation touches other
@@ -50,8 +46,6 @@ empty.
 
 from __future__ import annotations
 
-import os
-import threading
 import time
 from collections import Counter
 from dataclasses import dataclass
@@ -64,20 +58,6 @@ from .ingest import FragmentRef, seq_refs
 from .query import LowerBoundTable, NormalizedQuery, QueryFunction, lower_bound_table
 
 INF_RADIUS = int(np.iinfo(np.int64).max)
-
-# Least work per piece when a phase is split across CPUs, counted in
-# sweep children; a node turned into a span weighs one child and a
-# scanned key _KEY_COST children.  On the 1.1M-fragment corpus a child
-# takes ~20 ns, so a sweep or span piece takes at least ~2.6 ms, against
-# ~0.1-0.3 ms to start and join a thread (with rare waits of several ms
-# for an idle CPU to wake).  A key takes ~22 ns, but a scan split in two
-# was faster than one piece from ~28k keys (the suffix-mode corpus's
-# long-query part scans, best of 7, 2 CPUs), so scans split from 2^15
-# keys.  Range queries at the 100-NN radius there evaluate at most ~230k
-# children in a step (median ~48k) and scan at most ~36k rows (~19k
-# keys), so they run on one thread.
-_MIN_PART = 1 << 17
-_KEY_COST = 8
 
 
 @dataclass
@@ -94,11 +74,9 @@ class SearchStats:
     phase times are wall seconds: the lower-bound table, the sweep, turning
     accepted nodes into spans of key rows, scanning the spans and
     materializing the hits; ``elapsed`` also holds a k-NN search's
-    bookkeeping between them.  A large sweep step, block conversion or
-    scan runs in pieces on every CPU available (``_split``), so its wall
-    time is less than the CPU time it takes; the counters equal those of
-    an unsplit run.  ``keys_scanned`` counts the distinct keys among the
-    scanned rows over the query's positions (the window check adds none).
+    bookkeeping between them.  ``keys_scanned`` counts the distinct keys
+    among the scanned rows over the query's positions (the window check
+    adds none).
     """
 
     nodes_visited: int = 0
@@ -248,60 +226,6 @@ class Tracer:
         return {d for d, _ in self.pruned}
 
 
-def _cpus() -> int:
-    """The CPUs this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # platforms without CPU affinity
-        return os.cpu_count() or 1
-
-
-def _parts(work: int) -> int:
-    """Pieces for ``work`` (in sweep children): at most one per CPU
-    available, each of at least ``_MIN_PART``, and at least one."""
-    fit = work // _MIN_PART
-    return 1 if fit < 2 else min(_cpus(), fit)
-
-
-def _split(size: int, work, per_item: int = 1) -> list:
-    """``work(lo, hi)`` over consecutive pieces of ``range(size)``, the
-    results in piece order.  Each item weighs ``per_item`` sweep children
-    of work towards the piece count (``_parts``), and no piece is empty:
-    a few heavy items make at most as many pieces.  The calling thread
-    runs the first piece and one new thread each of the others; numpy
-    releases the GIL in the array operations the pieces are made of.  A
-    piece writes no shared state: the caller combines the results and adds
-    up the counters, so they equal those of one piece over ``range(size)``."""
-    parts = min(_parts(size * per_item), size)
-    if parts <= 1:
-        return [work(0, size)]
-    cuts = [size * i // parts for i in range(parts + 1)]
-    out: list = [None] * parts
-    failed: list[BaseException] = []
-
-    def run(i: int) -> None:
-        try:
-            out[i] = work(cuts[i], cuts[i + 1])
-        except BaseException as exc:  # re-raised in the calling thread
-            failed.append(exc)
-
-    threads = [threading.Thread(target=run, args=(i,)) for i in range(1, parts)]
-    for thread in threads:
-        thread.start()
-    try:
-        out[0] = work(cuts[0], cuts[1])
-    finally:
-        for thread in threads:
-            thread.join()
-    if failed:
-        raise failed[0]
-    return out
-
-
-def _joined(arrays: list[np.ndarray]) -> np.ndarray:
-    return arrays[0] if len(arrays) == 1 else np.concatenate(arrays)
-
-
 def _multi_arange(starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
     """Concatenation of arange(s, e) for each span, without a Python loop:
     output position ``i`` of span ``k`` holds ``i + (s_k - before_k)``,
@@ -327,28 +251,18 @@ def _scan_spans(
     row, and ``key_starts``.  A key reaches position ``j`` when its letter
     there is not the pad code.  A query longer than the rows also reads
     ``pos``, ``lcp`` and ``dataset`` to evaluate the positions past them.
-    Returns (frag rows, values) of hits and updates the fragment, residue
-    and key counters exactly as the sequential bin scan would.
-
-    Every key is scanned on its own (the lcp of its rows with their
-    neighbours is stored, and is zero at a bin's first row), so the keys
-    are cut into pieces anywhere, one per CPU when they weigh at least
-    ``2 * _MIN_PART`` at ``_KEY_COST`` each (``_split``), and the pieces'
-    hits are joined in row order.
+    Returns (frag rows, values) of hits, in row order, and updates the
+    fragment, residue and key counters exactly as the sequential bin scan
+    would.
     """
     t = time.perf_counter()
     stats.scan_chunks += 1
-    qtab = _query_table(q)
-
-    def scan(lo: int, hi: int) -> tuple[np.ndarray, np.ndarray, int, int, int]:
-        return _scan_rows(index, qtab, idx[lo:hi], q.m, eps)
-
-    pieces = _split(idx.size, scan, _KEY_COST)
-    stats.fragments_scanned += sum(p[2] for p in pieces)
-    stats.residues_scanned += sum(p[3] for p in pieces)
-    stats.keys_scanned += sum(p[4] for p in pieces)
+    hit, vals, fragments, residues, keys = _scan_rows(index, _query_table(q), idx, q.m, eps)
+    stats.fragments_scanned += fragments
+    stats.residues_scanned += residues
+    stats.keys_scanned += keys
     _lap(stats, "scan_s", t)
-    return _joined([hit for hit, *_ in pieces]), _joined([vals for _, vals, *_ in pieces])
+    return hit, vals
 
 
 def _scan_rows(
@@ -493,12 +407,9 @@ def _sweep(
     parents along the row, so that numpy's inner loops run over the
     parents rather than over the handful of clusters; within a step the
     accepted children therefore come cluster by cluster, each cluster's
-    in parent order.  A step with at least ``2 * _MIN_PART`` children is
-    split by cluster rows across the CPUs (``_split``), and the pieces'
-    children are appended in row order, as one piece would append them.
-    ``stats.nodes_visited`` counts every bound evaluated, empty children's
-    included: pruning lowers it only by the descendants of empty
-    subtrees, which are never evaluated.
+    in parent order.  ``stats.nodes_visited`` counts every bound
+    evaluated, empty children's included: pruning lowers it only by the
+    descendants of empty subtrees, which are never evaluated.
 
     Returns the accepted nodes' ranks (digits past the table's depth
     zero) and bounds, the root first, then the nodes accepted at each
@@ -523,19 +434,14 @@ def _sweep(
         par = np.flatnonzero(bounds <= top)
         pb, pblk = bounds.take(par), ranks.take(par) // w
         stats.nodes_visited += par.size * cand_f.size
-
-        def children(lo: int, hi: int):
-            e = pb + cand_f[lo:hi, None]  # one row per cluster, the parents along it
-            blk = pblk + steps[lo:hi, None]
-            ok = np.flatnonzero((e <= eps) & index.occupied(j, blk))
-            new = blk.take(ok)
-            new *= w
-            new += tail
-            return new, e.take(ok)
-
-        pieces = _split(cand_f.size, children, par.size)
-        ranks = np.concatenate([ranks, *(new for new, _ in pieces)])
-        bounds = np.concatenate([bounds, *(e for _, e in pieces)])
+        e = pb + cand_f[:, None]  # one row per cluster, the parents along it
+        blk = pblk + steps[:, None]
+        ok = np.flatnonzero((e <= eps) & index.occupied(j, blk))
+        new = blk.take(ok)
+        new *= w
+        new += tail
+        ranks = np.concatenate([ranks, new])
+        bounds = np.concatenate([bounds, e.take(ok)])
     return ranks, bounds
 
 
@@ -567,24 +473,16 @@ def _scan_blocks(
     blocks' non-empty bins, a difference of two ranks over the occupancy
     bits, and returns the hits as ``_scan_spans`` does.  A block of one bin is kept
     only if its last-level bit is set, and then spans exactly the next
-    bin.  The ranks are turned into the spans' key rows in pieces
-    (``_split``), joined in rank order."""
+    bin.  The spans' key rows come in rank order."""
     t = time.perf_counter()
-
-    def spans(lo: int, hi: int) -> tuple[np.ndarray, int]:
-        r = ranks[lo:hi]
-        if width == 1:
-            first = index.nonempty_below(r.compress(index.occupied(index.m - 1, r)))
-            last = first + 1
-        else:
-            first, last = index.nonempty_below(r), index.nonempty_below(r + width)
-        bins = int((last - first).sum())
-        starts, ends = index.bins[first].astype(np.int64), index.bins[last].astype(np.int64)
-        return _multi_arange(starts, ends), bins
-
-    pieces = _split(ranks.size, spans)
-    stats.bins_scanned += sum(bins for _, bins in pieces)
-    idx = _joined([keys for keys, _ in pieces])
+    if width == 1:
+        first = index.nonempty_below(ranks.compress(index.occupied(index.m - 1, ranks)))
+        last = first + 1
+    else:
+        first, last = index.nonempty_below(ranks), index.nonempty_below(ranks + width)
+    stats.bins_scanned += int((last - first).sum())
+    starts, ends = index.bins[first].astype(np.int64), index.bins[last].astype(np.int64)
+    idx = _multi_arange(starts, ends)
     _lap(stats, "spans_s", t)
     return _scan_spans(index, q, idx, eps, stats)
 

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import fsindex as fx
-from fsindex import query, search
+from fsindex import query
 
 ACCEPTANCE_LINES: list[str] = []
 
@@ -185,24 +185,6 @@ def brute_force_values(ds: fx.FragmentDataset, f: fx.QueryFunction) -> dict:
 
 def hits_as_set(hits, shift: int = 0) -> set:
     return {(r.seq_id, r.offset, v + shift) for r, v in hits}
-
-
-@contextlib.contextmanager
-def split_small(min_part: int = 4, cpus: int = 3):
-    """Split every phase of at least ``2 * min_part`` elements into up to
-    ``cpus`` pieces, on threads, whatever the machine.  Yields a list that
-    collects (piece function name, piece count) of each split phase."""
-    calls = []
-    real = search._split
-
-    def spy(size, work, per_item=1):
-        calls.append((work.__name__, search._parts(size * per_item)))
-        return real(size, work, per_item)
-
-    with mock.patch.object(search, "_MIN_PART", min_part), \
-            mock.patch.object(search, "_cpus", lambda: cpus), \
-            mock.patch.object(search, "_split", spy):
-        yield calls
 
 
 @contextlib.contextmanager

@@ -410,8 +410,8 @@ class TestBenchCommand:
 
     def test_cli_import_leaves_the_harness_out(self):
         # a cold search process imports the CLI; the bench harness and the
-        # baselines are for ``bench`` and tests only, and phases split on
-        # plain threads, without the executor machinery
+        # baselines are for ``bench`` and tests only, and a search runs on
+        # its calling thread, without the executor machinery
         src = Path(fx.__file__).resolve().parent.parent
         unused = {"fsindex.bench", "statistics", "fsindex.baselines", "concurrent.futures"}
         code = f"import sys, fsindex.cli; print(sorted({unused!r} & set(sys.modules)))"

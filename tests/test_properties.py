@@ -19,7 +19,9 @@ the sorted run's letters, with no repeated key row within a bin, and each
 key's record must hold the per-key arrays format 3 derived from the lcp.
 A hit list's sequence ordinals and offsets, derived from its positions on
 first use, must equal a binary search per position, and (value, position)
-order must be (value, seq_id, offset) order.
+order must be (value, seq_id, offset) order.  Range and k-NN searches
+with distance queries on random alphabets of 3 to 12 letters, each with
+a random distance table, must equal the oracles too.
 """
 
 import bisect
@@ -35,7 +37,7 @@ from hypothesis import given, settings, strategies as st
 
 import fsindex as fx
 from fsindex import core, search
-from conftest import reference_span_scan, row_letters, split_small
+from conftest import reference_span_scan, row_letters
 
 ALPHA = fx.Alphabet("abcdefg")
 MAX_M = 4  # the longest fragments drawn
@@ -46,36 +48,36 @@ SETTINGS = settings(max_examples=100, deadline=None, derandomize=True, database=
 
 
 @st.composite
-def position_spec(draw) -> str:
-    letters = draw(st.permutations(ALPHA.letters))
-    k = draw(st.integers(2, len(ALPHA) - 1))  # the most a partition may have
-    cuts = sorted(draw(st.sets(st.integers(1, len(ALPHA) - 1), min_size=k - 1, max_size=k - 1)))
-    bounds = [0, *cuts, len(ALPHA)]
+def position_spec(draw, alpha: fx.Alphabet = ALPHA) -> str:
+    letters = draw(st.permutations(alpha.letters))
+    k = draw(st.integers(2, len(alpha) - 1))  # the most a partition may have
+    cuts = sorted(draw(st.sets(st.integers(1, len(alpha) - 1), min_size=k - 1, max_size=k - 1)))
+    bounds = [0, *cuts, len(alpha)]
     return ",".join("".join(letters[a:b]) for a, b in zip(bounds, bounds[1:]))
 
 
 @st.composite
-def sequence(draw) -> str:
+def sequence(draw, alpha: fx.Alphabet = ALPHA) -> str:
     """A short sequence; in most, an invalid letter past a run of at least
     ``MAX_M`` valid ones, so that windows longer than the fragments often
     hold a clean key followed by a letter that drops them."""
-    text = draw(st.text(ALPHA.letters + "x", min_size=1, max_size=12))
+    text = draw(st.text(alpha.letters + "x", min_size=1, max_size=12))
     if draw(st.integers(0, 3)):
         at = draw(st.integers(0, len(text)))
-        run = draw(st.text(ALPHA.letters, min_size=MAX_M, max_size=MAX_M + 2))
+        run = draw(st.text(alpha.letters, min_size=MAX_M, max_size=MAX_M + 2))
         text = text[:at] + run + "x" + text[at:]
     return text
 
 
 @st.composite
-def indexes(draw, suffix_mode=st.booleans()):
+def indexes(draw, suffix_mode=st.booleans(), alpha: fx.Alphabet = ALPHA):
     m = draw(st.integers(2, MAX_M))
-    scheme = fx.parse_partition(";".join(draw(position_spec()) for _ in range(m)), ALPHA, m)
-    seqs = draw(st.lists(sequence(), min_size=1, max_size=4))
+    scheme = fx.parse_partition(";".join(draw(position_spec(alpha)) for _ in range(m)), alpha, m)
+    seqs = draw(st.lists(sequence(alpha), min_size=1, max_size=4))
     db = fx.SequenceDB(records=tuple((f"s{i}", s) for i, s in enumerate(seqs)))
     suffix = draw(suffix_mode)
     floor = draw(st.integers(1, m)) if suffix else 1  # above 1, the shortest tails are absent
-    ds = fx.extract_fragments(db, m, alphabet=ALPHA, suffix_mode=suffix, floor=floor)
+    ds = fx.extract_fragments(db, m, alphabet=alpha, suffix_mode=suffix, floor=floor)
     return ds, fx.build(ds, scheme)
 
 
@@ -267,31 +269,6 @@ def test_traversal_matches_tree_walk(case, data, eps):
 
 
 @SETTINGS
-@given(case=indexes(), data=st.data(), eps=st.integers(-2, 50), k=st.integers(1, 6))
-def test_split_phases_change_nothing(case, data, eps, k):
-    # every phase of at least four elements runs in two or three pieces
-    _, index = case
-    lengths = range(1, index.m + 3) if index.suffix_mode else [index.m]
-    q = fx.normalize(pssm(data.draw, data.draw(st.sampled_from(lengths))))
-    full = fx.normalize(pssm(data.draw, index.m))
-
-    counters = COUNTERS + ("sweeps", "scan_chunks")
-
-    def run():
-        trace = fx.Tracer()
-        hits, stats = fx.range_search(index, q, eps, trace)
-        nn, nn_stats = fx.knn_search(index, full, k)
-        return (
-            list(hits), [getattr(stats, c) for c in counters], sorted(trace.scanned),
-            sorted(trace.pruned), list(nn), [getattr(nn_stats, c) for c in counters],
-        )
-
-    plain = run()
-    with split_small(min_part=2):
-        assert run() == plain
-
-
-@SETTINGS
 @given(case=indexes(), data=st.data(), k=st.integers(1, 6))
 def test_knn_lists(case, data, k):
     ds, index = case
@@ -338,6 +315,45 @@ def test_bounds_past_int32(suffix_mode, data, k):
     ]
     kth = max(knn.values(), default=0)
     radius = data.draw(st.sampled_from([kth - 1, kth, kth + 1, 2**62]), label="radius")
+    hits, _ = fx.range_search(index, q, radius - q.shift)
+    assert rows(hits, q.shift) == rows(fx.linear_scan_range(ds, f, radius), 0)
+
+
+@st.composite
+def distance_matrices(draw) -> fx.DistanceMatrix:
+    """A random alphabet of 3 to 12 distinct letters (never the invalid
+    "x") and a random table of non-negative integer distances over it, zero
+    on the diagonal and not always symmetric."""
+    letters = draw(st.permutations("abcdefghijklmnopqrstuvw"))[:draw(st.integers(3, 12))]
+    n = len(letters)
+    table = np.array(draw(st.lists(st.integers(0, 9), min_size=n * n, max_size=n * n)))
+    table = table.reshape(n, n)
+    np.fill_diagonal(table, 0)
+    return fx.DistanceMatrix(fx.Alphabet("".join(letters)), table)
+
+
+@pytest.mark.parametrize("suffix_mode", [False, True])
+@SETTINGS
+@given(data=st.data(), k=st.integers(1, 12))
+def test_random_alphabets_and_distance_queries(suffix_mode, data, k):
+    d = data.draw(distance_matrices())
+    ds, index = data.draw(indexes(suffix_mode=st.just(suffix_mode), alpha=d.alphabet))
+
+    def query(length: int) -> fx.QueryFunction:
+        text = st.text(d.alphabet.letters, min_size=length, max_size=length)
+        return fx.distance_query(d, data.draw(text, label="query"))
+
+    f = query(index.m)
+    q = fx.normalize(f)
+    hits, _ = fx.knn_search(index, q, k)
+    assert [(v + q.shift, r.seq_id, r.offset) for r, v in hits] == [
+        (v, r.seq_id, r.offset) for r, v in fx.linear_scan_knn(ds, f, k)
+    ]
+
+    f = query(data.draw(st.integers(1, index.m + 2)) if suffix_mode else index.m)
+    q = fx.normalize(f)
+    kth = max(fx.linear_scan_knn(ds, f, k).values(), default=0)
+    radius = kth + data.draw(st.integers(-1, 1), label="offset from the k-th value")
     hits, _ = fx.range_search(index, q, radius - q.shift)
     assert rows(hits, q.shift) == rows(fx.linear_scan_range(ds, f, radius), 0)
 

@@ -1,4 +1,6 @@
 import itertools
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -27,6 +29,60 @@ def subtree_digits(root, node, scheme):
         # substitute later positions away from the root in increasing order
         out.append(cand)
     return out
+
+
+@pytest.fixture(scope="module")
+def blosum():
+    s = fx.load_builtin_matrix("BLOSUM62")
+    scheme = fx.parse_partition("TSAN,ILVM,KR,DEQ,WFYH,GPC", s.alphabet, 4)
+    return fx.distance_from_score(s), scheme
+
+
+@pytest.fixture(scope="module")
+def blosum_db(blosum):
+    rng = np.random.default_rng(5150)
+    letters = blosum[0].alphabet.letters
+    return fx.SequenceDB(records=tuple(
+        (f"s{i}", "".join(letters[c] for c in rng.integers(0, len(letters), 60)))
+        for i in range(60)
+    ))
+
+
+def both_modes(db, scheme) -> dict:
+    """Fixed- and suffix-mode length-4 indexes of ``db``."""
+    return {
+        which: fx.build(fx.extract_fragments(db, 4, suffix_mode=which == "suffix"), scheme)
+        for which in ("fixed", "suffix")
+    }
+
+
+@pytest.fixture(scope="module")
+def blosum_indexes(blosum, blosum_db):
+    return both_modes(blosum_db, blosum[1])
+
+
+@pytest.fixture(scope="module")
+def redundant(blosum, blosum_db):
+    """Indexes of every sequence of ``blosum_db`` two or three times, so
+    that keys span several rows."""
+    copies = fx.SequenceDB(records=tuple(
+        (f"{name}c{c}", seq)
+        for i, (name, seq) in enumerate(blosum_db.records) for c in range(3 - i % 2)
+    ))
+    return both_modes(copies, blosum[1])
+
+
+def blosum_query(blosum, index, text, k=300):
+    """The distance query of ``text``, its normalized form and the
+    normalized radius of its ``k``-th nearest neighbour in ``index``."""
+    f = fx.distance_query(blosum[0], text)
+    q = fx.normalize(f)
+    return f, q, fx.linear_scan_knn(index.dataset, f, k).values()[-1] - q.shift
+
+
+def triples(hits, shift: int = 0) -> list:
+    """(seq_id, offset, value + shift) of each hit, in hit order."""
+    return [(r.seq_id, r.offset, v + shift) for r, v in hits]
 
 
 class TestGoldenTrace:
@@ -647,6 +703,63 @@ class TestConcurrentReaders:
                 assert kvals == sorted(
                     fx.linear_scan_knn(toy_cube, f_by_centre[w], 5).values()
                 )
+
+    def test_concurrent_searches(self, blosum, blosum_indexes):
+        # reader threads sharing two indexes, switching often: a range
+        # search, a k-NN search and a query longer than the suffix index
+        fixed, suffix = blosum_indexes["fixed"], blosum_indexes["suffix"]
+        _, q, eps = blosum_query(blosum, fixed, "WKLM")
+        _, long_q, long_eps = blosum_query(blosum, suffix, "WKLMPR")
+
+        def answers():
+            return (
+                triples(fx.range_search(fixed, q, eps)[0]),
+                triples(fx.knn_search(fixed, q, 100)[0]),
+                triples(fx.range_search(suffix, long_q, long_eps)[0]),
+            )
+
+        want = answers()
+        assert all(want)
+        got = []
+
+        def reader():
+            for _ in range(5):
+                got.append(answers() == want)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            readers = [threading.Thread(target=reader) for _ in range(4)]
+            for t in readers:
+                t.start()
+            for t in readers:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in readers)
+        assert got == [True] * 20
+
+
+class TestRedundantKeys:
+    @pytest.mark.parametrize("kind, text, which", [
+        ("range", "WKLM", "fixed"), ("range", "HEAG", "fixed"), ("range", "WKLMPR", "suffix"),
+        ("range", "WK", "suffix"), ("knn", "WKLM", "fixed"), ("flat", "HEAG", "fixed"),
+    ])
+    def test_one_evaluation_per_key(self, kind, text, which, blosum, redundant):
+        # each key spans two or three frag rows: its rows hit together
+        index = redundant[which]
+        ds = index.dataset
+        f, q, eps = blosum_query(blosum, index, text)
+        if kind == "knn":
+            hits, stats = fx.knn_search(index, q, 100)
+            assert triples(hits, q.shift) == triples(fx.linear_scan_knn(ds, f, 100))
+        else:
+            search = fx.range_search if kind == "range" else fx.flat_search
+            hits, stats = search(index if kind == "range" else fx.flat_build(ds), q, eps)
+            want = fx.linear_scan_range(ds, f, eps + q.shift)
+            assert sorted(triples(hits, q.shift)) == sorted(triples(want))
+        assert len(hits) > 0
+        assert stats.keys_scanned < 0.75 * stats.fragments_scanned  # one evaluation per key
 
 
 class TestStatsSanity:
