@@ -160,20 +160,8 @@ class FragmentDataset:
 
     @cached_property
     def clean_runs(self) -> np.ndarray:
-        """Per code position, the valid letters from it to the next invalid
-        letter or its sequence's end, so a ``k``-letter window at ``p`` is
-        clean iff ``clean_runs[p] >= k``; derived on first use.  A position
-        takes the first run end keyed at or after it, less itself: an
-        invalid letter is keyed at itself, a sequence end at its last letter
-        (and loses a tie)."""
-        bad = np.flatnonzero(self.codes >= len(self.alphabet))
-        keys = np.concatenate([bad, self.starts[1:] - 1])
-        order = np.argsort(keys, kind="stable")
-        dtype = np.int32 if self.codes.size < 2**31 else np.int64
-        run_end = np.concatenate([bad, self.starts[1:]]).take(order).astype(dtype)
-        out = np.repeat(run_end, np.diff(keys.take(order), prepend=-1))
-        out -= np.arange(out.size, dtype=dtype)
-        return out
+        """Per code position, its clean run (``clean_runs``), on first use."""
+        return clean_runs(self.codes, self.starts, len(self.alphabet))
 
     def letter_matrix(self, klen: np.ndarray | None = None, room: int = 0) -> np.ndarray:
         """(n, m + room) codes in extraction order; positions past a short
@@ -233,6 +221,23 @@ def encode_db(db: SequenceDB, alphabet: Alphabet) -> tuple[np.ndarray, np.ndarra
     return np.frombuffer(raw.translate(lut.tobytes()), dtype=np.uint8), starts
 
 
+def clean_runs(codes: np.ndarray, starts: np.ndarray, pad: int) -> np.ndarray:
+    """Per code position, the valid letters (codes below ``pad``) from it to
+    the next invalid letter or its sequence's end, so a ``k``-letter window
+    at ``p`` is clean iff ``runs[p] >= k``; int32 below 2**31 codes.  A
+    position takes the first run end keyed at or after it, less itself: an
+    invalid letter is keyed at itself, a sequence end at its last letter
+    (and loses a tie)."""
+    bad = np.flatnonzero(codes >= pad)
+    keys = np.concatenate([bad, starts[1:] - 1])
+    order = np.argsort(keys, kind="stable")
+    dtype = np.int32 if codes.size < 2**31 else np.int64
+    run_end = np.concatenate([bad, starts[1:]]).take(order).astype(dtype)
+    out = np.repeat(run_end, np.diff(keys.take(order), prepend=-1))
+    out -= np.arange(out.size, dtype=dtype)
+    return out
+
+
 def extract_fragments(
     db: SequenceDB,
     m: int,
@@ -244,35 +249,32 @@ def extract_fragments(
 
     Fixed mode keeps windows whose ``m`` letters are all in the alphabet.
     Suffix mode keeps every tail of length >= ``floor`` whose first
-    ``min(length, m)`` letters are valid, so short tails participate too.
+    ``min(length, m)`` letters are valid, so short tails participate too:
+    a start is kept when its clean run holds ``min(tail, m)`` letters.
     """
     if m < 1:
         raise ValueError("fragment length must be >= 1")
     if suffix_mode and not 1 <= floor <= m:
         raise ValueError("suffix floor must be in 1..m")
     codes, starts = encode_db(db, alphabet)
-    # bad_cum[i] = number of invalid letters among codes[:i]
-    bad_cum = np.zeros(codes.size + 1, dtype=np.int64)
-    np.cumsum(codes >= len(alphabet), out=bad_cum[1:])
-
-    # every admissible start of every sequence at once, as a code position,
-    # then one clean test of the window up to ``m`` letters or the sequence end
-    counts = np.maximum(np.diff(starts) - ((floor if suffix_mode else m) - 1), 0)
-    pos = np.arange(counts.sum()) + np.repeat(starts[:-1] - (np.cumsum(counts) - counts), counts)
-    end = pos + m
-    if suffix_mode:
-        np.minimum(end, np.repeat(starts[1:], counts), out=end)
-    clean = bad_cum[end] == bad_cum[pos]
-    del end
-    kept = pos.compress(clean).astype(np.uint32 if codes.size <= POS_LIMIT else np.uint64)
-    kept.flags.writeable = False
+    runs = clean_runs(codes, starts, len(alphabet))
+    keep = runs >= m
+    if suffix_mode:  # each sequence's tails of floor to m - 1 letters, clean to its end
+        tail = np.arange(floor, m)
+        at = starts[1:, None] - tail
+        full = (at >= starts[:-1, None]) & (runs.take(at, mode="clip") >= tail)
+        keep[at[full]] = True
+    del runs
+    pos = np.flatnonzero(keep).astype(np.uint32 if codes.size <= POS_LIMIT else np.uint64)
+    pos.flags.writeable = False
+    admissible = np.maximum(np.diff(starts) - ((floor if suffix_mode else m) - 1), 0).sum()
     return FragmentDataset(
         db=db,
         alphabet=alphabet,
         m=m,
         suffix_mode=suffix_mode,
-        pos=kept,
-        rejected=pos.size - kept.size,
+        pos=pos,
+        rejected=int(admissible) - pos.size,
         codes=codes,
         starts=starts,
     )
@@ -319,13 +321,11 @@ def sample_queries(
     if count < 1:
         raise ValueError("query count must be >= 1")
     rng = np.random.default_rng(seed)
-    if db is not None:
-        pool: list[str] = []
-        for _, residues in db.records:
-            for start in range(0, len(residues) - m + 1, m):
-                window = residues[start:start + m]
-                if all(c in alphabet for c in window):
-                    pool.append(window)
+    if db is not None:  # a window is clean when its clean run holds m letters
+        codes, starts = encode_db(db, alphabet)
+        runs = clean_runs(codes, starts, len(alphabet))
+        pool = [res[s:s + m] for (_, res), base in zip(db.records, starts.tolist())
+                for s in range(0, len(res) - m + 1, m) if runs[base + s] >= m]
         if count > len(pool):
             raise ValueError(
                 f"requested {count} held-out windows but only {len(pool)} available"

@@ -17,19 +17,21 @@ hits in the order it scans them; a query longer than the index is cut
 into parts that are searched so, and the clean windows their hits
 propose are then checked in full and reported in (sequence, offset)
 order.  The dataset's ``clean_runs`` alone decides whether a long window
-is clean, in the check and in ``process_bin``.  k-NN search
+is clean, as it decides which fragments extraction keeps.  k-NN search
 sweeps at a growing radius and after each sweep scans the bins no
 earlier sweep accepted, in one call of the same kernel.  A
 ``Tracer`` keeps a range search's accepted nodes and derives the
 pruned ones from them when read, empty subtrees among them, so tracing
 adds no work to the search.  One block scan turns accepted nodes into
 spans of key rows, and one span-scan kernel evaluates every span, for
-the index, ``process_bin`` and the flat baseline.  The index stores each
+the index, ``process_bin`` and the flat baseline, over at most the
+rows' positions, from the key records alone.  The index stores each
 distinct key's letters once, so the kernel evaluates each key once, and
-a hit key's frag rows all hit.  Hits come back as a ``HitList`` of code
-positions and values, with no Python object per hit; k-NN hits, the
-oracles' included, take the (value, pos) order of ``sorted_by_value``,
-which is (value, seq_id, offset) order.
+a hit key's frag rows all hit.
+Hits come back as a ``HitList`` of code positions and values, with no
+Python object per hit; k-NN hits, the oracles' included, take the
+(value, pos) order of ``sorted_by_value``, which is (value, seq_id,
+offset) order.
 
 A search runs on its calling thread and leaves the index as it found it,
 so several threads may search one index at once.
@@ -245,15 +247,10 @@ def _scan_spans(
     index, q: NormalizedQuery, idx: np.ndarray, eps: int, stats: SearchStats,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Cost-model scan of frag-array spans at a fixed radius, given as
-    their key rows ``idx`` in scan order.
-
-    ``index`` is an ``FSIndex`` or a ``FlatIndex``: ``records`` by key
-    row, and ``key_starts``.  A key reaches position ``j`` when its letter
-    there is not the pad code.  A query longer than the rows also reads
-    ``pos``, ``lcp`` and ``dataset`` to evaluate the positions past them.
-    Returns (frag rows, values) of hits, in row order, and updates the
-    fragment, residue and key counters exactly as the sequential bin scan
-    would.
+    their key rows ``idx`` in scan order, for a query at most as long as
+    the rows of ``index``, an ``FSIndex`` or a ``FlatIndex``.  Returns
+    (frag rows, values) of hits, in row order, and updates the fragment,
+    residue and key counters exactly as the sequential bin scan would.
     """
     t = time.perf_counter()
     stats.scan_chunks += 1
@@ -266,46 +263,43 @@ def _scan_spans(
 
 
 def _scan_rows(
-    index, qtab: np.ndarray, idx: np.ndarray, eval_len: int, eps: int,
+    index, qtab: np.ndarray, idx: np.ndarray, w: int, eps: int,
 ) -> tuple[np.ndarray, np.ndarray, int, int, int]:
-    """``_scan_spans`` on the key rows ``idx``: the frag rows of their
-    hits, in row order, their values, their frag rows' count, the residues
-    the sequential scan reads on those rows and their keys, those whose
-    first ``w`` letters differ from their predecessor's.
+    """``_scan_spans`` on the key rows ``idx`` for a query of ``w <= m``
+    positions, reading only ``index.records`` and ``index.key_starts``:
+    the frag rows of their hits, in row order, their values, their frag
+    rows' count, the residues the sequential scan reads on those rows and
+    their keys, those whose first ``w`` letters differ from their
+    predecessor's.
 
     Each key, a run of frag rows with equal letters, is evaluated once
-    over its first ``w`` positions (``w`` the query length capped at the
-    row length).  Its first row's lcp ``lo`` is below ``m``; every later
-    row shares ``m`` positions with its predecessor and its successor, and
-    its last row shares ``ln``, the next key's ``lo``, with its successor.
-    The sequential scan reads ``max(ln' - lo, 0)`` residues of a key's
-    rows up to their checkpoints, ``ln'`` being ``w`` for a key of more
-    than one row and ``ln`` for one row (each capped at ``w``): the key's
-    gain, capped at ``w - lo`` when ``w < m``.  Only the last row's
-    checkpoint can lie below ``w``.  One row gather reads each key's
-    record, its letters, ``lo``, ``ln``, gain and row count, transposed to
-    one row per field; a key's rows are counted from its record, and from
-    ``key_starts`` at the cap (the pad code).  Position by position, each
-    key's table value is added to its running sum, kept per position as
-    ``cum[j]``, the key's value over its first ``j`` positions; the
-    checkpoint, at which the sequential scan rejects a row early, is the
-    running sum at ``ln``, read with one gather.  An accepted last row
-    reads ``eval_len - ln`` more residues.  Tables are non-negative, so a
-    key's rows hit all together or not at all, and a hit key expands to
-    its frag rows.  A query longer than the rows, which only
-    ``process_bin`` scans (``range_search`` cuts it into parts), has its
-    keys expanded to their frag rows before the checkpoints instead: a
-    row is accepted only if its window is clean over the whole query
-    (``clean_runs``), and the rest is read from the codes.  The lcp stays
-    uint8, as stored, widened to int64 only to index the checkpoints and
-    to count the positions past them.
+    over its first ``w`` positions; it reaches position ``j`` when its
+    letter there is not the pad code.  Its first row's lcp ``lo`` is below
+    ``m``; every later row shares ``m`` positions with its predecessor and
+    its successor, and its last row shares ``ln``, the next key's ``lo``,
+    with its successor.  The sequential scan reads ``max(ln' - lo, 0)``
+    residues of a key's rows up to their checkpoints, ``ln'`` being ``w``
+    for a key of more than one row and ``ln`` for one row (each capped at
+    ``w``): the key's gain, capped at ``w - lo`` when ``w < m``.  Only the
+    last row's checkpoint can lie below ``w``.  One row gather reads each
+    key's record, its letters, ``lo``, ``ln``, gain and row count,
+    transposed to one row per field; a key's rows are counted from its
+    record, and from ``key_starts`` at the cap (the pad code).  Position
+    by position, each key's table value is added to its running sum, kept
+    per position as ``cum[j]``, the key's value over its first ``j``
+    positions; the checkpoint, at which the sequential scan rejects a row
+    early, is the running sum at ``ln``, read with one gather.  An
+    accepted last row reads ``w - ln`` more residues.  Tables are
+    non-negative, so a key's rows hit all together or not at all, and a
+    hit key expands to its frag rows.  The record fields stay uint8, as
+    stored, widened to int64 only to index the checkpoints and to count
+    the positions past them.
     """
     n = idx.size
     if n == 0:
         return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64), 0, 0, 0
     pad, m = len(index.dataset.alphabet), index.letters.shape[1]
     rows = np.take(index.records, idx, axis=0).T.copy()
-    w = min(eval_len, m)  # positions resolvable from stored letters
     lo, ln, gain, sizes = rows[m:]
     fragments = int(sizes.sum(dtype=np.int64))
     if sizes.max() == pad:  # keys of at least the cap's rows: their rows from the starts
@@ -324,14 +318,10 @@ def _scan_rows(
     for j in range(w):
         np.add(cum[j], qtab[j].take(rows[j]), out=cum[j + 1])
     reach = rows[w - 1] < pad  # the key reaches w
-    if eval_len > m:
-        hit, vals, more = _scan_long(index, qtab, idx, cum, reach, eval_len, eps)
-        return hit, vals, fragments, residues + more, keys
-
     checkpoint = np.multiply(ln, n, dtype=np.int64)
     checkpoint += np.arange(n)
     accepted = reach & (cum.ravel().take(checkpoint) <= eps)
-    residues += int((eval_len - ln[accepted].astype(np.int64)).sum())
+    residues += int((w - ln[accepted].astype(np.int64)).sum())
     vals = cum[w]
     hit = np.flatnonzero(accepted & (vals <= eps))
     first, end = _key_rows(index, idx.take(hit))
@@ -343,40 +333,6 @@ def _key_rows(index, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The first frag row of each key row ``idx`` and the row past its last."""
     starts = index.key_starts
     return starts.take(idx).astype(np.int64), starts[1:].take(idx).astype(np.int64)
-
-
-def _scan_long(
-    index, qtab: np.ndarray, idx: np.ndarray, cum: np.ndarray, reach: np.ndarray,
-    eval_len: int, eps: int,
-) -> tuple[np.ndarray, np.ndarray, int]:
-    """``_scan_rows``' end for a query longer than the rows: each frag row
-    of the keys ``idx``, with its key's running sums ``cum`` and ``reach``,
-    checked at its own checkpoint and, if its window is clean over the
-    whole query, evaluated on the positions past the rows.  Returns the
-    hit rows, their values and the residues past the checkpoints."""
-    m = cum.shape[0] - 1
-    first, end = _key_rows(index, idx)
-    row = _multi_arange(first, end)
-    key = np.repeat(np.arange(idx.size), end - first)
-    nxt = np.minimum(index.lcp[1:].take(row), m).astype(np.int64)
-    ds = index.dataset
-    pos = index.pos.take(row)
-    accepted = reach.take(key) & (cum.ravel().take(nxt * idx.size + key) <= eps)
-    accepted &= ds.clean_runs.take(pos) >= eval_len
-    vals = cum[m].take(key)
-    vals[accepted] += _window_values(ds.codes, qtab, pos[accepted], m, eval_len)
-    hit = np.flatnonzero(accepted & (vals <= eps))
-    return row.take(hit), vals.take(hit), int((eval_len - nxt[accepted]).sum())
-
-
-def _window_values(codes, tables: np.ndarray, pos: np.ndarray, lo: int, hi: int) -> np.ndarray:
-    """Values over positions ``lo`` to ``hi`` of the windows at code
-    positions ``pos``, clean that far: one gather per position (a 2-D
-    gather takes several times as long)."""
-    vals = np.zeros(pos.size, dtype=np.int64)
-    for j in range(lo, hi):
-        vals += tables[j].take(codes.take(pos + j))
-    return vals
 
 
 def _sweep(
@@ -494,9 +450,12 @@ def process_bin(
 
     The cumulative-value array is reused up to each fragment's shared
     prefix with its predecessor; a fragment is abandoned once the partial
-    sum at the prefix shared with its successor exceeds the radius.
+    sum at the prefix shared with its successor exceeds the radius.  The
+    query is at most as long as the index; ``range_search`` takes longer.
     """
     _check_query(index, q)
+    if q.m > index.m:
+        raise ValueError(f"length-{q.m} query on a length-{index.m} bin: use range_search")
     t0 = time.perf_counter()
     stats = SearchStats()
     idx, vals = _scan_blocks(index, q, np.array([u], dtype=np.int64), 1, radius, stats)
@@ -606,7 +565,9 @@ def _check_windows(
 
     stats.fragments_scanned += pos.size
     stats.residues_scanned += pos.size * length
-    vals = _window_values(ds.codes, q.base.tables, pos, 0, length)
+    vals = np.zeros(pos.size, dtype=np.int64)
+    for j, table in enumerate(q.base.tables):  # a 2-D gather takes several times as long
+        vals += table.take(ds.codes.take(pos + j))
     hit = np.flatnonzero(vals <= eps)
     _lap(stats, "scan_s", t)
     return pos.take(hit), vals.take(hit)

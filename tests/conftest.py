@@ -130,15 +130,14 @@ def reference_span_scan(index: fx.FSIndex, lo: int, hi: int,
 
     Returns (hits as (frag_row, value), residues evaluated).  Used as the
     cost-model oracle for the vectorized scanner.  It walks the frag rows
-    ``lo`` to ``hi`` with their letters expanded (``row_letters``).  A
-    query longer than the rows reads positions past them from the
-    dataset's codes; a row whose occurrence has no full window of clean
-    letters is skipped after the checkpoint.
+    ``lo`` to ``hi`` with their letters expanded (``row_letters``), for a
+    query at most as long as the rows; a row whose occurrence is shorter
+    than the query is skipped after the checkpoint.
     """
     m_eval = q.m
     qt = q.base.tables
     ds = index.dataset
-    m = index.letters.shape[1]
+    assert m_eval <= index.letters.shape[1], "a query at most as long as the rows"
     letters = row_letters(index)
     cd = [0] * (m_eval + 1)
     hits = []
@@ -151,17 +150,7 @@ def reference_span_scan(index: fx.FSIndex, lo: int, hi: int,
             cd[j + 1] = cd[j] + int(qt[j, row[j]])
             residues += 1
         sid, off = int(index.sids[i]), int(index.offs[i])
-        valid = int(ds.seq_lengths[sid]) - off >= min(m_eval, m)
-        if m_eval > m:
-            start = int(ds.starts[sid]) + off
-            window = [int(c) for c in ds.codes[start:start + m_eval]]
-            valid = (
-                valid
-                and start + m_eval <= int(ds.starts[sid + 1])
-                and all(c < len(ds.alphabet) for c in window)
-            )
-            if valid:
-                row = window
+        valid = int(ds.seq_lengths[sid]) - off >= m_eval
         if valid and cd[lcp_next] <= eps:
             for j in range(lcp_next, m_eval):
                 cd[j + 1] = cd[j] + int(qt[j, row[j]])

@@ -511,7 +511,7 @@ class TestMappedLoad:
     def test_positions_checked_in_every_piece(self, toy_index, tmp_path, monkeypatch,
                                               value, match):
         # in pieces of 5 rows, a position in each piece in turn, and the last row
-        monkeypatch.setattr(fx.core, "_CHECK_ROWS", 5)
+        monkeypatch.setattr(fx.core, "_PIECE_ROWS", 5)
         p = tmp_path / "r.fsi"
         toy_index.save(p)
         clean = p.read_bytes()
@@ -541,7 +541,7 @@ class TestMappedLoad:
                                                sid, off, match):
         # a (sequence, offset) reference is stored as its position, 3 * sid + off
         # here; the check runs in pieces of 5 rows, and row 47 sits in the tenth
-        monkeypatch.setattr(fx.core, "_CHECK_ROWS", 5)
+        monkeypatch.setattr(fx.core, "_PIECE_ROWS", 5)
         sid = int(toy_index.sids[47]) if sid is None else sid
         p = tmp_path / "r.fsi"
         toy_index.save(p)

@@ -182,6 +182,38 @@ def test_encode_db_and_digest_match_per_letter_reference(seqs, alphabet):
     assert fx.core._sequence_digest(codes, starts) == expect
 
 
+@st.composite
+def extraction_cases(draw):
+    """Sequences over "abcd" with invalid letters ("x", "!"), some shorter
+    than the fragment length, with a length of 1 to 5, a floor of 1 to it
+    and either mode."""
+    m = draw(st.integers(1, 5))
+    seqs = draw(st.lists(st.text(st.sampled_from("abcdx!"), min_size=1, max_size=12),
+                         min_size=1, max_size=6))
+    return seqs, m, draw(st.integers(1, m)), draw(st.booleans())
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(case=extraction_cases())
+@example(case=(["ab", "abcxd", "x", "dcba"], 3, 2, True))
+def test_extract_fragments_matches_per_window_loop(case):
+    # a start is admissible at least m (floor) letters before its sequence's
+    # end, and kept when its first m letters (up to the end) are all valid
+    seqs, m, floor, suffix_mode = case
+    alphabet = fx.Alphabet("abcd")
+    db = fx.SequenceDB(records=tuple((f"s{i}", s) for i, s in enumerate(seqs)))
+    ds = fx.extract_fragments(db, m, alphabet=alphabet, suffix_mode=suffix_mode, floor=floor)
+    pos, admissible, base = [], 0, 0
+    for text in seqs:
+        for off in range(len(text) - (floor if suffix_mode else m) + 1):
+            admissible += 1
+            if all(c in alphabet for c in text[off:off + m]):
+                pos.append(base + off)
+        base += len(text)
+    assert ds.pos.tolist() == pos
+    assert ds.rejected == admissible - len(pos)
+
+
 class TestLetterMatrix:
     @staticmethod
     def reference(ds):

@@ -520,7 +520,7 @@ def test_radix_order_is_a_stable_sort(keys):
     order = core._sorted_order(keys)
     assert order.dtype == np.intp
     assert order.tolist() == want
-    with mock.patch.object(core, "_KEY_ROWS", 3):  # the places added in many pieces
+    with mock.patch.object(core, "_PIECE_ROWS", 3):  # the places added in many pieces
         assert core._sorted_order(keys).tolist() == want
 
 

@@ -184,63 +184,16 @@ class TestProcessBin:
                 assert got == want
                 assert stats.residues_scanned == ref_residues
 
-    def test_long_query_matches_reference_scan(self, toy_alpha):
-        # suffix-mode indexes over sequences with invalid letters ('x') and
-        # short tails, so some windows hold an 'x' past the stored rows and
-        # some run off their sequence's end
-        rng = np.random.default_rng(83)
-        checked = skipped = 0
-        for trial in range(30):
-            m = int(rng.integers(2, 5))
-            db = random_db(rng, toy_alpha, n_seqs=8, min_len=1, max_len=20, bad_rate=0.08)
-            ds = fx.extract_fragments(db, m, alphabet=toy_alpha, suffix_mode=True)
-            index = fx.build(ds, random_partition(rng, toy_alpha, m, max_clusters=3))
-            q = fx.normalize(random_query(rng, toy_alpha, m + int(rng.integers(1, 4)), "pssm"))
-            eps = int(rng.integers(0, 40))
-            for u in range(index.n_bins):
-                lo, hi = index.bin_slice(u)
-                if lo == hi:
-                    continue
-                hits, stats = fx.process_bin(index, u, q, eps)
-                ref_hits, ref_residues = reference_span_scan(index, lo, hi, q, eps)
-                got = sorted((r.seq_id, r.offset, v) for r, v in hits)
-                want = sorted(
-                    (int(index.sids[i]), int(index.offs[i]), v) for i, v in ref_hits
-                )
-                assert got == want
-                assert stats.residues_scanned == ref_residues
-                assert stats.fragments_scanned == hi - lo
-                checked += 1
-                skipped += sum(
-                    int(index.offs[i]) + q.m > int(ds.seq_lengths[index.sids[i]])
-                    for i in range(lo, hi)
-                )
-        assert checked > 100 and skipped > 0
-
-    def test_query_longer_than_a_uint8_lcp(self, toy_alpha):
-        # a 300-letter query: the kernel's lcp arrays are uint8, and the
-        # positions past the checkpoint, up to 300, must not wrap
-        rng = np.random.default_rng(257)
-        db = random_db(rng, toy_alpha, n_seqs=4, min_len=300, max_len=340)
-        bad = random_db(rng, toy_alpha, n_seqs=2, min_len=300, max_len=340, bad_rate=0.01)
-        db = fx.SequenceDB(records=db.records + tuple((f"x{n}", t) for n, t in bad.records))
-        ds = fx.extract_fragments(db, 3, alphabet=toy_alpha, suffix_mode=True)
-        index = fx.build(ds, random_partition(rng, toy_alpha, 3, max_clusters=2))
-        q = fx.normalize(random_query(rng, toy_alpha, 300, "pssm"))
-        values = sorted(fx.linear_scan_range(ds, q.base, 2**62).values())
-        found = 0
-        for eps in (values[0], values[len(values) // 2], values[-1]):
-            for u in range(index.n_bins):
-                lo, hi = index.bin_slice(u)
-                if lo == hi:
-                    continue
-                hits, stats = fx.process_bin(index, u, q, eps)
-                ref_hits, ref_residues = reference_span_scan(index, lo, hi, q, eps)
-                want = [(int(index.sids[i]), int(index.offs[i]), v) for i, v in ref_hits]
-                assert sorted(hits.triples()) == sorted(want)
-                assert stats.residues_scanned == ref_residues
-                found += len(hits)
-        assert found > len(values)  # hits at every radius, all of them at the last
+    def test_rejects_longer_queries(self, toy_alpha, toy_scheme, toy_d):
+        # a query longer than the index has positions past the stored rows;
+        # range_search cuts it into parts, and process_bin refuses it
+        db = fx.SequenceDB(records=(("r", "abcdabcd"),))
+        q = fx.normalize(fx.distance_query(toy_d, "abcd"))
+        for suffix_mode in (False, True):
+            index = fx.build(fx.extract_fragments(db, 3, alphabet=toy_alpha,
+                                                  suffix_mode=suffix_mode), toy_scheme)
+            with pytest.raises(ValueError, match="range_search"):
+                fx.process_bin(index, fx.bin_of(toy_scheme, "abc"), q, 100)
 
 
 class TestEmptySubtreePruning:
@@ -568,6 +521,24 @@ class TestLongQueries:
         hits, stats = fx.long_query_search(fx.build(ds, toy_scheme), q, 0)
         assert hits_as_set(hits) == {(1, 1, 0)}
         assert (stats.bins_scanned, stats.fragments_scanned, stats.residues_scanned) == (1, 4, 10)
+
+    def test_query_longer_than_a_uint8_lcp(self, toy_alpha):
+        # a 300-letter query: the kernel's lcp fields are uint8, and the
+        # windows checked past the parts, up to 300 letters, must not wrap
+        rng = np.random.default_rng(257)
+        db = random_db(rng, toy_alpha, n_seqs=4, min_len=300, max_len=340)
+        bad = random_db(rng, toy_alpha, n_seqs=2, min_len=300, max_len=340, bad_rate=0.01)
+        db = fx.SequenceDB(records=db.records + tuple((f"x{n}", t) for n, t in bad.records))
+        ds = fx.extract_fragments(db, 3, alphabet=toy_alpha, suffix_mode=True)
+        index = fx.build(ds, random_partition(rng, toy_alpha, 3, max_clusters=2))
+        q = fx.normalize(random_query(rng, toy_alpha, 300, "pssm"))
+        values = sorted(fx.linear_scan_range(ds, q.base, 2**62).values())
+        for eps in (values[0], values[len(values) // 2], values[-1]):
+            hits, stats = fx.long_query_search(index, q, eps)
+            oracle = fx.linear_scan_range(ds, q.base, eps)
+            assert len(hits) > 0 and hits.as_multiset() == oracle.as_multiset()
+            assert stats.sweeps == stats.scan_chunks == 100  # parts of 3 letters
+        assert len(hits) == len(values)  # every window at the last radius
 
     def test_requires_suffix_mode(self, toy_index, toy_d):
         q = fx.normalize(fx.distance_query(toy_d, "abcd"))
