@@ -64,19 +64,13 @@ def linear_scan_knn(ds: FragmentDataset, q: QueryFunction, k: int) -> HitList:
     return HitList(ds.pos.take(rows), vals, ds.starts).sorted_by_value(k)
 
 
-@dataclass(frozen=True)
-class FlatIndex(KeyRows):
-    """All fragments in one lexicographic run, in the index's row layout."""
-
-    dataset: FragmentDataset  # its fragments in sorted order
-    lcp: np.ndarray         # (n+1,) uint8
-    records: np.ndarray     # (keys, m + 4) uint8 records of the key rows in sorted order
-    key_starts: np.ndarray  # (keys + 1,) uint32, the key rows then n
+FlatIndex = KeyRows  # the sorted run of ``flat_build``
 
 
 def flat_build(ds: FragmentDataset) -> FlatIndex:
-    run, starts, records, lcp, _, _ = _sorted_run(ds)
-    return FlatIndex(dataset=run, lcp=lcp, records=records, key_starts=starts)
+    """All fragments in one run sorted by their letters: the kind of sorted
+    run ``build`` indexes, with no rank field in its keys."""
+    return _sorted_run(ds)
 
 
 def flat_search(

@@ -1,7 +1,8 @@
 """The fragment index: occupancy bits and per-bin sorted fragment positions.
 
-Construction, ``_sorted_run``, which the flat baseline shares, sorts one
-packed unsigned key per fragment.  The key holds the bin rank's bits,
+Construction, ``_sorted_run``, sorts one packed unsigned key per
+fragment into a sorted run (``KeyRows``): ``flat_build`` returns one, the
+flat baseline, and ``build`` indexes one.  The key holds the bin rank's bits,
 then per position the letter's ordinal within its cluster (1 up, in code
 order; 0 for the pad) in the bit length of the position's largest
 cluster.  Within a bin every letter at a position lies in that position's
@@ -28,9 +29,11 @@ that result:
   fragment: the last level has a bit per bin;
 * ``bins`` - offsets into the key rows of the non-empty bins, then the
   key count; a bin's entry is a rank over the last level's bits;
-* ``lcp``  - n+1 shared-prefix lengths between neighbouring fragments,
-  forced to 0 at every bin's first slot and after the last fragment, so
-  a bin scan never reuses state it did not compute;
+* ``lcp``  - n+1 shared-prefix lengths between neighbouring fragments, 0
+  at every bin's first slot and after the last fragment.  No scan reads
+  it: ``build`` and ``load`` find the keys' first rows from it
+  (``key_starts``, not stored), ``audit()`` checks it, and the cost-model
+  tests read it;
 * ``records`` - one (m + 4)-byte record per key row, a fragment whose
   lcp is below ``m``, in frag order: the key's first ``m`` letter codes
   (a key shorter than ``m`` ends where its pad codes, ``len(alphabet)``,
@@ -40,9 +43,6 @@ that result:
   of a record is at most the pad code when ``m`` is, and one ``max`` over
   the block checks the letters.  A fragment's letters are those of the
   last key row at or before it.
-
-The keys' first rows (``key_starts``) are not stored: ``build`` and
-``load`` derive them from the lcp (``_key_starts``).
 
 The index is immutable after construction and safe to share across
 concurrent searches.  ``save`` writes these arrays after a header;
@@ -88,13 +88,6 @@ class IndexFormatError(ValueError):
 def bin_of(scheme: PartitionScheme, fragment: str) -> int:
     """Bin rank of a fragment: the mixed-radix value of its cluster digits."""
     return scheme.rank(scheme.digits(fragment))
-
-
-def _sort_keys(letters: np.ndarray, pad: int) -> np.ndarray:
-    """Letter codes shifted so the pad code of short suffixes sorts first.
-    Every letter code is below the pad, which is at most 255, so ``code + 1``
-    still fits in uint8."""
-    return np.where(letters == pad, np.uint8(0), letters + np.uint8(1))
 
 
 def _raw_lcp(rows: np.ndarray) -> np.ndarray:
@@ -151,30 +144,26 @@ def _key_tables(
     return tables, floors
 
 
-def _packed_keys(ds: FragmentDataset, tables: np.ndarray) -> np.ndarray:
+def _packed_keys(ds: FragmentDataset, tables: np.ndarray, klen: np.ndarray | None) -> np.ndarray:
     """(words, n) uint64 keys: per fragment the sum of ``tables[:, j, code]``
-    over its first ``m`` codes, read from the code array a pass of rows at a
-    time into buffers reused by every pass; a suffix's codes past its end
-    count as the pad (its first ``min(length, m)`` letters are clean, so its
-    clean run tells where it ends).  The gathers write with ``mode="clip"``:
-    their indices are in bounds, and ``"raise"`` would copy ``out`` first."""
+    over its first ``m`` codes, a suffix's codes past its key length
+    ``klen`` counting as the pad, read from the code array a pass of rows at
+    a time into buffers reused by every pass.  The gathers write with
+    ``mode="clip"``: their indices are in bounds, and ``"raise"`` would copy
+    ``out`` first."""
     n, m, pad = ds.n, ds.m, len(ds.alphabet)
     live = tables.any(axis=2)  # the positions with a field in each word
     keys = np.zeros((len(tables), n), dtype=np.uint64)
     padded = np.concatenate([ds.codes, np.full(m, pad, dtype=np.uint8)])
-    runs = ds.clean_runs if ds.suffix_mode else None
     size = min(n, _PIECE_ROWS)
-    room = None if runs is None else np.empty(size, dtype=runs.dtype)
     codes, part = np.empty(size, dtype=np.uint8), np.empty(size, dtype=np.uint64)
     for a in range(0, n, _PIECE_ROWS):
         b = min(a + _PIECE_ROWS, n)
         pos, k = ds.pos[a:b], b - a
-        if runs is not None:
-            runs.take(pos, out=room[:k], mode="clip")
         for j in range(m):
             padded[j:].take(pos, out=codes[:k], mode="clip")
-            if runs is not None:
-                codes[:k][room[:k] <= j] = pad
+            if klen is not None:
+                codes[:k][klen[a:b] <= j] = pad
             for w in np.flatnonzero(live[:, j]):
                 keys[w, a:b] += tables[w, j].take(codes[:k], out=part[:k], mode="clip")
     return keys
@@ -249,72 +238,58 @@ def _first_difference(keys: np.ndarray, order: np.ndarray, floors: list) -> np.n
     return field
 
 
-def _sorted_keys(
-    ds: FragmentDataset, scheme: PartitionScheme | None, phases: dict | None
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Pack and sort the keys.  Returns the order, each sorted row's first
-    differing field (``_first_difference``), and the first row of each run
-    of equal leading fields with that field's value."""
-    t = time.perf_counter()
-    if scheme is None:
-        pad = len(ds.alphabet)
-        ordinals = np.tile(np.r_[1:pad + 1, 0].astype(np.uint64), (ds.m, 1))
-    else:
-        ordinals = _cluster_ordinals(scheme)
-    tables, floors = _key_tables(ordinals, scheme)
-    keys = _packed_keys(ds, tables)
-    t = _lap(phases, "keys", t)
-    order = _sorted_order(keys)
-    t = _lap(phases, "sort", t)
-    field = _first_difference(keys, order, floors)
-    first = np.flatnonzero(np.r_[ds.n > 0, field == 0])
-    lead = keys[0].take(order.take(first)) // floors[0][-1]
-    _lap(phases, "lcp", t)
-    return order, field, first, lead.astype(np.int64)
-
-
 def _sorted_run(
     ds: FragmentDataset, scheme: PartitionScheme | None = None, phases: dict | None = None
-) -> tuple[FragmentDataset, np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+) -> KeyRows:
     """Sort the fragments by (bin rank, letters with the pad first), or by
     letters alone without a scheme, equal keys in extraction order.
 
     Each fragment gets one packed key (``_key_tables``, ``_packed_keys``);
-    the flat run's one cluster per position is the whole alphabet.  Returns
-    the sorted dataset, its key starts (``_key_starts``), the (keys, m + 4)
-    records of their first rows (``_key_fields``), its (n+1,) uint8 lcp,
-    and the first row of each run of equal leading key fields with that
-    field's value: given a scheme, each bin's first row and rank.  A row's
+    the flat run's one cluster per position is the whole alphabet.  A row's
     lcp is the first position field in which its key differs from its
-    predecessor's, capped at its key length; a rank difference gives 0, as
-    do the first row and the slot after the last.  ``phases`` (``build``)
-    gets the milliseconds of each phase."""
+    predecessor's (``_first_difference``), capped at its key length; a rank
+    difference gives 0, as do the first row and the slot after the last.
+    Each suffix's key length is taken once: it ends the packed key, and in
+    sorted order caps the lcp and pads the key records.  ``phases``
+    (``build``) gets the milliseconds of each phase."""
     n, m = ds.n, ds.m
     if m > np.iinfo(np.uint8).max:
         raise ValueError(f"fragment length {m} exceeds the uint8 lcp limit 255")
-    order, field, first, lead = _sorted_keys(ds, scheme, phases)
     t = time.perf_counter()
-    run = replace(ds, pos=ds.pos.take(order))
-    run.pos.flags.writeable = False
-    t = _lap(phases, "letters", t)
+    if scheme is None:
+        pad = len(ds.alphabet)
+        ordinals = np.tile(np.r_[1:pad + 1, 0].astype(np.uint64), (m, 1))
+    else:
+        ordinals = _cluster_ordinals(scheme)
+    tables, floors = _key_tables(ordinals, scheme)
+    # the key lengths, uint8 like the lcp (m <= 255); a fixed-mode key is m long
+    klen = ds.key_lengths().astype(np.uint8) if ds.suffix_mode else None
+    keys = _packed_keys(ds, tables, klen)
+    t = _lap(phases, "keys", t)
+    order = _sorted_order(keys)
+    t = _lap(phases, "sort", t)
+    field = _first_difference(keys, order, floors)
+    first = np.flatnonzero(np.r_[n > 0, field == 0])
+    lead = (keys[0].take(order.take(first)) // floors[0][-1]).astype(np.int64)
+    del keys
     lcp = np.zeros(n + 1, dtype=np.uint8)
     # the lcp per first differing field: 0 for the rank, j for position j, m for none
     lcp_of = np.r_[[0] * (scheme is not None), 0:m + 1].astype(np.uint8)
     lcp[1:n] = lcp_of.take(field)
-    del order, field  # n-long; freed before the letters are gathered
-    t = _lap(phases, "lcp", t)
-    klen = None
-    if ds.suffix_mode:  # the key lengths, uint8 like the lcp (m <= 255)
-        klen = ds.clean_runs.take(run.pos)
-        klen = np.minimum(klen, m, out=klen).astype(np.uint8)
+    if klen is not None:
+        klen = klen.take(order)
         np.minimum(klen, lcp[:n], out=lcp[:n])
+    t = _lap(phases, "lcp", t)
+    run = replace(ds, pos=ds.pos.take(order))
+    run.pos.flags.writeable = False
+    del order, field  # n-long; freed before the letters are gathered
     starts = _key_starts(lcp, m)
-    rows = starts[:-1]
-    firsts = replace(run, pos=run.pos.take(rows))
-    records = firsts.letter_matrix(None if klen is None else klen.take(rows), _FIELDS)
+    firsts = replace(run, pos=run.pos.take(starts[:-1]))
+    records = firsts.letter_matrix(None if klen is None else klen.take(starts[:-1]), _FIELDS)
     _key_fields(records, lcp, starts, len(ds.alphabet))
     _lap(phases, "letters", t)
-    return run, starts, records, lcp, first, lead
+    return KeyRows(dataset=run, lcp=lcp, records=records, key_starts=starts,
+                   bin_heads=(first, lead))
 
 
 def _key_starts(lcp: np.ndarray, m: int) -> np.ndarray:
@@ -339,21 +314,19 @@ def _key_starts(lcp: np.ndarray, m: int) -> np.ndarray:
 
 def _key_fields(records: np.ndarray, lcp: np.ndarray, starts: np.ndarray, pad: int) -> None:
     """Write each key's fields after its letters in ``records``, from the
-    lcp and the key starts, ``_PIECE_ROWS`` keys at a time: its lcp; the
-    next key's (the last slot's, 0, after the last key); by how much the
-    lcp of the row after its first exceeds its own, if it does (``m -
-    lcp`` on a key of more rows); and its row count, capped at ``pad``."""
-    keys, m = records.shape[0], records.shape[1] - _FIELDS
-    for a in range(0, keys, _PIECE_ROWS):
-        b = min(a + _PIECE_ROWS, keys)
-        first, end, rec = starts[a:b], starts[a + 1:b + 1], records[a:b]
-        own = lcp.take(first)
-        rec[:, m] = own
-        rec[:, m + 1] = lcp.take(end)
-        after = lcp.take(first + 1)
-        np.maximum(after, own, out=after)
-        rec[:, m + 2] = after - own
-        rec[:, m + 3] = np.minimum(end - first, pad)
+    lcp and the key starts: its lcp; the next key's (the last slot's, 0,
+    after the last key); by how much the lcp of the row after its first
+    exceeds its own, if it does (``m - lcp`` on a key of more rows); and
+    its row count, capped at ``pad``."""
+    m = records.shape[1] - _FIELDS
+    first, end = starts[:-1], starts[1:]
+    own = lcp.take(first)
+    records[:, m] = own
+    records[:, m + 1] = lcp.take(end)
+    after = lcp.take(first + 1)
+    np.maximum(after, own, out=after)
+    records[:, m + 2] = after - own
+    records[:, m + 3] = np.minimum(end - first, pad)
 
 
 def _level_words(scheme: PartitionScheme) -> list[int]:
@@ -393,10 +366,21 @@ def _sequence_digest(codes: np.ndarray, starts: np.ndarray) -> bytes:
     return digest.digest()
 
 
+@dataclass(frozen=True, kw_only=True)
 class KeyRows:
-    """The row layout of an ``FSIndex`` or ``FlatIndex``: its dataset's
-    fragments in frag order, their lcp, a record per key (``records``) and
-    the key starts.  The references and letters are read from those."""
+    """A sorted run of fragments, as ``_sorted_run`` makes it: its
+    dataset's fragments in frag order, their lcp, a record per key
+    (``records``) and the key starts.  ``flat_build`` returns one, the flat
+    baseline; an ``FSIndex`` extends the one ``build`` indexes.  The
+    references and letters are read from those."""
+
+    dataset: FragmentDataset  # its fragments in frag order: the positions
+    lcp: np.ndarray      # (n+1,) uint8
+    records: np.ndarray  # (keys, m + 4) uint8, frag order: letters (pad = |alphabet|), fields
+    key_starts: np.ndarray  # (keys + 1,) uint32, the key rows, then n; derived, not stored
+    # (first rows, int64 values) of the runs of equal leading key fields: given a
+    # scheme, the bins' first rows and ranks, which ``build`` reads; an index keeps none
+    bin_heads: tuple | None = field(default=None, repr=False, compare=False)
 
     @property
     def pos(self) -> np.ndarray:
@@ -424,17 +408,14 @@ class KeyRows:
         return self.records[:, :-_FIELDS]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class FSIndex(KeyRows):
-    """Immutable search index over a fragment dataset."""
+    """Immutable search index over a fragment dataset: a sorted run by
+    (bin rank, letters), its occupancy bits and its bin offsets."""
 
-    dataset: FragmentDataset  # its fragments in frag order: the positions
     scheme: PartitionScheme
     occupancy: np.ndarray  # "<u8" words, the levels' bitmaps in position order
     bins: np.ndarray     # (non-empty bins + 1,) uint32 offsets into the key rows
-    lcp: np.ndarray      # (n+1,) uint8
-    records: np.ndarray  # (keys, m + 4) uint8, frag order: letters (pad = |alphabet|), fields
-    key_starts: np.ndarray  # (keys + 1,) uint32, the key rows, then n; derived, not stored
     # derived: each level's view of ``occupancy``; the set bits before each last-level word
     levels: tuple = field(init=False, repr=False, compare=False)
     _counts: np.ndarray = field(init=False, repr=False, compare=False)
@@ -532,7 +513,7 @@ class FSIndex(KeyRows):
         ), "letters not padded exactly past each key"
         own = ds.letter_matrix(key_len)
         assert np.array_equal(letters, own), "letters differ from the sequence set"
-        keys = _sort_keys(letters, pad)
+        keys = np.where(letters == pad, np.uint8(0), letters + np.uint8(1))  # pad first
         raw = _raw_lcp(keys)
         capped = np.minimum(raw, np.minimum(np.r_[key_len[:1], key_len[:-1]], key_len))
         bin_first = np.zeros(n, dtype=bool)
@@ -585,12 +566,12 @@ def build(
 ) -> FSIndex:
     """Construct the index: one radix sort of the packed (bin rank, letters)
     keys, bins and lcp read from the sorted keys, then the occupancy bits.  The
-    index keeps the sorted run as its dataset, as ``load`` does.
+    index extends the sorted run (``KeyRows``): its dataset in frag order.
 
     ``phases``, if given, gets the wall milliseconds of each phase: key
-    packing (``keys``), ``sort``, the first differences and lcp (``lcp``),
-    the sorted positions, key lengths and key records (``letters``) and
-    ``occupancy``."""
+    packing with the key lengths (``keys``), ``sort``, the first
+    differences and lcp (``lcp``), the sorted positions and key records
+    (``letters``) and ``occupancy``."""
     if scheme.alphabet != dataset.alphabet:
         raise ValueError("dataset and scheme alphabets differ")
     if scheme.m != dataset.m:
@@ -602,18 +583,17 @@ def build(
     if n > np.iinfo(np.uint32).max:
         raise ValueError(f"{n} fragments exceed the uint32 bin offsets")
 
-    run, starts, records, lcp, first, ranks = _sorted_run(dataset, scheme, phases)
+    run = _sorted_run(dataset, scheme, phases)
+    first, ranks = run.bin_heads
     t = time.perf_counter()
     occupancy = _occupancy(scheme, ranks)
     # every bin's first row starts a key (its lcp is 0): its place among the key rows
     mark = np.zeros(n, dtype=bool)
     mark[first] = True
-    bins = np.append(np.flatnonzero(mark.take(starts[:-1])), starts.size - 1).astype(np.uint32)
+    bins = np.append(np.flatnonzero(mark.take(run.key_starts[:-1])), run.n_keys).astype(np.uint32)
     _lap(phases, "occupancy", t)
-    return FSIndex(
-        dataset=run, scheme=scheme, occupancy=occupancy, bins=bins, lcp=lcp, records=records,
-        key_starts=starts,
-    )
+    return FSIndex(**vars(run) | {"bin_heads": None}, scheme=scheme, occupancy=occupancy,
+                   bins=bins)
 
 
 def _read_exact(fh, size: int) -> bytes:

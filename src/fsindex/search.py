@@ -307,9 +307,11 @@ def _scan_rows(
         fragments += int((end - first - pad).sum())
 
     keys = n  # every lo is below m
-    if w < m:  # lcp <= m, so capping it at w caps it at the query length
+    # ln indexes the checkpoints: capped even at w = m, so a record whose
+    # next-key lcp is past m (``load`` checks only the letters) stays in bounds
+    np.minimum(ln, w, out=ln)
+    if w < m:
         keys = int(np.count_nonzero(lo < w))
-        np.minimum(ln, w, out=ln)
         # max(min(ln', w) - min(lo, w), 0) is the gain capped at w - min(lo, w)
         np.minimum(gain, w - np.minimum(lo, w, out=lo), out=gain)
     residues = int(gain.sum(dtype=np.int64))
@@ -432,6 +434,9 @@ def _scan_blocks(
     bin.  The spans' key rows come in rank order."""
     t = time.perf_counter()
     if width == 1:
+        # not a fork: a node accepted before the last position keeps the root's
+        # later digits and only its block is known to be non-empty, so most are
+        # empty bins; dropping them by their bits first costs a third of two counts
         first = index.nonempty_below(ranks.compress(index.occupied(index.m - 1, ranks)))
         last = first + 1
     else:

@@ -508,10 +508,8 @@ class TestMappedLoad:
         (191, None),                                # the last of 192 residues
         (192, "position past the 192 residues"),
     ])
-    def test_positions_checked_in_every_piece(self, toy_index, tmp_path, monkeypatch,
-                                              value, match):
-        # in pieces of 5 rows, a position in each piece in turn, and the last row
-        monkeypatch.setattr(fx.core, "_PIECE_ROWS", 5)
+    def test_positions_checked_in_every_piece(self, toy_index, tmp_path, value, match):
+        # a position in every fifth row in turn, and in the last row
         p = tmp_path / "r.fsi"
         toy_index.save(p)
         clean = p.read_bytes()
@@ -537,11 +535,9 @@ class TestMappedLoad:
         pytest.param(None, 2, None, id="offs-2-None"),  # the last letter of a 3-letter sequence
         pytest.param(63, 3, "position past the 192 residues", id="offs-3-outside its sequence"),
     ])
-    def test_references_checked_in_every_piece(self, toy_index, tmp_path, monkeypatch,
-                                               sid, off, match):
+    def test_references_checked_in_every_piece(self, toy_index, tmp_path, sid, off, match):
         # a (sequence, offset) reference is stored as its position, 3 * sid + off
-        # here; the check runs in pieces of 5 rows, and row 47 sits in the tenth
-        monkeypatch.setattr(fx.core, "_PIECE_ROWS", 5)
+        # here, written into row 47
         sid = int(toy_index.sids[47]) if sid is None else sid
         p = tmp_path / "r.fsi"
         toy_index.save(p)
@@ -555,6 +551,35 @@ class TestMappedLoad:
         else:
             with pytest.raises(fx.IndexFormatError, match=match):
                 fx.load(p, toy_index.dataset.db)
+
+    @pytest.mark.parametrize("value", [9, 20])
+    @pytest.mark.parametrize("column", ["lcp", "next lcp", "gain", "rows"])
+    def test_corrupt_key_fields_keep_answers_exact(self, toy_alpha, toy_d, tmp_path,
+                                                   column, value):
+        # load checks only the letters of the records: a field byte past m = 4
+        # in every record loads, the searches stay equal to the reference
+        # scans, and audit() reports it
+        db = random_db(np.random.default_rng(4), toy_alpha, n_seqs=40, min_len=1, max_len=30)
+        ds = fx.extract_fragments(db, 4, alphabet=toy_alpha, suffix_mode=True)
+        index = fx.build(ds, fx.parse_partition("ac,bd", toy_alpha, 4))
+        p = tmp_path / "f.fsi"
+        index.save(p)
+        blob = bytearray(p.read_bytes())
+        at = len(blob) - index.records.nbytes + 4 + ["lcp", "next lcp", "gain", "rows"].index(column)
+        blob[at::8] = bytes([value]) * index.n_keys
+        p.write_bytes(bytes(blob))
+        loaded = fx.load(p, db)
+        for text in ("abcd", "dbca", "aaaa", "bd", "c"):
+            f = fx.distance_query(toy_d, text)
+            q = fx.normalize(f)
+            for radius in (0, 6, 12):
+                hits, _ = fx.range_search(loaded, q, radius)
+                assert hits.as_multiset() == fx.linear_scan_range(ds, f, radius).as_multiset()
+            if len(text) == 4:  # k-NN takes the index's length
+                hits, _ = fx.knn_search(loaded, q, 10)
+                assert hits.triples() == fx.linear_scan_knn(ds, f, 10).triples()
+        with pytest.raises(AssertionError, match="key fields not derived from the lcp"):
+            loaded.audit()
 
 
 class TestImmutability:
