@@ -70,7 +70,7 @@ FlatIndex = KeyRows  # the sorted run of ``flat_build``
 def flat_build(ds: FragmentDataset) -> FlatIndex:
     """All fragments in one run sorted by their letters: the kind of sorted
     run ``build`` indexes, with no rank field in its keys."""
-    return _sorted_run(ds)
+    return _sorted_run(ds)[0]
 
 
 def flat_search(
@@ -85,8 +85,8 @@ def flat_search(
     if q.m != ds.m:
         raise ValueError(f"query length {q.m} != fragment length {ds.m}")
     stats.bins_scanned = 1 if flat.n else 0
-    idx, vals = _scan_spans(flat, q, np.arange(flat.key_starts.size - 1), radius, stats)
-    return _finish(flat, idx, vals, stats, t0)
+    pos, vals = _scan_spans(flat, q, np.arange(flat.key_starts.size - 1), radius, stats)
+    return _finish(flat, pos, vals, stats, t0)
 
 
 @dataclass(frozen=True)

@@ -23,7 +23,7 @@ from .alphabet import DistanceMatrix
 from .baselines import flat_build, flat_search, linear_scan_knn, linear_scan_range
 from .core import FSIndex
 from .query import distance_query, normalize
-from .search import INF_RADIUS, PHASES, HitList, SearchStats, knn_search, range_search
+from .search import INF_RADIUS, HitList, SearchStats, knn_search, range_search
 
 SCHEMA = "fsindex-bench/1"
 
@@ -99,7 +99,8 @@ class BenchReport:
             }
 
         def phases(stats: list[SearchStats]) -> dict:
-            return {p: dist([1e3 * getattr(s, p + "_s") for s in stats]) for p in PHASES}
+            names = dict.fromkeys(p for s in stats for p in s.phases_ms)
+            return {p: dist([s.phases_ms.get(p, 0.0) for s in stats]) for p in names}
 
         out = {
             "schema": SCHEMA,
@@ -116,13 +117,13 @@ class BenchReport:
             "keys_scanned": dist([r.rng.keys_scanned for r in rows]),
             "residues_scanned_pct": dist([r.residues_pct() for r in rows]),
             "access_overhead": dist([r.access_overhead() for r in rows]),
-            "range_ms": dist([1e3 * r.rng.elapsed for r in rows]),
+            "range_ms": dist([r.rng.elapsed_ms for r in rows]),
             "range_phases_ms": phases([r.rng for r in rows]),
         }
         knn_rows = [r for r in rows if r.knn is not None]
         if knn_rows:
             out["knn_range_bin_ratio"] = dist([r.knn_bin_ratio() for r in knn_rows])
-            out["knn_ms"] = dist([1e3 * r.knn.elapsed for r in knn_rows])
+            out["knn_ms"] = dist([r.knn.elapsed_ms for r in knn_rows])
             out["knn_phases_ms"] = phases([r.knn for r in knn_rows])
         flat_rows = [r for r in rows if r.flat is not None]
         if flat_rows:
@@ -147,7 +148,7 @@ class BenchReport:
                     str(s.bins_scanned),
                     str(s.fragments_scanned),
                     str(s.residues_scanned),
-                    f"{1e3 * s.elapsed:.3f}",
+                    f"{s.elapsed_ms:.3f}",
                 ]
 
             cells = [r.query, "" if r.k is None else str(r.k), str(r.radius), str(r.hits)]
@@ -156,7 +157,7 @@ class BenchReport:
             if r.flat is None:
                 cells += ["", ""]
             else:
-                cells += [str(r.flat.residues_scanned), f"{1e3 * r.flat.elapsed:.3f}"]
+                cells += [str(r.flat.residues_scanned), f"{r.flat.elapsed_ms:.3f}"]
             lines.append("\t".join(cells))
         return lines
 

@@ -10,6 +10,7 @@ import json
 import os
 import sys
 import time
+from dataclasses import asdict
 
 import numpy as np
 
@@ -23,7 +24,7 @@ from .alphabet import (
     parse_partition,
     parse_score_matrix,
 )
-from .core import build, load, read_index_header
+from .core import _lap, build, load, read_index_header
 from .ingest import dataset_manifest, extract_fragments, parse_fasta, sample_queries
 from .query import (
     distance_query,
@@ -31,7 +32,7 @@ from .query import (
     parse_pssm,
     similarity_threshold_to_radius,
 )
-from .search import PHASES, knn_search, range_search
+from .search import knn_search, range_search
 
 
 def _load_matrix(spec: str, alphabet: Alphabet):
@@ -64,19 +65,19 @@ def cmd_build(args) -> int:
     alphabet = Alphabet(args.alphabet) if args.alphabet else STANDARD_ALPHABET
     _load_matrix(args.matrix, alphabet)  # validates the matrix/alphabet pairing
     scheme = parse_partition(args.partition, alphabet, args.length)
-    marks = [time.perf_counter()]  # before and after each phase
+    phases: dict = {}  # parse, extract, build (its own phases within it), save
+    t = time.perf_counter()
     db = _read_fasta(args.fasta)
-    marks.append(time.perf_counter())
+    t = _lap(phases, "parse", t)
     dataset = extract_fragments(
         db, args.length, alphabet=alphabet,
         suffix_mode=args.suffix_mode, floor=args.floor,
     )
-    marks.append(time.perf_counter())
-    build_phases: dict = {}  # the build's own phases, within "build"
-    index = build(dataset, scheme, build_phases)
-    marks.append(time.perf_counter())
+    t = _lap(phases, "extract", t)
+    index = build(dataset, scheme, phases)
+    t = _lap(phases, "build", t)
     size = index.save(args.out)
-    marks.append(time.perf_counter())
+    _lap(phases, "save", t)
     manifest = dataset_manifest(dataset)
     manifest.update(
         keys=index.n_keys,
@@ -84,10 +85,7 @@ def cmd_build(args) -> int:
         empty_bins=index.empty_bins(),
         index_bytes=size,
         out=args.out,
-        phases_ms={
-            phase: 1e3 * (b - a)
-            for phase, a, b in zip(("parse", "extract", "build", "save"), marks, marks[1:])
-        } | build_phases,
+        phases_ms=phases,
     )
     print(json.dumps(manifest, indent=2, sort_keys=True))
     return 0
@@ -96,12 +94,12 @@ def cmd_build(args) -> int:
 def _open_index(args):
     """The index and the wall times (ms) of its cold phases: FASTA parse,
     load, then load's own phases, each within "load" (``core.load``)."""
-    start = time.perf_counter()
+    phases, load_phases = {}, {}
+    t = time.perf_counter()
     db = _read_fasta(args.fasta)
-    parsed = time.perf_counter()
-    load_phases: dict = {}
+    t = _lap(phases, "parse", t)
     index = load(args.index, db, load_phases)
-    phases = {"parse": 1e3 * (parsed - start), "load": 1e3 * (time.perf_counter() - parsed)}
+    _lap(phases, "load", t)
     return index, phases | {f"load.{name}": ms for name, ms in load_phases.items()}
 
 
@@ -128,18 +126,7 @@ def _format_hits(index, hits, shift: int, fmt: str, out: str | None, stats,
             ds.db.identifier(s), o, ds.fragment_text(s, o, width), v + shift, rank)))
         for rank, (s, o, v) in enumerate(hits.sorted_by_value().triples(), start=1)
     ]
-    stats_obj = {
-        "nodes_visited": stats.nodes_visited,
-        "bins_scanned": stats.bins_scanned,
-        "fragments_scanned": stats.fragments_scanned,
-        "residues_scanned": stats.residues_scanned,
-        "keys_scanned": stats.keys_scanned,
-        "hits": stats.hits,
-        "elapsed_ms": 1e3 * stats.elapsed,
-        "sweeps": stats.sweeps,
-        "scan_chunks": stats.scan_chunks,
-        "phases_ms": {p: 1e3 * getattr(stats, p + "_s") for p in PHASES},
-    }
+    stats_obj = asdict(stats)
     if fmt == "json":
         _emit(json.dumps({"hits": rows, "stats": stats_obj, "phases_ms": phases_ms}, indent=2), out)
     else:
@@ -177,7 +164,7 @@ def cmd_search(args) -> int:
             radius = args.radius
         hits, stats = range_search(index, q, radius - q.shift)
     _spot_audit(index, hits, f, q.shift)
-    phases_ms["search"] = 1e3 * (time.perf_counter() - started)
+    _lap(phases_ms, "search", started)
     _format_hits(index, hits, q.shift, args.format, args.out, stats, phases_ms, query_len=f.m)
     return 0
 

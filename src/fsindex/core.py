@@ -240,9 +240,11 @@ def _first_difference(keys: np.ndarray, order: np.ndarray, floors: list) -> np.n
 
 def _sorted_run(
     ds: FragmentDataset, scheme: PartitionScheme | None = None, phases: dict | None = None
-) -> KeyRows:
+) -> tuple[KeyRows, tuple[np.ndarray, np.ndarray]]:
     """Sort the fragments by (bin rank, letters with the pad first), or by
-    letters alone without a scheme, equal keys in extraction order.
+    letters alone without a scheme, equal keys in extraction order; returns
+    the run and the first rows and int64 values of its runs of equal
+    leading key fields: given a scheme, the bins' first rows and ranks.
 
     Each fragment gets one packed key (``_key_tables``, ``_packed_keys``);
     the flat run's one cluster per position is the whole alphabet.  A row's
@@ -288,8 +290,7 @@ def _sorted_run(
     records = firsts.letter_matrix(None if klen is None else klen.take(starts[:-1]), _FIELDS)
     _key_fields(records, lcp, starts, len(ds.alphabet))
     _lap(phases, "letters", t)
-    return KeyRows(dataset=run, lcp=lcp, records=records, key_starts=starts,
-                   bin_heads=(first, lead))
+    return KeyRows(dataset=run, lcp=lcp, records=records, key_starts=starts), (first, lead)
 
 
 def _key_starts(lcp: np.ndarray, m: int) -> np.ndarray:
@@ -378,9 +379,6 @@ class KeyRows:
     lcp: np.ndarray      # (n+1,) uint8
     records: np.ndarray  # (keys, m + 4) uint8, frag order: letters (pad = |alphabet|), fields
     key_starts: np.ndarray  # (keys + 1,) uint32, the key rows, then n; derived, not stored
-    # (first rows, int64 values) of the runs of equal leading key fields: given a
-    # scheme, the bins' first rows and ranks, which ``build`` reads; an index keeps none
-    bin_heads: tuple | None = field(default=None, repr=False, compare=False)
 
     @property
     def pos(self) -> np.ndarray:
@@ -463,6 +461,8 @@ class FSIndex(KeyRows):
 
     def bin_slice(self, u: int) -> tuple[int, int]:
         """The frag rows of bin ``u``."""
+        if not 0 <= u < self.n_bins:
+            raise ValueError(f"bin rank {u} out of range")
         lo, hi = self.key_starts[self.bins[self.nonempty_below(np.array([u, u + 1]))]]
         return int(lo), int(hi)
 
@@ -583,8 +583,7 @@ def build(
     if n > np.iinfo(np.uint32).max:
         raise ValueError(f"{n} fragments exceed the uint32 bin offsets")
 
-    run = _sorted_run(dataset, scheme, phases)
-    first, ranks = run.bin_heads
+    run, (first, ranks) = _sorted_run(dataset, scheme, phases)
     t = time.perf_counter()
     occupancy = _occupancy(scheme, ranks)
     # every bin's first row starts a key (its lcp is 0): its place among the key rows
@@ -592,8 +591,7 @@ def build(
     mark[first] = True
     bins = np.append(np.flatnonzero(mark.take(run.key_starts[:-1])), run.n_keys).astype(np.uint32)
     _lap(phases, "occupancy", t)
-    return FSIndex(**vars(run) | {"bin_heads": None}, scheme=scheme, occupancy=occupancy,
-                   bins=bins)
+    return FSIndex(**vars(run), scheme=scheme, occupancy=occupancy, bins=bins)
 
 
 def _read_exact(fh, size: int) -> bytes:

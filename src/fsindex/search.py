@@ -50,12 +50,12 @@ from __future__ import annotations
 
 import time
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
 
-from .core import FSIndex
+from .core import FSIndex, _lap
 from .ingest import FragmentRef, seq_refs
 from .query import LowerBoundTable, NormalizedQuery, QueryFunction, lower_bound_table
 
@@ -72,13 +72,16 @@ class SearchStats:
     which sum every counter and time over them.  Such a query's check of
     its candidate windows counts one fragment and ``q.m`` residues per
     clean window (the others are not evaluated), its filter and
-    de-duplication as ``spans_s`` and its evaluation as ``scan_s``.  The
-    phase times are wall seconds: the lower-bound table, the sweep, turning
-    accepted nodes into spans of key rows, scanning the spans and
-    materializing the hits; ``elapsed`` also holds a k-NN search's
-    bookkeeping between them.  ``keys_scanned`` counts the distinct keys
-    among the scanned rows over the query's positions (the window check
-    adds none).
+    de-duplication as ``spans`` and its evaluation as ``scan``.
+    ``phases_ms`` holds the wall milliseconds of the phases the search ran,
+    in the order they first ran: ``table`` (the lower-bound table),
+    ``sweep``, ``spans`` (accepted nodes to spans of key rows), ``scan``
+    (the span scan and its hits' code positions) and ``finish`` (the hit
+    list, in k-NN order for k-NN); ``elapsed_ms`` also holds a k-NN
+    search's bookkeeping between them.  ``keys_scanned`` counts the
+    distinct keys among the scanned rows over the query's positions (the
+    window check adds none).  The fields are in the order of ``fsindex
+    search``'s stats object, which is ``dataclasses.asdict`` of them.
     """
 
     nodes_visited: int = 0
@@ -87,24 +90,10 @@ class SearchStats:
     residues_scanned: int = 0
     keys_scanned: int = 0
     hits: int = 0
+    elapsed_ms: float = 0.0
     sweeps: int = 0
     scan_chunks: int = 0
-    elapsed: float = 0.0
-    table_s: float = 0.0
-    sweep_s: float = 0.0
-    spans_s: float = 0.0
-    scan_s: float = 0.0
-    finish_s: float = 0.0
-
-
-PHASES = ("table", "sweep", "spans", "scan", "finish")  # SearchStats' <phase>_s fields
-
-
-def _lap(stats: SearchStats, phase: str, since: float) -> float:
-    """Add the time since ``since`` to ``phase``; returns the clock."""
-    now = time.perf_counter()
-    setattr(stats, phase, getattr(stats, phase) + now - since)
-    return now
+    phases_ms: dict[str, float] = field(default_factory=dict)
 
 
 @dataclass(eq=False)
@@ -249,8 +238,9 @@ def _scan_spans(
     """Cost-model scan of frag-array spans at a fixed radius, given as
     their key rows ``idx`` in scan order, for a query at most as long as
     the rows of ``index``, an ``FSIndex`` or a ``FlatIndex``.  Returns
-    (frag rows, values) of hits, in row order, and updates the fragment,
-    residue and key counters exactly as the sequential bin scan would.
+    (code positions, values) of hits, in row order, and updates the
+    fragment, residue and key counters exactly as the sequential bin scan
+    would.
     """
     t = time.perf_counter()
     stats.scan_chunks += 1
@@ -258,8 +248,9 @@ def _scan_spans(
     stats.fragments_scanned += fragments
     stats.residues_scanned += residues
     stats.keys_scanned += keys
-    _lap(stats, "scan_s", t)
-    return hit, vals
+    pos = index.pos.take(hit)
+    _lap(stats.phases_ms, "scan", t)
+    return pos, vals
 
 
 def _scan_rows(
@@ -373,16 +364,18 @@ def _sweep(
     zero) and bounds, the root first, then the nodes accepted at each
     position in turn, in the types of the table's ``child_steps`` and
     ``child_bounds`` (int32 where they fit, chosen once per table); the
-    radius is first capped at ``top``, which no bound exceeds.
+    radius is first capped at ``top``, which no bound exceeds.  A rejected
+    root leaves none: no step expands a parent when the root, the node of
+    least bound, is over the radius.
     """
+    t = time.perf_counter()
     root, least = lbt.root_rank, lbt.bound_of(lbt.root_digits)
     stats.sweeps += 1
     stats.nodes_visited += 1
     eps = min(eps, lbt.top)  # no bound exceeds top: the same nodes, and eps fits the bounds
     rank_t, bound_t = lbt.child_steps[0].dtype, lbt.child_bounds[0].dtype
-    ranks, bounds = np.array([root], dtype=rank_t), np.array([least], dtype=bound_t)
-    if least > eps:
-        return ranks[:0], bounds[:0]
+    accepted = int(least <= eps)  # the root, if within the radius
+    ranks, bounds = np.full(accepted, root, dtype=rank_t), np.full(accepted, least, dtype=bound_t)
     for j, (steps, cand_f) in enumerate(zip(lbt.child_steps, lbt.child_bounds)):
         top = eps - lbt.second_min[j]  # the largest bound a parent may have
         if least > top:  # no parent: the root's bound is the least
@@ -400,6 +393,7 @@ def _sweep(
         new += tail
         ranks = np.concatenate([ranks, new])
         bounds = np.concatenate([bounds, e.take(ok)])
+    _lap(stats.phases_ms, "sweep", t)
     return ranks, bounds
 
 
@@ -409,16 +403,17 @@ def _check_query(index: FSIndex, q: NormalizedQuery) -> None:
 
 
 def _finish(
-    index, idx: np.ndarray, vals: np.ndarray, stats: SearchStats, t0: float,
+    index, pos: np.ndarray, vals: np.ndarray, stats: SearchStats, t0: float,
     first: int | None = None,
 ) -> tuple[HitList, SearchStats]:
-    """Hits for rows ``idx`` of an ``FSIndex`` or ``FlatIndex``, in row
-    order; given ``first``, the first ``first`` hits in k-NN order."""
+    """Hits at code positions ``pos`` of the dataset of an ``FSIndex`` or
+    ``FlatIndex``, in the order given; given ``first``, the first ``first``
+    hits in k-NN order.  Ends the search begun at ``t0``."""
     t = time.perf_counter()
-    hits = HitList(index.pos.take(idx), vals, index.dataset.starts)
+    hits = HitList(pos, vals, index.dataset.starts)
     hits = hits if first is None else hits.sorted_by_value(first)
     stats.hits = len(hits)
-    stats.elapsed = _lap(stats, "finish_s", t) - t0
+    stats.elapsed_ms = 1e3 * (_lap(stats.phases_ms, "finish", t) - t0)
     return hits, stats
 
 
@@ -444,7 +439,7 @@ def _scan_blocks(
     stats.bins_scanned += int((last - first).sum())
     starts, ends = index.bins[first].astype(np.int64), index.bins[last].astype(np.int64)
     idx = _multi_arange(starts, ends)
-    _lap(stats, "spans_s", t)
+    _lap(stats.phases_ms, "spans", t)
     return _scan_spans(index, q, idx, eps, stats)
 
 
@@ -461,10 +456,12 @@ def process_bin(
     _check_query(index, q)
     if q.m > index.m:
         raise ValueError(f"length-{q.m} query on a length-{index.m} bin: use range_search")
+    if not 0 <= u < index.n_bins:
+        raise ValueError(f"bin rank {u} out of range")
     t0 = time.perf_counter()
     stats = SearchStats()
-    idx, vals = _scan_blocks(index, q, np.array([u], dtype=np.int64), 1, radius, stats)
-    return _finish(index, idx, vals, stats, t0)
+    pos, vals = _scan_blocks(index, q, np.array([u], dtype=np.int64), 1, radius, stats)
+    return _finish(index, pos, vals, stats, t0)
 
 
 def range_search(
@@ -486,32 +483,27 @@ def range_search(
     t0 = time.perf_counter()
     stats = SearchStats()
     if q.m <= index.m:
-        idx, vals = _search_rows(index, q, radius, trace, stats)
-        return _finish(index, idx, vals, stats, t0)
-    parts = []
-    for lo, hi, eps in _part_plan(q.m, index.m, radius):
-        part = NormalizedQuery(QueryFunction(q.alphabet, q.base.tables[lo:hi]), 0)
-        parts.append((lo, _search_rows(index, part, eps, trace, stats)[0]))
-    pos, vals = _check_windows(index, q, parts, radius, stats)
-    t = time.perf_counter()
-    hits = HitList(pos, vals, index.dataset.starts)
-    stats.hits = len(hits)
-    stats.elapsed = _lap(stats, "finish_s", t) - t0
-    return hits, stats
+        pos, vals = _search_short(index, q, radius, trace, stats)
+    else:
+        parts = []
+        for lo, hi, eps in _part_plan(q.m, index.m, radius):
+            part = NormalizedQuery(QueryFunction(q.alphabet, q.base.tables[lo:hi]), 0)
+            parts.append((lo, _search_short(index, part, eps, trace, stats)[0]))
+        pos, vals = _check_windows(index, q, parts, radius, stats)
+    return _finish(index, pos, vals, stats, t0)
 
 
-def _search_rows(
+def _search_short(
     index: FSIndex, q: NormalizedQuery, radius: int, trace: Tracer | None,
     stats: SearchStats,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Rows and values of the hits of a query at most as long as the
-    index: one sweep over its positions, then one scan of the accepted
-    nodes' rank blocks.  Adds to ``stats``."""
+    """Code positions and values of the hits of a query at most as long as
+    the index, in row order: one sweep over its positions, then one scan
+    of the accepted nodes' rank blocks.  Adds to ``stats``."""
     t = time.perf_counter()
     lbt = lower_bound_table(q, index.scheme, depth=q.m)
-    t = _lap(stats, "table_s", t)
+    _lap(stats.phases_ms, "table", t)
     node_ranks, node_bounds = _sweep(lbt, index, radius, stats)
-    _lap(stats, "sweep_s", t)
     if trace is not None:
         trace.record(lbt, node_ranks, node_bounds)
     width = int(index.scheme.radix_weights[q.m - 1])
@@ -525,16 +517,18 @@ def _part_plan(length: int, m: int, eps: int) -> list[tuple[int, int, int]]:
 
     The radii share ``eps + 1`` out in proportion to the part lengths: the
     ``a_i + 1`` sum to it, the least sum above ``eps``, the remainders
-    going to the largest fractions.  A window's value is the sum of its
-    parts' values, which are integers, so a window within ``eps`` has a
-    part within its radius (pigeonhole).
+    going to the largest fractions (the first of equal ones).  A window's
+    value is the sum of its parts' values, which are integers, so a window
+    within ``eps`` has a part within its radius (pigeonhole).  The shares
+    are Python integers, exact at any radius.
     """
     k = max(2, -(-length // m))
     cuts = [length * i // k for i in range(k + 1)]
-    share = (eps + 1 - k) * np.diff(cuts)  # the radii sum to eps + 1 - k
-    radii = share // length
-    radii[np.argsort(-(share % length), kind="stable")[:eps + 1 - k - radii.sum()]] += 1
-    return list(zip(cuts, cuts[1:], radii.tolist()))
+    share = [(eps + 1 - k) * (b - a) for a, b in zip(cuts, cuts[1:])]  # sum: eps + 1 - k
+    radii = [s // length for s in share]
+    for i in sorted(range(k), key=lambda i: -(share[i] % length))[:eps + 1 - k - sum(radii)]:
+        radii[i] += 1
+    return list(zip(cuts, cuts[1:], radii))
 
 
 def _check_windows(
@@ -543,7 +537,7 @@ def _check_windows(
 ) -> tuple[np.ndarray, np.ndarray]:
     """(code positions, values) of the windows within ``eps`` of a query
     longer than the index, in position order, from its parts' hits:
-    ``(start, rows)`` per part.
+    ``(start, code positions)`` per part.
 
     A hit at offset ``o`` of the part that starts at query position ``s``
     proposes the window at ``o - s``.  The part's own fragment may be
@@ -558,15 +552,14 @@ def _check_windows(
     """
     t = time.perf_counter()
     ds, length = index.dataset, q.m
-    found = []
-    for i, (lo, rows) in enumerate(parts):
-        pos = index.pos.take(rows).astype(np.int64)
-        found.append((np.r_[pos, ds.unstarted] if i else pos) - lo)
-    pos = np.concatenate(found)
+    pos = np.concatenate([
+        (np.r_[hit, ds.unstarted] if i else hit).astype(np.int64, copy=False) - lo
+        for i, (lo, hit) in enumerate(parts)
+    ])
     pos = pos[pos >= 0]  # not before the first sequence
     pos = np.sort(pos[ds.clean_runs.take(pos) >= length])
     pos = pos[np.diff(pos, prepend=-1) != 0]
-    t = _lap(stats, "spans_s", t)
+    t = _lap(stats.phases_ms, "spans", t)
 
     stats.fragments_scanned += pos.size
     stats.residues_scanned += pos.size * length
@@ -574,7 +567,7 @@ def _check_windows(
     for j, table in enumerate(q.base.tables):  # a 2-D gather takes several times as long
         vals += table.take(ds.codes.take(pos + j))
     hit = np.flatnonzero(vals <= eps)
-    _lap(stats, "scan_s", t)
+    _lap(stats.phases_ms, "scan", t)
     return pos.take(hit), vals.take(hit)
 
 
@@ -625,23 +618,21 @@ def knn_search(
     t0 = time.perf_counter()
     stats = SearchStats()
     lbt = lower_bound_table(q, index.scheme)
-    _lap(stats, "table_s", t0)
+    _lap(stats.phases_ms, "table", t0)
     radius = lbt.bound_of(lbt.root_digits)
     covered = -1  # every non-empty bin with bound <= covered has been scanned
     kth = INF_RADIUS
-    idx = vals = np.zeros(0, dtype=np.int64)
+    pos, vals = index.pos[:0], np.zeros(0, dtype=np.int64)
     while True:
-        t = time.perf_counter()
         ranks, bounds = _sweep(lbt, index, radius, stats)
-        _lap(stats, "sweep_s", t)
-        ci, cv = _scan_blocks(index, q, ranks[bounds > covered], 1, kth, stats)
-        idx, vals = np.concatenate([idx, ci]), np.concatenate([vals, cv])
+        cp, cv = _scan_blocks(index, q, ranks[bounds > covered], 1, kth, stats)
+        pos, vals = np.concatenate([pos, cp]), np.concatenate([vals, cv])
         if vals.size >= k:
             kth = int(np.partition(vals, k - 1)[k - 1])
             keep = vals <= kth
-            idx, vals = idx[keep], vals[keep]
+            pos, vals = pos[keep], vals[keep]
         if kth <= radius or radius >= lbt.top:  # no bin's bound exceeds top
             break
         covered = radius
         radius = min(kth, lbt.top, radius + radius // 2 + 1)
-    return _finish(index, idx, vals, stats, t0, idx.size if all_ties else k)
+    return _finish(index, pos, vals, stats, t0, pos.size if all_ties else k)

@@ -135,6 +135,20 @@ class TestSearchCommand:
             else:
                 assert stats["sweeps"] >= 1 and stats["scan_chunks"] >= 1
 
+    def test_json_stats_keys_in_order(self, workdir, capsys):
+        args = [
+            "search", "--index", str(workdir / "db.fsi"), "--fasta", str(workdir / "db.fa"),
+            "--matrix", "BLOSUM62", "--query", "MKVLAT", "--format", "json",
+        ]
+        for mode in (["--radius", "40"], ["--k", "3"]):
+            assert main(args + mode) == 0
+            stats = json.loads(capsys.readouterr().out)["stats"]
+            assert list(stats) == [
+                "nodes_visited", "bins_scanned", "fragments_scanned", "residues_scanned",
+                "keys_scanned", "hits", "elapsed_ms", "sweeps", "scan_chunks", "phases_ms",
+            ]
+            assert list(stats["phases_ms"]) == ["table", "sweep", "spans", "scan", "finish"]
+
     def test_json_reports_cold_phases(self, workdir, capsys):
         args = [
             "search", "--index", str(workdir / "db.fsi"), "--fasta", str(workdir / "db.fa"),

@@ -66,6 +66,13 @@ class TestBuild:
     def test_full_cube_fills_every_bin_evenly(self, toy_index):
         assert [toy_index.bin_size(u) for u in range(8)] == [8] * 8
 
+    def test_ranks_outside_the_scheme_rejected(self, toy_index):
+        for u in (-1, toy_index.n_bins, toy_index.n_bins + 5000):
+            with pytest.raises(ValueError, match="out of range"):
+                toy_index.bin_slice(u)
+            with pytest.raises(ValueError, match="out of range"):
+                toy_index.bin_size(u)
+
     def test_no_repeats_store_a_key_per_fragment(self, toy_index, tmp_path):
         # every fragment of the cube once: each row is a key of its own
         assert toy_index.n_keys == toy_index.n == 64

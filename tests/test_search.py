@@ -195,6 +195,12 @@ class TestProcessBin:
             with pytest.raises(ValueError, match="range_search"):
                 fx.process_bin(index, fx.bin_of(toy_scheme, "abc"), q, 100)
 
+    def test_rejects_ranks_outside_the_scheme(self, toy_index, toy_d):
+        q = fx.normalize(fx.distance_query(toy_d, "abd"))
+        for u in (-1, toy_index.n_bins, toy_index.n_bins + 5000):
+            with pytest.raises(ValueError, match="out of range"):
+                fx.process_bin(toy_index, u, q, 100)
+
 
 class TestEmptySubtreePruning:
     """The worked example's query on an index holding three bins.
@@ -540,6 +546,25 @@ class TestLongQueries:
             assert stats.sweeps == stats.scan_chunks == 100  # parts of 3 letters
         assert len(hits) == len(values)  # every window at the last radius
 
+    @pytest.mark.parametrize("radius", [2**61, 2**62, fx.INF_RADIUS, 2**70])
+    @pytest.mark.parametrize("m, text", [(9, "MKVLATTRSPEA"), (4, "MKVLATTRS")])
+    def test_huge_radii_keep_every_hit(self, m, text, radius):
+        # two parts (12 letters on m = 9) and three (9 on m = 4): the parts'
+        # radii are planned exactly however large the radius
+        s = fx.load_builtin_matrix("BLOSUM62")
+        db = fx.SequenceDB(records=(
+            ("a", "MKVLATTRSPEAMKVLATTRSPEAW"), ("b", "MKVLATTRSAEAWWWKKLLMMNN"),
+        ))
+        ds = fx.extract_fragments(db, m, suffix_mode=True)
+        index = fx.build(ds, fx.parse_partition("TSAN,ILVM,KR,DEQ,WFYH,GPC", s.alphabet, m))
+        f = fx.distance_query(fx.distance_from_score(s), text)
+        q = fx.normalize(f)
+        hits, stats = fx.range_search(index, q, radius)
+        want = fx.linear_scan_range(ds, f, radius + q.shift)
+        assert len(want) > 0
+        assert sorted(triples(hits, q.shift)) == sorted(triples(want))
+        assert stats.scan_chunks == -(-len(text) // m)
+
     def test_requires_suffix_mode(self, toy_index, toy_d):
         q = fx.normalize(fx.distance_query(toy_d, "abcd"))
         with pytest.raises(ValueError, match="suffix"):
@@ -734,6 +759,29 @@ class TestRedundantKeys:
 
 
 class TestStatsSanity:
+    def test_phase_times_cover_the_phases_run(self, blosum, blosum_indexes):
+        index = blosum_indexes["suffix"]
+        flat = fx.flat_build(index.dataset)
+        sweep = ["table", "sweep", "spans", "scan", "finish"]
+
+        def q_of(text):
+            return fx.normalize(fx.distance_query(blosum[0], text))
+
+        runs = [
+            (fx.process_bin(index, fx.bin_of(blosum[1], "MKVL"), q_of("MKVL"), 40),
+             ["spans", "scan", "finish"]),
+            (fx.flat_search(flat, q_of("MKVL"), 40), ["scan", "finish"]),
+            (fx.range_search(index, q_of("MKVL"), 40), sweep),
+            (fx.range_search(index, q_of("MKV"), 30), sweep),
+            (fx.range_search(index, q_of("MKVLATT"), 60), sweep),
+            (fx.range_search(index, q_of("MKVL"), 40, trace=fx.Tracer()), sweep),
+            (fx.knn_search(index, q_of("MKVL"), 10), sweep),
+        ]
+        for (_, stats), phases in runs:
+            assert list(stats.phases_ms) == phases
+            assert all(ms > 0 for ms in stats.phases_ms.values())
+            assert sum(stats.phases_ms.values()) <= stats.elapsed_ms
+
     def test_fragment_and_residue_accounting(self, toy_alpha):
         rng = np.random.default_rng(55)
         s = fx.parse_score_matrix(
