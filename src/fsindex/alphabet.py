@@ -135,13 +135,12 @@ class QuasiMetricReport:
     """
 
     separation_ok: bool
-    nonneg_ok: bool
     triangle_violations: list[tuple[str, str, str, int]]
     is_symmetric: bool
 
     @property
     def is_quasi_metric(self) -> bool:
-        return self.separation_ok and self.nonneg_ok and not self.triangle_violations
+        return self.separation_ok and not self.triangle_violations
 
 
 def parse_score_matrix(text: str, alphabet: Alphabet | None = None) -> ScoreMatrix:
@@ -237,15 +236,12 @@ def distance_from_score(s: ScoreMatrix) -> DistanceMatrix:
 
 def check_quasi_metric(d: DistanceMatrix) -> QuasiMetricReport:
     """Audit separation and the triangle inequality over all ordered triples."""
-    v = d.values
+    v = d.values  # non-negative with a zero diagonal, as a DistanceMatrix is
     letters = d.alphabet.letters
-    nonneg_ok = bool((v >= 0).all())
 
     both_zero = (v == 0) & (v.T == 0)
     off = ~np.eye(len(letters), dtype=bool)
-    separation_ok = bool(
-        (np.diagonal(v) == 0).all() and not (both_zero & off).any()
-    )
+    separation_ok = not (both_zero & off).any()
 
     # slack[a, b, c] = D(a,c) - D(a,b) - D(b,c)
     slack = v[:, None, :] - v[:, :, None] - v[None, :, :]
@@ -259,7 +255,6 @@ def check_quasi_metric(d: DistanceMatrix) -> QuasiMetricReport:
         )
     return QuasiMetricReport(
         separation_ok=separation_ok,
-        nonneg_ok=nonneg_ok,
         triangle_violations=violations,
         is_symmetric=d.is_symmetric,
     )
@@ -333,9 +328,8 @@ class PartitionScheme:
         n_bins = 1
         for i in range(self.m - 1, -1, -1):
             weights[i] = n_bins
-            prev = n_bins
             n_bins *= int(sizes[i])
-            if n_bins // int(sizes[i]) != prev or n_bins > 2**62:
+            if n_bins > 2**62:  # a Python int never wraps: only its size is checked
                 raise PartitionFormatError("bin count overflows the index range")
         rank_of.flags.writeable = False
         weights.flags.writeable = False

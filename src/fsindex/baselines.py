@@ -133,10 +133,11 @@ def fibre_range_query(
         raise ValueError(f"query length {len(omega)} != fragment length {ds.m}")
 
     codes = ds.alphabet.encode(omega)
-    w_omega = int(np.diagonal(s.values)[codes].sum())
-    part = fibre_partition(ds, s)
-    # the same rows as ``part.rows``: every clean window of m letters
+    diag = np.diagonal(s.values)
+    w_omega = int(diag[codes].sum())
+    # both gathers keep the same rows: every clean window of m letters
+    _, weights = _evaluate(ds, np.broadcast_to(diag, (ds.m, diag.size)))
     rows, rho2 = _evaluate(ds, (d.values + d.values.T)[codes])
-    keep = rho2 <= 2 * radius + (part.weights - w_omega)
+    keep = rho2 <= 2 * radius + (weights - w_omega)
     rows = rows[keep]
-    return HitList(ds.pos.take(rows), (rho2 + w_omega - part.weights)[keep] // 2, ds.starts)
+    return HitList(ds.pos.take(rows), (rho2 + w_omega - weights)[keep] // 2, ds.starts)

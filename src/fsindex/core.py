@@ -29,11 +29,6 @@ that result:
   fragment: the last level has a bit per bin;
 * ``bins`` - offsets into the key rows of the non-empty bins, then the
   key count; a bin's entry is a rank over the last level's bits;
-* ``lcp``  - n+1 shared-prefix lengths between neighbouring fragments, 0
-  at every bin's first slot and after the last fragment.  No scan reads
-  it: ``build`` and ``load`` find the keys' first rows from it
-  (``key_starts``, not stored), ``audit()`` checks it, and the cost-model
-  tests read it;
 * ``records`` - one (m + 4)-byte record per key row, a fragment whose
   lcp is below ``m``, in frag order: the key's first ``m`` letter codes
   (a key shorter than ``m`` ends where its pad codes, ``len(alphabet)``,
@@ -41,8 +36,15 @@ that result:
   after its first exceeds its own (its gain: ``m - lcp`` on a key of
   more rows) and its row count, capped at the pad code.  So every byte
   of a record is at most the pad code when ``m`` is, and one ``max`` over
-  the block checks the letters.  A fragment's letters are those of the
-  last key row at or before it.
+  the block checks the letters.  A key whose count sits at the cap has
+  its true row count stored after the records block, as u32.  The key
+  starts (``key_starts``, not stored) are the running sum of the row
+  counts, and a fragment's letters are those of the last key row at or
+  before it;
+* ``lcp`` - not stored: n+1 shared-prefix lengths between neighbouring
+  fragments, derived from the records (a key's own lcp at its first row,
+  ``m`` at every later row, 0 after the last fragment).  No scan reads
+  it: ``audit()`` checks it and the cost-model tests read it.
 
 The index is immutable after construction and safe to share across
 concurrent searches.  ``save`` writes these arrays after a header;
@@ -57,27 +59,26 @@ import os
 import struct
 import time
 from dataclasses import dataclass, field, replace
+from functools import cached_property
+
+# not hashlib's, which would also load OpenSSL's _hashlib: 3-4 ms of every cold search
+from _blake2 import blake2b
 
 import numpy as np
 
 from .alphabet import Alphabet, PartitionScheme, parse_partition
 from .ingest import FragmentDataset, SequenceDB, encode_db, seq_refs
 
-try:  # hashlib would also load OpenSSL's _hashlib, 3-4 ms of every cold search
-    from _blake2 import blake2b
-except ImportError:  # interpreters built without it
-    from hashlib import blake2b
-
 MAGIC = b"FSIX"
-FORMAT_VERSION = 4
+FORMAT_VERSION = 5
 # magic, version, m, n, keys, bins, non-empty bins, largest bin, alphabet
 # and partition text bytes, suffix flag, bytes per position, digest of the
 # encoded sequence set
 _HEADER = struct.Struct("<4sIIQQQQQIIBB32s")
 # the arrays after the header, in file order, the first 8-byte aligned;
-# positions take the header's width
-_ARRAYS = (("occupancy", "<u8"), ("bins", "<u4"), ("pos", None), ("lcp", "<u1"),
-           ("records", "<u1"))
+# positions take the header's width.  The true row counts of the keys whose
+# count byte sits at the cap, "<u4", end the file
+_ARRAYS = (("occupancy", "<u8"), ("bins", "<u4"), ("pos", None), ("records", "<u1"))
 _FIELDS = 4  # record bytes after a key's letters: lcp, next key's lcp, gain, rows
 
 
@@ -101,7 +102,7 @@ def _raw_lcp(rows: np.ndarray) -> np.ndarray:
     return out
 
 
-_PIECE_ROWS = 1 << 16  # rows per piece of the keys' packing and sort, key starts and records
+_PIECE_ROWS = 1 << 16  # rows per piece of the keys' packing and sort
 
 
 def _cluster_ordinals(scheme: PartitionScheme) -> np.ndarray:
@@ -285,32 +286,13 @@ def _sorted_run(
     run = replace(ds, pos=ds.pos.take(order))
     run.pos.flags.writeable = False
     del order, field  # n-long; freed before the letters are gathered
-    starts = _key_starts(lcp, m)
+    # a key is a run of rows with equal letters: it starts at each row whose lcp is below m
+    starts = np.flatnonzero(np.r_[lcp[:n] < m, True]).astype(np.uint32)
     firsts = replace(run, pos=run.pos.take(starts[:-1]))
     records = firsts.letter_matrix(None if klen is None else klen.take(starts[:-1]), _FIELDS)
     _key_fields(records, lcp, starts, len(ds.alphabet))
     _lap(phases, "letters", t)
-    return KeyRows(dataset=run, lcp=lcp, records=records, key_starts=starts), (first, lead)
-
-
-def _key_starts(lcp: np.ndarray, m: int) -> np.ndarray:
-    """The key rows of a sorted run, from its (n+1,) lcp, then ``n``, as
-    (keys + 1,) uint32: a key is a run of rows with equal letters, and
-    starts at each row whose lcp is below ``m``.  They are found
-    ``_PIECE_ROWS`` rows at a time, so no n-long array is made."""
-    n = lcp.size - 1
-    body = lcp[:n]
-    pieces = range(0, n, _PIECE_ROWS)
-    size = sum(np.count_nonzero(body[a:a + _PIECE_ROWS] < m) for a in pieces)
-    starts = np.empty(size + 1, dtype=np.uint32)
-    at = 0
-    for a in pieces:
-        rows = np.flatnonzero(body[a:a + _PIECE_ROWS] < m)
-        rows += a
-        starts[at:at + rows.size] = rows
-        at += rows.size
-    starts[size] = n
-    return starts
+    return KeyRows(dataset=run, records=records, key_starts=starts), (first, lead)
 
 
 def _key_fields(records: np.ndarray, lcp: np.ndarray, starts: np.ndarray, pad: int) -> None:
@@ -370,13 +352,12 @@ def _sequence_digest(codes: np.ndarray, starts: np.ndarray) -> bytes:
 @dataclass(frozen=True, kw_only=True)
 class KeyRows:
     """A sorted run of fragments, as ``_sorted_run`` makes it: its
-    dataset's fragments in frag order, their lcp, a record per key
-    (``records``) and the key starts.  ``flat_build`` returns one, the flat
-    baseline; an ``FSIndex`` extends the one ``build`` indexes.  The
-    references and letters are read from those."""
+    dataset's fragments in frag order, a record per key (``records``) and
+    the key starts.  ``flat_build`` returns one, the flat baseline; an
+    ``FSIndex`` extends the one ``build`` indexes.  The references,
+    letters and lcp are read from those."""
 
     dataset: FragmentDataset  # its fragments in frag order: the positions
-    lcp: np.ndarray      # (n+1,) uint8
     records: np.ndarray  # (keys, m + 4) uint8, frag order: letters (pad = |alphabet|), fields
     key_starts: np.ndarray  # (keys + 1,) uint32, the key rows, then n; derived, not stored
 
@@ -405,6 +386,18 @@ class KeyRows:
         """(keys, m) codes of the key rows: a view of the records."""
         return self.records[:, :-_FIELDS]
 
+    @cached_property
+    def lcp(self) -> np.ndarray:
+        """(n+1,) uint8, read-only: each row's shared prefix with its
+        predecessor, from the records: a key's own lcp at its first row,
+        ``m`` at every later row (it repeats its predecessor's letters) and
+        0 after the last."""
+        m = self.dataset.m
+        lcp = np.full(self.n + 1, m, dtype=np.uint8)
+        lcp[self.key_starts] = np.append(self.records[:, m], 0)
+        lcp.flags.writeable = False
+        return lcp
+
 
 @dataclass(frozen=True, kw_only=True)
 class FSIndex(KeyRows):
@@ -419,14 +412,16 @@ class FSIndex(KeyRows):
     _counts: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        for arr in (self.occupancy, self.bins, self.pos, self.lcp, self.records,
-                    self.key_starts):
+        for arr in (self.occupancy, self.bins, self.pos, self.records, self.key_starts):
             arr.flags.writeable = False
         cuts = np.cumsum([0, *_level_words(self.scheme)])
         levels = tuple(self.occupancy[a:b] for a, b in zip(cuts, cuts[1:]))
-        counts = np.cumsum(np.bitwise_count(levels[-1]), dtype=np.int64)
+        # summed in place: one int64 array, no second copy of the counts
+        counts = np.zeros(levels[-1].size + 1, dtype=np.int64)
+        np.bitwise_count(levels[-1], out=counts[1:])
+        np.cumsum(counts, out=counts)
         object.__setattr__(self, "levels", levels)
-        object.__setattr__(self, "_counts", np.r_[0, counts])
+        object.__setattr__(self, "_counts", counts)
 
     @property
     def m(self) -> int:
@@ -479,8 +474,9 @@ class FSIndex(KeyRows):
         bins, lcp, starts = self.bins, self.lcp, self.key_starts
         assert [lv.size for lv in self.levels] == _level_words(self.scheme)
         filled = _set_bits(self.levels[-1])
-        assert lcp.shape == (n + 1,)
-        assert np.array_equal(starts, _key_starts(lcp, m)), "key starts not derived from the lcp"
+        assert starts.shape == (self.n_keys + 1,) and starts[0] == 0 and starts[-1] == n, \
+            "key starts must span the fragments"
+        assert (np.diff(starts.astype(np.int64)) > 0).all(), "every key must hold a row"
         assert self.records.shape == (self.n_keys, m + _FIELDS)
         fields = self.records.copy()
         _key_fields(fields, lcp, starts, len(self.alphabet))
@@ -492,7 +488,6 @@ class FSIndex(KeyRows):
         for j, w in enumerate(self.scheme.radix_weights):
             blocks = np.unique(filled // int(w))
             assert np.array_equal(_set_bits(self.levels[j]), blocks), f"level {j} bits wrong"
-        assert lcp[0] == 0 and lcp[n] == 0
         if n == 0:
             return
         # each fragment's letters: its key row's, which repeats no row of its own
@@ -537,6 +532,8 @@ class FSIndex(KeyRows):
         alpha = self.alphabet.letters.encode()
         spec = self.scheme.spec_string.encode()
         largest = int(np.diff(self.key_starts.take(self.bins).astype(np.int64)).max(initial=0))
+        # the true row counts of the keys whose count byte sits at the cap
+        capped = np.diff(self.key_starts)[self.records[:, -1] == len(self.alphabet)]
         head = _HEADER.pack(
             MAGIC, FORMAT_VERSION, self.m, self.n, self.n_keys, self.n_bins, self.bins.size - 1,
             largest, len(alpha), len(spec), 1 if self.suffix_mode else 0, self.pos.itemsize,
@@ -546,6 +543,7 @@ class FSIndex(KeyRows):
         for name, t in _ARRAYS:
             arr = getattr(self, name)
             parts.append(arr.astype(t or arr.dtype.newbyteorder("<"), copy=False))
+        parts.append(capped.astype("<u4", copy=False))
         # written beside the target, then renamed over it: a failed write
         # leaves any previous file whole
         tmp = f"{os.fspath(path)}.{os.urandom(6).hex()}.tmp"
@@ -641,10 +639,11 @@ def load(path, db: SequenceDB, phases: dict | None = None) -> FSIndex:
     """Load an index file; ``db`` must be the sequence set it was built from.
 
     ``phases``, if given, gets the wall milliseconds of each phase: the
-    header, the map and the letter and lcp checks (``map``), the key starts
-    and the bin offsets' check (``key_starts``), encoding the sequence set
-    (``encode``), its ``digest`` and the check that every position lies
-    within the codes (``positions``)."""
+    header, the map and the letter check (``map``), the key starts from
+    the records' row counts, with their checks, and the bin offsets' check
+    (``key_starts``), encoding the sequence set (``encode``), its
+    ``digest`` and the check that every position lies within the codes
+    (``positions``)."""
     # Header from the open file, then a read-only map of it: every array is a view
     # of the map, the occupancy words 8-byte aligned.  ``save`` renames a new file
     # over the path, so the mapped file stays whole while any of its arrays lives.
@@ -660,39 +659,42 @@ def load(path, db: SequenceDB, phases: dict | None = None) -> FSIndex:
 
         at = fh.tell() + -fh.tell() % 8
         types = [dtype or f"<u{info['position_bytes']}" for _, dtype in _ARRAYS]
-        counts = (sum(_level_words(scheme)), nonempty + 1, n, n + 1)
+        counts = (sum(_level_words(scheme)), nonempty + 1, n, keys * (m + _FIELDS))
         size = at + sum(np.dtype(dtype).itemsize * c for dtype, c in zip(types, counts))
-        tail = os.fstat(fh.fileno()).st_size - size  # the records block, last in the file
+        # the records block, then the capped row counts, end the file
+        tail = os.fstat(fh.fileno()).st_size - size + counts[-1]
+        block = f"records block of {tail} bytes is not {keys} keys x {m + _FIELDS} bytes"
         if tail < 0:
             raise IndexFormatError("index arrays truncated")
-        if tail != keys * (m + _FIELDS):
-            raise IndexFormatError(
-                f"records block of {tail} bytes is not {keys} keys x {m + _FIELDS} bytes "
-                "(truncated or oversized)"
-            )
-        counts += (keys * (m + _FIELDS),)
+        if tail < counts[-1]:
+            raise IndexFormatError(f"{block} (truncated)")
         blob = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)
     arrays = {}
     for (name, _), dtype, count in zip(_ARRAYS, types, counts):
         arrays[name] = np.frombuffer(blob, dtype=dtype, count=count, offset=at)
         at += arrays[name].nbytes
     records = arrays["records"] = arrays["records"].reshape(keys, m + _FIELDS)
-    pos, bins, lcp = arrays.pop("pos"), arrays["bins"], arrays["lcp"]
+    pos, bins = arrays.pop("pos"), arrays["bins"]
     pad = len(alphabet)
     # every other byte is at most the pad code when m is: one max over the block first
     if keys and records.max() > pad and records[:, :m].max() > pad:
         raise IndexFormatError("letter code past the pad code")
-    if lcp.max() > m:
-        raise IndexFormatError("shared prefix longer than the fragments")
-    if lcp[0] or lcp[n]:
-        raise IndexFormatError("shared prefix before the first fragment or after the last")
     clock = _lap(phases, "map", clock)
-    starts = arrays["key_starts"] = _key_starts(lcp, m)
-    if starts.size - 1 != keys:
-        raise IndexFormatError(
-            f"header key count {keys} differs from the {starts.size - 1} "
-            f"fragments whose shared prefix is below {m}"
-        )
+    # the key starts: 0, then the running sum of the row counts, those at the cap put back
+    starts = arrays["key_starts"] = np.zeros(keys + 1, dtype=np.uint32)
+    sizes = starts[1:]
+    sizes[:] = records[:, -1]
+    capped = np.flatnonzero(sizes == pad)
+    if tail != counts[-1] + 4 * capped.size:
+        raise IndexFormatError(f"{block} and {capped.size} capped row counts x 4 bytes")
+    sizes[capped] = np.frombuffer(blob, dtype="<u4", count=capped.size, offset=at)
+    if (sizes.take(capped) < pad).any():
+        raise IndexFormatError(f"a capped row count below the cap {pad}")
+    if (held := np.count_nonzero(sizes)) != keys:
+        raise IndexFormatError(f"header key count {keys} differs from the {held} records with rows")
+    if (total := starts.sum(dtype=np.int64)) != n:
+        raise IndexFormatError(f"row counts sum to {total}, not {n}")
+    np.cumsum(starts, out=starts)
     if bins[0] != 0 or bins[-1] != keys or (bins[1:] <= bins[:-1]).any():
         raise IndexFormatError("bin offsets not increasing from 0 to the key count")
     clock = _lap(phases, "key_starts", clock)

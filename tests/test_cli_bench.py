@@ -277,7 +277,7 @@ class TestStatsCommand:
         assert main(["stats", "--index", str(workdir / "db.fsi")]) == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["fragments"] == doc["keys"] == 22
-        assert doc["version"] == 4 and doc["position_bytes"] == 4
+        assert doc["version"] == 5 and doc["position_bytes"] == 4
         assert doc["alphabet"] == "ARNDCQEGHILKMFPSTWYV"
         assert doc["partition"].count(";") == 5
 

@@ -361,10 +361,35 @@ class TestSerialization:
         blob = bytearray(p.read_bytes())
         blob[4:8] = (3).to_bytes(4, "little")
         p.write_bytes(bytes(blob))
-        with pytest.raises(fx.IndexFormatError, match=r"version 3 .*version 4: rebuild"):
+        with pytest.raises(fx.IndexFormatError, match=r"version 3 .*version 5: rebuild"):
             fx.load(p, toy_index.dataset.db)
-        with pytest.raises(fx.IndexFormatError, match=r"version 3 .*version 4: rebuild"):
+        with pytest.raises(fx.IndexFormatError, match=r"version 3 .*version 5: rebuild"):
             fx.core.read_index_header(p)
+
+    def test_format_4_rejected_with_a_rebuild_hint(self, toy_index, tmp_path):
+        # format 4 stored an lcp byte per fragment before the records: no reader is kept
+        p = tmp_path / "v4.fsi"
+        toy_index.save(p)
+        blob = bytearray(p.read_bytes())
+        blob[4:8] = (4).to_bytes(4, "little")
+        p.write_bytes(bytes(blob))
+        with pytest.raises(fx.IndexFormatError, match=r"version 4 .*version 5: rebuild"):
+            fx.load(p, toy_index.dataset.db)
+        with pytest.raises(fx.IndexFormatError, match=r"version 4 .*version 5: rebuild"):
+            fx.core.read_index_header(p)
+
+    @pytest.mark.parametrize("at, value, match", [
+        (61, b"\x05", "positions of 5 bytes: 4 or 8 expected"),  # the position width
+        (28, (9).to_bytes(8, "little"), "bin count disagrees with partition spec"),  # N = 8
+    ])
+    def test_header_fields_checked(self, toy_index, tmp_path, at, value, match):
+        p = tmp_path / "f.fsi"
+        toy_index.save(p)
+        blob = bytearray(p.read_bytes())
+        blob[at:at + len(value)] = value
+        p.write_bytes(bytes(blob))
+        with pytest.raises(fx.IndexFormatError, match=match):
+            fx.load(p, toy_index.dataset.db)
 
     @staticmethod
     def repeated(toy_alpha, toy_scheme, path):
@@ -404,14 +429,46 @@ class TestSerialization:
         with pytest.raises(fx.IndexFormatError, match="not increasing from 0 to the key count"):
             fx.load(p, index.dataset.db)
 
-    @pytest.mark.parametrize("row", [0, 6])
-    def test_lcp_zero_at_both_ends(self, toy_alpha, toy_scheme, tmp_path, row):
-        p = tmp_path / "l.fsi"
-        index, blob, _ = self.repeated(toy_alpha, toy_scheme, p)
-        at = len(blob) - index.records.nbytes - index.lcp.nbytes
-        blob[at + row] = 1
+    @staticmethod
+    def capped(toy_alpha, toy_scheme, path):
+        """A saved index of one key, "aaa", of 8 rows: its count byte sits at
+        the toy cap 4, and its true count is the file's last 4 bytes."""
+        db = fx.SequenceDB(records=(("r", "a" * 10),))
+        index = fx.build(fx.extract_fragments(db, 3, alphabet=toy_alpha), toy_scheme)
+        assert index.records[:, -1].tolist() == [4] and index.key_starts.tolist() == [0, 8]
+        index.save(path)
+        blob = bytearray(path.read_bytes())
+        assert blob[-4:] == (8).to_bytes(4, "little")
+        return index, blob
+
+    @pytest.mark.parametrize("tail, match", [
+        (b"", "records block of 7 bytes is not 1 keys x 7 bytes and 1 capped row counts"),
+        ((8).to_bytes(4, "little") * 2, "records block of 15 bytes"),
+        ((3).to_bytes(4, "little"), "capped row count below the cap 4"),
+        ((9).to_bytes(4, "little"), "row counts sum to 9, not 8"),
+    ])
+    def test_capped_row_counts_checked(self, toy_alpha, toy_scheme, tmp_path, tail, match):
+        # the capped-count block cut off or doubled, a count below the cap, a wrong sum
+        p = tmp_path / "c.fsi"
+        index, blob = self.capped(toy_alpha, toy_scheme, p)
+        p.write_bytes(bytes(blob[:-4]) + tail)
+        with pytest.raises(fx.IndexFormatError, match=match):
+            fx.load(p, index.dataset.db)
         p.write_bytes(bytes(blob))
-        with pytest.raises(fx.IndexFormatError, match="shared prefix before the first"):
+        fx.load(p, index.dataset.db).audit()
+
+    @pytest.mark.parametrize("row, value, match", [
+        (0, 2, "row counts sum to 5, not 6"),  # the keys "aba" and "bab" hold 3 rows each
+        (1, 4, "records block of 14 bytes is not 2 keys x 7 bytes and 1 capped row counts"),
+        (1, 0, "key count 2 differs from the 1 records with rows"),
+    ])
+    def test_row_count_bytes_checked(self, toy_alpha, toy_scheme, tmp_path, row, value, match):
+        p = tmp_path / "r.fsi"
+        index, blob, _ = self.repeated(toy_alpha, toy_scheme, p)
+        m = index.m
+        blob[len(blob) - index.records.nbytes + row * (m + 4) + m + 3] = value
+        p.write_bytes(bytes(blob))
+        with pytest.raises(fx.IndexFormatError, match=match):
             fx.load(p, index.dataset.db)
 
     def test_other_sequence_set_rejected(self, tmp_path):
@@ -427,7 +484,7 @@ class TestSerialization:
 
     @pytest.mark.parametrize("name, row, value, match", [
         ("letters", 5, 5, "pad"),       # the toy pad code is 4
-        ("lcp", 5, 4, "prefix"),        # m = 3
+        ("occupancy", 2, 511, "occupancy bits disagree"),  # 8 bins' bits, and the spare one
         ("bins", 8, 65, "bin offsets"),  # n = 64
         ("bins", 3, 16, "bin offsets"),  # bins[2] == 16: an empty bin
         ("pos", 9, 192, "position past the 192 residues"),  # 64 sequences of 3
@@ -501,13 +558,20 @@ class TestMappedLoad:
         assert np.array_equal(second.letters, other.letters)
         assert np.array_equal(second.sids, other.sids) and np.array_equal(second.offs, other.offs)
 
-    @pytest.mark.parametrize("keep, match", [("nothing", "bad magic"), ("header", "truncated")])
+    @pytest.mark.parametrize("keep, match", [
+        ("nothing", "bad magic"), ("header", "truncated"),
+        # a header cut after the magic, after the version, and inside the alphabet text
+        ("magic", "truncated index file"), ("version", "truncated index file"),
+        ("some alphabet", "truncated index file"),
+    ])
     def test_empty_and_header_only_files_rejected(self, toy_index, tmp_path, keep, match):
         p = tmp_path / "e.fsi"
         toy_index.save(p)
         end = (fx.core._HEADER.size + len(toy_index.alphabet.letters.encode())
                + len(toy_index.scheme.spec_string.encode()))
-        p.write_bytes(p.read_bytes()[:end] if keep == "header" else b"")
+        cut = {"nothing": 0, "magic": 4, "version": 8, "some alphabet": fx.core._HEADER.size + 2,
+               "header": end}[keep]
+        p.write_bytes(p.read_bytes()[:cut])
         with pytest.raises(fx.IndexFormatError, match=match):
             fx.load(p, toy_index.dataset.db)
 
@@ -520,7 +584,7 @@ class TestMappedLoad:
         p = tmp_path / "r.fsi"
         toy_index.save(p)
         clean = p.read_bytes()
-        at = len(clean) - toy_index.records.nbytes - toy_index.lcp.nbytes - 4 * toy_index.n
+        at = len(clean) - toy_index.records.nbytes - 4 * toy_index.n  # no count reaches the cap
         for row in [*range(0, toy_index.n, 5), toy_index.n - 1]:
             blob = bytearray(clean)
             blob[at + 4 * row: at + 4 * row + 4] = np.array([value], "<u4").tobytes()
@@ -549,7 +613,7 @@ class TestMappedLoad:
         p = tmp_path / "r.fsi"
         toy_index.save(p)
         blob = bytearray(p.read_bytes())
-        at = len(blob) - toy_index.records.nbytes - toy_index.lcp.nbytes - 4 * toy_index.n
+        at = len(blob) - toy_index.records.nbytes - 4 * toy_index.n  # no count reaches the cap
         blob[at + 4 * 47: at + 4 * 48] = np.array([3 * sid + off], "<u4").tobytes()
         p.write_bytes(bytes(blob))
         if match is None:
@@ -559,22 +623,30 @@ class TestMappedLoad:
             with pytest.raises(fx.IndexFormatError, match=match):
                 fx.load(p, toy_index.dataset.db)
 
-    @pytest.mark.parametrize("value", [9, 20])
-    @pytest.mark.parametrize("column", ["lcp", "next lcp", "gain", "rows"])
-    def test_corrupt_key_fields_keep_answers_exact(self, toy_alpha, toy_d, tmp_path,
-                                                   column, value):
-        # load checks only the letters of the records: a field byte past m = 4
-        # in every record loads, the searches stay equal to the reference
-        # scans, and audit() reports it
+    @staticmethod
+    def with_every_field(toy_alpha, path, column, value):
+        """A suffix-mode m = 4 index saved with one field byte set to
+        ``value`` in every record; its sequence set and dataset."""
         db = random_db(np.random.default_rng(4), toy_alpha, n_seqs=40, min_len=1, max_len=30)
         ds = fx.extract_fragments(db, 4, alphabet=toy_alpha, suffix_mode=True)
         index = fx.build(ds, fx.parse_partition("ac,bd", toy_alpha, 4))
-        p = tmp_path / "f.fsi"
-        index.save(p)
-        blob = bytearray(p.read_bytes())
+        index.save(path)
+        blob = bytearray(path.read_bytes())
         at = len(blob) - index.records.nbytes + 4 + ["lcp", "next lcp", "gain", "rows"].index(column)
-        blob[at::8] = bytes([value]) * index.n_keys
-        p.write_bytes(bytes(blob))
+        at -= 4 * int(np.count_nonzero(index.records[:, -1] == len(toy_alpha)))  # capped counts
+        blob[at:at + index.records.nbytes:8] = bytes([value]) * index.n_keys
+        path.write_bytes(bytes(blob))
+        return db, ds
+
+    @pytest.mark.parametrize("value", [9, 20])
+    @pytest.mark.parametrize("column", ["lcp", "next lcp", "gain"])
+    def test_corrupt_key_fields_keep_answers_exact(self, toy_alpha, toy_d, tmp_path,
+                                                   column, value):
+        # load checks the letters and row counts of the records: a field byte
+        # past m = 4 in every record loads, the searches stay equal to the
+        # reference scans, and audit() reports it
+        p = tmp_path / "f.fsi"
+        db, ds = self.with_every_field(toy_alpha, p, column, value)
         loaded = fx.load(p, db)
         for text in ("abcd", "dbca", "aaaa", "bd", "c"):
             f = fx.distance_query(toy_d, text)
@@ -587,6 +659,14 @@ class TestMappedLoad:
                 assert hits.triples() == fx.linear_scan_knn(ds, f, 10).triples()
         with pytest.raises(AssertionError, match="key fields not derived from the lcp"):
             loaded.audit()
+
+    @pytest.mark.parametrize("value", [9, 20])
+    def test_corrupt_row_counts_rejected(self, toy_alpha, tmp_path, value):
+        # the key starts are the running sum of the row counts: load rejects them
+        p = tmp_path / "f.fsi"
+        db, _ = self.with_every_field(toy_alpha, p, "rows", value)
+        with pytest.raises(fx.IndexFormatError, match="capped row counts"):
+            fx.load(p, db)
 
 
 class TestImmutability:
