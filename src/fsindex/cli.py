@@ -274,7 +274,8 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--pssm-orientation", choices=["cost", "score"], default="cost")
     mode = p.add_mutually_exclusive_group(required=True)
     mode.add_argument("--radius", type=int, help="range search radius")
-    mode.add_argument("--k", type=int, help="k nearest neighbours")
+    mode.add_argument("--k", type=int,
+                      help="k nearest neighbours of a length-m query (1 to m in suffix mode)")
     mode.add_argument(
         "--similarity-threshold", type=int,
         help="similarity cutoff t; converted to radius self-score - t",

@@ -23,6 +23,9 @@ from .alphabet import Alphabet, STANDARD_ALPHABET
 # code arrays of at most this many codes take uint32 fragment positions, longer ones uint64
 POS_LIMIT = 1 << 32
 
+# lowercase ASCII letters to uppercase, for ``str.translate``: every other character stays
+_ASCII_UPPER = {c: c - 32 for c in range(ord("a"), ord("z") + 1)}
+
 
 class FastaFormatError(ValueError):
     """Raised for malformed FASTA input."""
@@ -68,8 +71,9 @@ def parse_fasta(source) -> SequenceDB:
     """Parse FASTA text (a string or text stream) into a SequenceDB.
 
     Header lines start with ``>``; the identifier is the first
-    whitespace-delimited token.  Sequence lines are uppercased and
-    whitespace-stripped.
+    whitespace-delimited token.  Sequence lines are whitespace-stripped and
+    their ASCII letters uppercased; any other character stays one residue
+    as it is (``str.upper`` would turn "ß" into "SS").
     """
     if isinstance(source, str):
         source = io.StringIO(source)
@@ -91,7 +95,8 @@ def parse_fasta(source) -> SequenceDB:
         else:
             if ident is None:
                 raise FastaFormatError("sequence data before first FASTA header")
-            parts.append("".join(line.split()).upper())
+            line = "".join(line.split())
+            parts.append(line.upper() if line.isascii() else line.translate(_ASCII_UPPER))
     if ident is None:
         raise FastaFormatError("no FASTA records found")
     records.append((ident, "".join(parts)))

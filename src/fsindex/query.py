@@ -171,15 +171,11 @@ def _int_type(largest: int) -> type:
 def lower_bound_table(
     q: NormalizedQuery, scheme: PartitionScheme, depth: int | None = None
 ) -> LowerBoundTable:
-    """Cluster minima over the first ``depth`` positions (all, by default).
-
-    A query longer than the scheme is bounded on the scheme's positions
-    only; a shorter query restricts the table to its own length.
+    """Cluster minima over the first ``depth`` positions, by default the
+    query's own: a table covers at most the query's and the scheme's
+    positions, so a query longer than the scheme needs a ``depth``.
     """
-    if depth is None:
-        if q.m != scheme.m:
-            raise ValueError(f"query length {q.m} != scheme length {scheme.m}")
-        depth = scheme.m
+    depth = q.m if depth is None else depth
     if not 1 <= depth <= min(q.m, scheme.m):
         raise ValueError(f"depth {depth} out of range for query {q.m} / scheme {scheme.m}")
     if q.alphabet != scheme.alphabet:

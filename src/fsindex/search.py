@@ -19,13 +19,17 @@ propose are then checked in full and reported in (sequence, offset)
 order.  The dataset's ``clean_runs`` alone decides whether a long window
 is clean, as it decides which fragments extraction keeps.  k-NN search
 sweeps at a growing radius and after each sweep scans the bins no
-earlier sweep accepted, in one call of the same kernel.  A
-``Tracer`` keeps a range search's accepted nodes and derives the
-pruned ones from them when read, empty subtrees among them, so tracing
-adds no work to the search.  One block scan turns accepted nodes into
-spans of key rows, and one span-scan kernel evaluates every span, for
-the index, ``process_bin`` and the flat baseline, over at most the
-rows' positions, from the key records alone.  The index stores each
+earlier sweep accepted, in one call of the same kernel.  Both follow one
+plan for a query at most as long as the index (``_plan``): a lower-bound
+table over the query's own positions, and each accepted node scanned as
+its subtree's block of bin ranks.  k-NN takes every length range search
+takes up to the index's: its own on a fixed-mode index, 1 to it on a
+suffix-mode one.  A ``Tracer`` keeps a range search's accepted nodes and
+derives the pruned ones from them when read, empty subtrees among them,
+so tracing adds no work to the search.  One block scan turns accepted
+nodes into spans of key rows, and one span-scan kernel evaluates every
+span, for the index, ``process_bin`` and the flat baseline, over at most
+the rows' positions, from the key records alone.  The index stores each
 distinct key's letters once, so the kernel evaluates each key once, and
 a hit key's frag rows all hit.
 Hits come back as a ``HitList`` of code positions and values, with no
@@ -397,9 +401,17 @@ def _sweep(
     return ranks, bounds
 
 
-def _check_query(index: FSIndex, q: NormalizedQuery) -> None:
+def _check_query(index: FSIndex, q: NormalizedQuery, longer: bool = False) -> None:
+    """The one query rule of range, k-NN and bin searches: the index's
+    alphabet, and the index's length on a fixed-mode index; any length up
+    to it on a suffix-mode one, or longer when the search cuts a
+    ``longer`` query into parts (``range_search`` alone does)."""
     if q.alphabet != index.alphabet:
         raise ValueError("query and index alphabets differ")
+    if q.m > index.m and not longer:
+        raise ValueError(f"length-{q.m} query on a length-{index.m} index: use range_search")
+    if q.m != index.m and not index.suffix_mode:
+        raise ValueError(f"length-{q.m} query on a length-{index.m} index needs suffix mode")
 
 
 def _finish(
@@ -451,11 +463,11 @@ def process_bin(
     The cumulative-value array is reused up to each fragment's shared
     prefix with its predecessor; a fragment is abandoned once the partial
     sum at the prefix shared with its successor exceeds the radius.  The
-    query is at most as long as the index; ``range_search`` takes longer.
+    query takes the lengths ``knn_search`` takes: the index's on a
+    fixed-mode index, up to it on a suffix-mode one; ``range_search``
+    takes longer.
     """
     _check_query(index, q)
-    if q.m > index.m:
-        raise ValueError(f"length-{q.m} query on a length-{index.m} bin: use range_search")
     if not 0 <= u < index.n_bins:
         raise ValueError(f"bin rank {u} out of range")
     t0 = time.perf_counter()
@@ -477,9 +489,7 @@ def range_search(
     has no stored fragment, are then checked in full (``_check_windows``).  A
     ``Tracer`` keeps one record per part.
     """
-    _check_query(index, q)
-    if q.m != index.m and not index.suffix_mode:
-        raise ValueError(f"length-{q.m} query on a length-{index.m} index needs suffix mode")
+    _check_query(index, q, longer=True)
     t0 = time.perf_counter()
     stats = SearchStats()
     if q.m <= index.m:
@@ -500,14 +510,22 @@ def _search_short(
     """Code positions and values of the hits of a query at most as long as
     the index, in row order: one sweep over its positions, then one scan
     of the accepted nodes' rank blocks.  Adds to ``stats``."""
-    t = time.perf_counter()
-    lbt = lower_bound_table(q, index.scheme, depth=q.m)
-    _lap(stats.phases_ms, "table", t)
+    lbt, width = _plan(index, q, stats)
     node_ranks, node_bounds = _sweep(lbt, index, radius, stats)
     if trace is not None:
         trace.record(lbt, node_ranks, node_bounds)
-    width = int(index.scheme.radix_weights[q.m - 1])
     return _scan_blocks(index, q, node_ranks, width, radius, stats)
+
+
+def _plan(index: FSIndex, q: NormalizedQuery, stats: SearchStats) -> tuple[LowerBoundTable, int]:
+    """The plan of every search of a query at most as long as the index:
+    the lower-bound table over the query's positions, timed as ``table``,
+    and the width of an accepted node's rank block, the bins that share
+    its first ``q.m`` digits (one bin at the index's length)."""
+    t = time.perf_counter()
+    lbt = lower_bound_table(q, index.scheme)
+    _lap(stats.phases_ms, "table", t)
+    return lbt, int(index.scheme.radix_weights[q.m - 1])
 
 
 def _part_plan(length: int, m: int, eps: int) -> list[tuple[int, int, int]]:
@@ -600,8 +618,14 @@ def knn_search(
 ) -> tuple[HitList, SearchStats]:
     """The ``k`` occurrences with smallest query values, best first.
 
+    The query takes the lengths range search takes up to the index's: the
+    index's length on a fixed-mode index, any from 1 to it on a
+    suffix-mode one; a longer query raises a ``ValueError`` naming
+    ``range_search``, which cuts it into parts.  The search follows range
+    search's plan (``_plan``): the lower-bound table over the query's
+    positions, and each accepted node scanned as its block of bin ranks.
     The sweep over positions runs at a candidate radius, starting at the
-    root bound, and the bins it accepts beyond the previous radius (all
+    root bound, and the blocks it accepts beyond the previous radius (all
     at first) are scanned in one call at the k-th value known so far
     (unbounded until ``k`` hits are known).  While fewer than ``k`` hits
     are known or the k-th value exceeds the radius, the radius grows by
@@ -611,21 +635,18 @@ def knn_search(
     value.
     """
     _check_query(index, q)
-    if q.m != index.m:
-        raise ValueError(f"query length {q.m} != index length {index.m}")
     if k < 1:
         raise ValueError("k must be >= 1")
     t0 = time.perf_counter()
     stats = SearchStats()
-    lbt = lower_bound_table(q, index.scheme)
-    _lap(stats.phases_ms, "table", t0)
+    lbt, width = _plan(index, q, stats)
     radius = lbt.bound_of(lbt.root_digits)
     covered = -1  # every non-empty bin with bound <= covered has been scanned
     kth = INF_RADIUS
     pos, vals = index.pos[:0], np.zeros(0, dtype=np.int64)
     while True:
         ranks, bounds = _sweep(lbt, index, radius, stats)
-        cp, cv = _scan_blocks(index, q, ranks[bounds > covered], 1, kth, stats)
+        cp, cv = _scan_blocks(index, q, ranks[bounds > covered], width, kth, stats)
         pos, vals = np.concatenate([pos, cp]), np.concatenate([vals, cv])
         if vals.size >= k:
             kth = int(np.partition(vals, k - 1)[k - 1])

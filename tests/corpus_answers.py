@@ -7,7 +7,9 @@ its five ``SearchStats`` counters:
   benchmark queries' 100-NN radius;
 * k-NN at k = 10 and k = 100 for the same queries, hits in their order;
 * range search on the suffix-mode index for benchmark queries of lengths
-  6 to 12, 6 of each, at each query's 100-NN radius.
+  6 to 12, 6 of each, at each query's 100-NN radius;
+* k-NN at k = 10 and k = 100 on the suffix-mode index for those of
+  lengths 6 to 8, shorter than its fragments, hits in their order.
 
 ``test_corpus_answers.py`` replays the committed record
 ``data/corpus_answers.json`` and requires every case to come out the same.
@@ -73,10 +75,15 @@ def cases(indexes, d) -> list[dict]:
         out.append({"index": "fixed", "search": "range", "query": text, "radius": radius})
         out += [{"index": "fixed", "search": "knn", "query": text, "k": k} for k in (10, 100)]
     suffix_ds = indexes["suffix"].dataset
-    for text in mixed_length_queries(271828, 42, 6, 12):
+    mixed = mixed_length_queries(271828, 42, 6, 12)
+    for text in mixed:
         f = fx.distance_query(d, text)
         radius = max(v for _, v in fx.linear_scan_knn(suffix_ds, f, 100)) - fx.normalize(f).shift
         out.append({"index": "suffix", "search": "range", "query": text, "radius": radius})
+    out += [
+        {"index": "suffix", "search": "knn", "query": text, "k": k}
+        for text in mixed if len(text) <= 8 for k in (10, 100)
+    ]
     return out
 
 

@@ -18,6 +18,14 @@ class TestParseFasta:
         assert db.records[0] == ("s1", "MKVLAT")
         assert db.records[1] == ("s2", "ARND")
 
+    def test_only_ascii_letters_uppercased(self):
+        # str.upper() turns "ß" into "SS", "ı" into "I" and "ﬁ" into "FI":
+        # residues the file does not hold, which shift every later offset
+        db = fx.parse_fasta(">s\nmkßıv\nﬁΩa\n")
+        assert db.records == (("s", "MKßıVﬁΩA"),)
+        ds = fx.extract_fragments(db, 1)
+        assert ds.offs.tolist() == [0, 1, 4, 7]  # M, K, V and A where the file has them
+
     def test_duplicate_identifier_rejected(self):
         with pytest.raises(fx.FastaFormatError, match="duplicate"):
             fx.parse_fasta(">a\nMM\n>a\nKK\n")

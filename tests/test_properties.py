@@ -4,7 +4,8 @@ Indexes are random and mostly empty: fine per-position partitions (up to
 six clusters of seven letters) over a few short sequences, most with a letter
 outside the alphabet after a run of valid ones, in fixed and suffix mode.
 Every search must equal ``linear_scan_range``/``linear_scan_knn``, which
-must in turn equal a plain loop over the occurrences, and a range search,
+must in turn equal a plain loop over the occurrences; k-NN at every
+length up to the index's on suffix-mode indexes.  A range search,
 at any query length, must scan exactly the non-empty bins whose bound is
 within the radius and evaluate the residues the sequential scan of those
 bins does.  So must searches with a PSSM whose bounds sum past 2**31,
@@ -272,7 +273,7 @@ def test_traversal_matches_tree_walk(case, data, eps):
 @given(case=indexes(), data=st.data(), k=st.integers(1, 6))
 def test_knn_lists(case, data, k):
     ds, index = case
-    f = pssm(data.draw, index.m)
+    f = pssm(data.draw, data.draw(st.integers(1, index.m)) if index.suffix_mode else index.m)
     q = fx.normalize(f)
     hits, _ = fx.knn_search(index, q, k)
     got = [(v + q.shift, r.seq_id, r.offset) for r, v in hits]
@@ -285,7 +286,7 @@ def test_knn_lists(case, data, k):
 def test_knn_all_ties_and_one_scan_per_sweep(case, data, k):
     # every occurrence within the k-th value, bins whose bound equals it too
     ds, index = case
-    f = pssm(data.draw, index.m)
+    f = pssm(data.draw, data.draw(st.integers(1, index.m)) if index.suffix_mode else index.m)
     q = fx.normalize(f)
     hits, stats = fx.knn_search(index, q, k, all_ties=True)
     assert stats.scan_chunks == stats.sweeps

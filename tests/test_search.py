@@ -195,6 +195,12 @@ class TestProcessBin:
             with pytest.raises(ValueError, match="range_search"):
                 fx.process_bin(index, fx.bin_of(toy_scheme, "abc"), q, 100)
 
+    def test_fixed_mode_takes_its_own_length_only(self, toy_index, toy_d):
+        # the length rule of range_search and knn_search
+        q = fx.normalize(fx.distance_query(toy_d, "ab"))
+        with pytest.raises(ValueError, match="needs suffix mode"):
+            fx.process_bin(toy_index, 0, q, 100)
+
     def test_rejects_ranks_outside_the_scheme(self, toy_index, toy_d):
         q = fx.normalize(fx.distance_query(toy_d, "abd"))
         for u in (-1, toy_index.n_bins, toy_index.n_bins + 5000):
@@ -359,6 +365,25 @@ class TestKnnSearch:
         q = fx.normalize(fx.distance_query(toy_d, "abd"))
         with pytest.raises(ValueError):
             fx.knn_search(toy_index, q, 0)
+
+    def test_longer_and_fixed_mode_other_lengths_rejected(self, toy_alpha, toy_scheme, toy_d):
+        # a query longer than the index names range_search, which cuts it into
+        # parts on a suffix-mode index; a fixed-mode index takes its own length
+        # only, as in range_search
+        db = fx.SequenceDB(records=(("r", "abcdabcd"),))
+        fixed, suffix = (
+            fx.build(fx.extract_fragments(db, 3, alphabet=toy_alpha, suffix_mode=mode), toy_scheme)
+            for mode in (False, True)
+        )
+
+        def q(text):
+            return fx.normalize(fx.distance_query(toy_d, text))
+
+        for index in (fixed, suffix):
+            with pytest.raises(ValueError, match="use range_search"):
+                fx.knn_search(index, q("abcd"), 1)
+        with pytest.raises(ValueError, match="needs suffix mode"):
+            fx.knn_search(fixed, q("ab"), 1)
 
     def test_equals_range_at_kth_value(self, toy_index, toy_cube, toy_d):
         f = fx.distance_query(toy_d, "dcb")
