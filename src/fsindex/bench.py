@@ -47,11 +47,12 @@ class BenchRow:
     hits: int
     knn: SearchStats | None
     rng: SearchStats
-    m: int
     flat: SearchStats | None = None
 
     def residues_pct(self) -> float:
-        denom = self.rng.fragments_scanned * self.m
+        """The range search's residues as a share of the query's positions
+        in every fragment it scanned."""
+        denom = self.rng.fragments_scanned * len(self.query)
         return 100.0 * self.rng.residues_scanned / denom if denom else 0.0
 
     def access_overhead(self) -> float:
@@ -203,7 +204,6 @@ def run_bench(
                 hits=len(hits),
                 knn=knn_stats,
                 rng=rng_stats,
-                m=index.m,
             )
             if check_oracle:
                 expect = linear_scan_range(index.dataset, f, row.radius)

@@ -9,7 +9,6 @@ kept, addressed by its first ``m`` letters.
 
 from __future__ import annotations
 
-import io
 import re
 from dataclasses import dataclass
 from functools import cached_property
@@ -25,6 +24,9 @@ POS_LIMIT = 1 << 32
 
 # lowercase ASCII letters to uppercase, for ``str.translate``: every other character stays
 _ASCII_UPPER = {c: c - 32 for c in range(ord("a"), ord("z") + 1)}
+
+# where a header line starts, past the text's first line: a newline, optional whitespace, ">"
+_HEADER = re.compile(r"\n\s*>")
 
 
 class FastaFormatError(ValueError):
@@ -70,36 +72,31 @@ class SequenceDB:
 def parse_fasta(source) -> SequenceDB:
     """Parse FASTA text (a string or text stream) into a SequenceDB.
 
-    Header lines start with ``>``; the identifier is the first
-    whitespace-delimited token.  Sequence lines are whitespace-stripped and
-    their ASCII letters uppercased; any other character stays one residue
-    as it is (``str.upper`` would turn "ß" into "SS").
+    A header line starts with ``>`` after optional whitespace, and the
+    identifier is its first whitespace-delimited token.  A record's body is
+    every line up to the next header, so bodies may wrap; whitespace
+    anywhere in a body is dropped, and its ASCII letters are uppercased.
+    Any other character stays one residue as it is (``str.upper`` would
+    turn "ß" into "SS").  A stream is read whole; the text is split once
+    at its header lines, and each record is cleaned in one pass.
     """
-    if isinstance(source, str):
-        source = io.StringIO(source)
-    records: list[tuple[str, str]] = []
-    ident: str | None = None
-    parts: list[str] = []
-    for raw in source:
-        line = raw.strip()
-        if not line:
-            continue
-        if line.startswith(">"):
-            if ident is not None:
-                records.append((ident, "".join(parts)))
-            header = line[1:].strip()
-            if not header:
-                raise FastaFormatError("empty FASTA header")
-            ident = header.split()[0]
-            parts = []
-        else:
-            if ident is None:
-                raise FastaFormatError("sequence data before first FASTA header")
-            line = "".join(line.split())
-            parts.append(line.upper() if line.isascii() else line.translate(_ASCII_UPPER))
-    if ident is None:
+    # a stream's text is not kept: it is freed once split
+    pieces = _HEADER.split(source if isinstance(source, str) else source.read())
+    lead = pieces[0].lstrip()  # the first record, when the text starts with a header
+    if lead and not lead.startswith(">"):
+        raise FastaFormatError("sequence data before first FASTA header")
+    pieces[:1] = [lead[1:]] if lead else []
+    if not pieces:
         raise FastaFormatError("no FASTA records found")
-    records.append((ident, "".join(parts)))
+    pieces.reverse()  # popped from the end, so each piece is freed once cleaned
+    records: list[tuple[str, str]] = []
+    while pieces:
+        header, _, body = pieces.pop().partition("\n")
+        ident = header.split(None, 1)
+        if not ident:
+            raise FastaFormatError("empty FASTA header")
+        body = "".join(body.split())
+        records.append((ident[0], body.upper() if body.isascii() else body.translate(_ASCII_UPPER)))
     return SequenceDB(records=tuple(records))
 
 

@@ -405,13 +405,14 @@ def _check_query(index: FSIndex, q: NormalizedQuery, longer: bool = False) -> No
     """The one query rule of range, k-NN and bin searches: the index's
     alphabet, and the index's length on a fixed-mode index; any length up
     to it on a suffix-mode one, or longer when the search cuts a
-    ``longer`` query into parts (``range_search`` alone does)."""
+    ``longer`` query into parts (``range_search`` alone does).  The mode
+    is checked first, so no search sends a query to one that refuses it."""
     if q.alphabet != index.alphabet:
         raise ValueError("query and index alphabets differ")
-    if q.m > index.m and not longer:
-        raise ValueError(f"length-{q.m} query on a length-{index.m} index: use range_search")
     if q.m != index.m and not index.suffix_mode:
         raise ValueError(f"length-{q.m} query on a length-{index.m} index needs suffix mode")
+    if q.m > index.m and not longer:
+        raise ValueError(f"length-{q.m} query on a length-{index.m} index: use range_search")
 
 
 def _finish(
@@ -594,22 +595,20 @@ def long_query_search(
 ) -> tuple[HitList, SearchStats]:
     """``range_search`` for a query at least as long as the index: cut
     into parts the tree can bound when longer, then the candidate windows
-    checked in full."""
+    checked in full.  Every rule but the length's direction is
+    ``range_search``'s."""
     if q.m < index.m:
         raise ValueError(f"query length {q.m} shorter than index length {index.m}")
-    if not index.suffix_mode:
-        raise ValueError("longer-than-index queries need a suffix-mode index")
     return range_search(index, q, radius)
 
 
 def short_query_search(
     index: FSIndex, q: NormalizedQuery, radius: int
 ) -> tuple[HitList, SearchStats]:
-    """``range_search`` for a query at most as long as the index."""
+    """``range_search`` for a query at most as long as the index.  Every
+    rule but the length's direction is ``range_search``'s."""
     if q.m > index.m:
         raise ValueError(f"query length {q.m} exceeds index length {index.m}")
-    if not index.suffix_mode:
-        raise ValueError("shorter-than-index queries need a suffix-mode index")
     return range_search(index, q, radius)
 
 
@@ -620,7 +619,7 @@ def knn_search(
 
     The query takes the lengths range search takes up to the index's: the
     index's length on a fixed-mode index, any from 1 to it on a
-    suffix-mode one; a longer query raises a ``ValueError`` naming
+    suffix-mode one, where a longer query raises a ``ValueError`` naming
     ``range_search``, which cuts it into parts.  The search follows range
     search's plan (``_plan``): the lower-bound table over the query's
     positions, and each accepted node scanned as its block of bin ranks.

@@ -249,6 +249,48 @@ class TestSearchCommand:
         out = capsys.readouterr().out
         assert out.splitlines()[1].split("\t")[3] == "0"  # self row scores 0
 
+    def test_out_file_holds_what_stdout_gets(self, workdir, tmp_path, capsys):
+        args = [
+            "search", "--index", str(workdir / "db.fsi"), "--fasta", str(workdir / "db.fa"),
+            "--matrix", "BLOSUM62", "--query", "MKVLAT", "--radius", "40",
+        ]
+
+        def untimed(text):  # the stats line's wall times differ from run to run
+            *rows, stats = text.splitlines()
+            doc = json.loads(stats.removeprefix("# "))
+            del doc["elapsed_ms"], doc["phases_ms"]
+            return rows, doc
+
+        assert main(args) == 0
+        printed = capsys.readouterr().out
+        out = tmp_path / "hits.tsv"
+        assert main(args + ["--out", str(out)]) == 0
+        assert capsys.readouterr().out == ""
+        written = out.read_text()
+        assert written.endswith("\n") and untimed(written) == untimed(printed)
+        assert len(untimed(written)[0]) > 1
+
+    def test_query_letter_outside_the_alphabet(self, workdir, capsys):
+        rc = main([
+            "search", "--index", str(workdir / "db.fsi"), "--fasta", str(workdir / "db.fa"),
+            "--matrix", "BLOSUM62", "--query", "MKVXAT", "--radius", "5",
+        ])
+        assert rc == 1
+        assert "'X' not in alphabet" in capsys.readouterr().err
+
+    def test_similarity_threshold_needs_a_literal_query(self, workdir, tmp_path, capsys):
+        s = fx.load_builtin_matrix("BLOSUM62")
+        rows = fx.distance_from_score(s).values[s.alphabet.encode("MKVLAT")]
+        pssm = tmp_path / "q.pssm"
+        pssm.write_text("\n".join(["\t".join(s.alphabet.letters)]
+                                  + ["\t".join(map(str, row)) for row in rows]) + "\n")
+        rc = main([
+            "search", "--index", str(workdir / "db.fsi"), "--fasta", str(workdir / "db.fa"),
+            "--matrix", "BLOSUM62", "--pssm", str(pssm), "--similarity-threshold", "10",
+        ])
+        assert rc == 1
+        assert "needs a literal query" in capsys.readouterr().err
+
 
 class TestVerifyMatrixCommand:
     def test_blosum62_report(self, capsys):
@@ -336,6 +378,35 @@ class TestBenchCommand:
         ])
         assert rc == 0
 
+    def test_query_file_rows_in_file_order(self, workdir, tmp_path):
+        queries = tmp_path / "queries.txt"
+        queries.write_text("MKVLAT\n\n  KRDEQW  \nWFYHGP\n")
+        out = tmp_path / "bench.tsv"
+        rc = main([
+            "bench", "--index", str(workdir / "db.fsi"), "--fasta", str(workdir / "db.fa"),
+            "--matrix", "BLOSUM62", "--query-file", str(queries), "--radius", "25",
+            "--oracle", "--out", str(out),
+        ])
+        assert rc == 0
+        rows = [line.split("\t") for line in out.read_text().splitlines()[1:]]
+        assert [(r[0], r[2]) for r in rows] == [("MKVLAT", "25"), ("KRDEQW", "25"), ("WFYHGP", "25")]
+        assert json.loads((tmp_path / "bench.tsv.json").read_text())["queries"] == 3
+
+    def test_frequencies_file_sets_the_letter_draws(self, workdir, tmp_path):
+        # all the mass on one letter: every i.i.d. query is that letter repeated
+        alphabet = fx.STANDARD_ALPHABET.letters
+        freqs = tmp_path / "freqs.txt"
+        freqs.write_text(" ".join("1" if c == "K" else "0" for c in alphabet) + "\n")
+        out = tmp_path / "bench.tsv"
+        rc = main([
+            "bench", "--index", str(workdir / "db.fsi"), "--fasta", str(workdir / "db.fa"),
+            "--matrix", "BLOSUM62", "--queries", "3", "--seed", "4",
+            "--frequencies", str(freqs), "--k-list", "1", "--out", str(out),
+        ])
+        assert rc == 0
+        rows = out.read_text().splitlines()[1:]
+        assert [r.split("\t")[0] for r in rows] == ["KKKKKK"] * 3
+
     def test_oracle_mismatch_exit_code(self, workdir, monkeypatch, capsys):
         search = fsindex.bench.range_search
 
@@ -410,6 +481,22 @@ class TestBenchCommand:
         assert agg["residues_scanned_pct"]["median"] == pytest.approx(median)
         for r in report.rows:
             assert 0.0 <= r.residues_pct() <= 100.0
+
+    def test_residues_pct_counts_the_query_positions(self):
+        # a length-6 query on an m = 9 suffix-mode index reads at most 6
+        # positions of each fragment it scans, so its share is of those 6
+        rng = np.random.default_rng(11)
+        letters = np.array(list(fx.STANDARD_ALPHABET.letters))
+        db = fx.SequenceDB(records=tuple(
+            (f"s{i}", "".join(rng.choice(letters, 60))) for i in range(40)))
+        scheme = fx.parse_partition(PARTITION, fx.STANDARD_ALPHABET, 9)
+        index = fx.build(fx.extract_fragments(db, 9, suffix_mode=True), scheme)
+        d = fx.distance_from_score(fx.load_builtin_matrix("BLOSUM62"))
+        query = db.residues(0)[3:9]
+        row = run_bench(index, [query], d, radius=30, check_oracle=True).rows[0]
+        assert row.rng.fragments_scanned > 0
+        assert row.residues_pct() == pytest.approx(
+            100 * row.rng.residues_scanned / (row.rng.fragments_scanned * 6))
 
     def test_knn_radius_protocol_on_worked_example(self, toy_index, toy_d):
         # the 8th-smallest distance from abd over the full cube is 7, so the

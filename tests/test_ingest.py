@@ -1,4 +1,5 @@
 import hashlib
+import io
 
 import numpy as np
 import pytest
@@ -37,6 +38,58 @@ class TestParseFasta:
             fx.parse_fasta("MKV\n>s1\nMKV\n")  # data before header
         with pytest.raises(fx.FastaFormatError):
             fx.parse_fasta(">s1\n\n>s2\nMK\n")  # empty record
+
+    def test_empty_header_rejected(self):
+        for text in (">\nMK", ">  \t\nMK", ">a\nMK\n >\u3000\nMV\n"):
+            with pytest.raises(fx.FastaFormatError, match="empty FASTA header"):
+                fx.parse_fasta(text)
+
+
+# Unicode whitespace, none of it "\n" or "\r": dropped wherever it pads a line
+PADDING = " \t\x0b\x0c\x1c\x85\xa0\u3000"
+
+
+@st.composite
+def fasta_renderings(draw):
+    """Records, and FASTA text that renders them: header descriptions and
+    indented headers, bodies wrapped at a random width with LF or CRLF line
+    ends, blank and whitespace-only lines, and whitespace padding.  A body
+    holds lowercase and non-ASCII letters and ">", never at a line's start."""
+    ident = st.text(st.sampled_from("ab09_|.>\u00df\u03a9"), min_size=1, max_size=6)
+    body = st.text(st.sampled_from("MKVaxz*->\u00df\u0131\ufb01\u03a9\u00e9"),
+                   min_size=1, max_size=40).filter(lambda b: not b.startswith(">"))
+    records = draw(st.lists(st.tuples(ident, body), min_size=1, max_size=5,
+                            unique_by=lambda r: r[0]))
+    pad = st.text(st.sampled_from(PADDING), max_size=2)
+    width = draw(st.integers(1, 12))
+    lines = [draw(pad)] if draw(st.booleans()) else []
+    for name, residues in records:
+        lines.append(draw(pad) + ">" + name + draw(st.sampled_from(["", " desc", "\ta >b c"])))
+        chunks = [residues[i:i + width] for i in range(0, len(residues), width)]
+        for chunk in chunks:
+            if chunk.startswith(">"):  # kept off a line's start: joins the last body line
+                lines[last] += chunk
+            else:
+                cut = draw(st.integers(0, len(chunk)))
+                lines.append(draw(pad) + chunk[:cut] + draw(pad) + chunk[cut:] + draw(pad))
+                last = len(lines) - 1
+            if draw(st.booleans()):
+                lines.append(draw(pad))
+    text = draw(st.sampled_from(["\n", "\r\n"])).join(lines) + draw(st.sampled_from(["", "\n"]))
+    return text, records
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(case=fasta_renderings())
+@example(case=(" >a x\r\nmk\u00df\r\n\x85\r\n\u3000>b\r\nv>\xa0a", [("a", "mk\u00df"), ("b", "v>a")]))
+def test_parse_fasta_round_trip(case):
+    # the records come back with only their ASCII letters uppercased, from a
+    # string and from a stream alike
+    text, records = case
+    want = tuple((name, "".join(c.upper() if c.isascii() else c for c in residues))
+                 for name, residues in records)
+    assert fx.parse_fasta(text).records == want
+    assert fx.parse_fasta(io.StringIO(text)).records == want
 
 
 class TestExtractFragments:

@@ -186,13 +186,14 @@ class TestProcessBin:
 
     def test_rejects_longer_queries(self, toy_alpha, toy_scheme, toy_d):
         # a query longer than the index has positions past the stored rows;
-        # range_search cuts it into parts, and process_bin refuses it
+        # range_search cuts it into parts on a suffix-mode index, and
+        # process_bin refuses it; no search takes it on a fixed-mode index
         db = fx.SequenceDB(records=(("r", "abcdabcd"),))
         q = fx.normalize(fx.distance_query(toy_d, "abcd"))
-        for suffix_mode in (False, True):
+        for suffix_mode, message in ((False, "needs suffix mode"), (True, "range_search")):
             index = fx.build(fx.extract_fragments(db, 3, alphabet=toy_alpha,
                                                   suffix_mode=suffix_mode), toy_scheme)
-            with pytest.raises(ValueError, match="range_search"):
+            with pytest.raises(ValueError, match=message):
                 fx.process_bin(index, fx.bin_of(toy_scheme, "abc"), q, 100)
 
     def test_fixed_mode_takes_its_own_length_only(self, toy_index, toy_d):
@@ -367,8 +368,8 @@ class TestKnnSearch:
             fx.knn_search(toy_index, q, 0)
 
     def test_longer_and_fixed_mode_other_lengths_rejected(self, toy_alpha, toy_scheme, toy_d):
-        # a query longer than the index names range_search, which cuts it into
-        # parts on a suffix-mode index; a fixed-mode index takes its own length
+        # a query longer than a suffix-mode index names range_search, which
+        # cuts it into parts there; a fixed-mode index takes its own length
         # only, as in range_search
         db = fx.SequenceDB(records=(("r", "abcdabcd"),))
         fixed, suffix = (
@@ -379,11 +380,11 @@ class TestKnnSearch:
         def q(text):
             return fx.normalize(fx.distance_query(toy_d, text))
 
-        for index in (fixed, suffix):
-            with pytest.raises(ValueError, match="use range_search"):
-                fx.knn_search(index, q("abcd"), 1)
-        with pytest.raises(ValueError, match="needs suffix mode"):
-            fx.knn_search(fixed, q("ab"), 1)
+        with pytest.raises(ValueError, match="use range_search"):
+            fx.knn_search(suffix, q("abcd"), 1)
+        for text in ("abcd", "ab"):
+            with pytest.raises(ValueError, match="needs suffix mode"):
+                fx.knn_search(fixed, q(text), 1)
 
     def test_equals_range_at_kth_value(self, toy_index, toy_cube, toy_d):
         f = fx.distance_query(toy_d, "dcb")
@@ -697,6 +698,32 @@ class TestShortQueries:
         q = fx.normalize(fx.distance_query(toy_d, "abcd"))
         with pytest.raises(ValueError, match="exceeds"):
             fx.short_query_search(index, q, 5)
+
+
+class TestLengthRuleOfEveryEntryPoint:
+    def test_fixed_mode_index(self, toy_index, toy_d):
+        # every search sends a query only where it is answered: on a fixed-mode
+        # index a longer query needs suffix mode whichever search gets it, and
+        # both length-checking wrappers answer the index's own length as
+        # range_search does
+        def q(text):
+            return fx.normalize(fx.distance_query(toy_d, text))
+
+        longer = q("abda")
+        for call in (
+            lambda: fx.range_search(toy_index, longer, 100),
+            lambda: fx.knn_search(toy_index, longer, 1),
+            lambda: fx.process_bin(toy_index, 0, longer, 100),
+            lambda: fx.long_query_search(toy_index, longer, 100),
+        ):
+            with pytest.raises(ValueError, match="needs suffix mode"):
+                call()
+        equal = q("abd")
+        want, _ = fx.range_search(toy_index, equal, 7)
+        assert len(want) > 0
+        for search in (fx.short_query_search, fx.long_query_search):
+            got, _ = search(toy_index, equal, 7)
+            assert got.triples() == want.triples()
 
 
 class TestConcurrentReaders:
