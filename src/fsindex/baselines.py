@@ -23,7 +23,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .alphabet import ScoreMatrix, check_quasi_metric, distance_from_score
-from .ingest import FragmentDataset, seq_refs
+from .ingest import FragmentDataset
 from .query import NormalizedQuery, QueryFunction
 from .search import HitList, SearchStats, _finish, _scan_spans
 from .core import KeyRows, _sorted_run
@@ -43,8 +43,7 @@ def _evaluate(ds: FragmentDataset, tables: np.ndarray) -> tuple[np.ndarray, np.n
         raise ValueError("query longer than fixed-mode fragments")
     padded = np.concatenate([ds.codes, np.full(width, pad, dtype=np.uint8)])
     windows = sliding_window_view(padded, width)[ds.pos]
-    sids, offs = seq_refs(ds.starts, ds.pos)
-    inside = ds.seq_lengths.take(sids) - offs >= width
+    inside = ds.seq_lengths.take(ds.sids) - ds.offs >= width
     rows = np.flatnonzero(inside & (windows < pad).all(axis=1))
     return rows, tables[np.arange(width), windows[rows]].sum(axis=1)
 

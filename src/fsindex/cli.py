@@ -62,6 +62,8 @@ def _emit(text: str, out: str | None) -> None:
 
 
 def cmd_build(args) -> int:
+    if args.floor is not None and not args.suffix_mode:
+        raise ValueError("--floor needs --suffix-mode")
     alphabet = Alphabet(args.alphabet) if args.alphabet else STANDARD_ALPHABET
     _load_matrix(args.matrix, alphabet)  # validates the matrix/alphabet pairing
     scheme = parse_partition(args.partition, alphabet, args.length)
@@ -71,7 +73,7 @@ def cmd_build(args) -> int:
     t = _lap(phases, "parse", t)
     dataset = extract_fragments(
         db, args.length, alphabet=alphabet,
-        suffix_mode=args.suffix_mode, floor=args.floor,
+        suffix_mode=args.suffix_mode, floor=1 if args.floor is None else args.floor,
     )
     t = _lap(phases, "extract", t)
     index = build(dataset, scheme, phases)
@@ -104,8 +106,9 @@ def _open_index(args):
 
 
 def _spot_audit(index, hits, f, shift: int, sample: int = 5) -> None:
-    """Re-evaluate the query on a few reported fragments; a mismatch means
-    the reported de-normalized values are wrong and must abort the run."""
+    """Re-evaluate the query on the first few reported fragments, the best
+    in the printed order; a mismatch means the reported de-normalized
+    values are wrong and must abort the run."""
     for seq_id, offset, value in hits.triples(sample):
         direct = f.evaluate(index.dataset.fragment_text(seq_id, offset, f.m))
         if direct != value + shift:
@@ -124,7 +127,7 @@ def _format_hits(index, hits, shift: int, fmt: str, out: str | None, stats,
     rows = [
         dict(zip(_HIT_COLUMNS, (
             ds.db.identifier(s), o, ds.fragment_text(s, o, width), v + shift, rank)))
-        for rank, (s, o, v) in enumerate(hits.sorted_by_value().triples(), start=1)
+        for rank, (s, o, v) in enumerate(hits.triples(), start=1)
     ]
     stats_obj = asdict(stats)
     if fmt == "json":
@@ -136,6 +139,8 @@ def _format_hits(index, hits, shift: int, fmt: str, out: str | None, stats,
 
 
 def cmd_search(args) -> int:
+    if args.all_ties and args.k is None:
+        raise ValueError("--all-ties needs --k")
     index, phases_ms = _open_index(args)
     started = time.perf_counter()
     matrix = _load_matrix(args.matrix, index.alphabet)
@@ -152,6 +157,8 @@ def cmd_search(args) -> int:
     q = normalize(f)
 
     if args.k is not None:
+        if q.m > index.m and index.suffix_mode:
+            raise ValueError(f"--k takes at most {index.m} letters: use --radius for more")
         hits, stats = knn_search(index, q, args.k, all_ties=args.all_ties)
     else:
         if args.similarity_threshold is not None:
@@ -163,6 +170,7 @@ def cmd_search(args) -> int:
         else:
             radius = args.radius
         hits, stats = range_search(index, q, radius - q.shift)
+    hits = hits.sorted_by_value()  # the printed order: one derivation serves audit and output
     _spot_audit(index, hits, f, q.shift)
     _lap(phases_ms, "search", started)
     _format_hits(index, hits, q.shift, args.format, args.out, stats, phases_ms, query_len=f.m)
@@ -259,7 +267,7 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--partition", required=True, help="e.g. 'TSAN,ILVM,KR,DEQ,WFYH,GPC'")
     p.add_argument("-m", "--length", type=int, required=True)
     p.add_argument("--suffix-mode", action="store_true")
-    p.add_argument("--floor", type=int, default=1, help="shortest suffix kept (suffix mode)")
+    p.add_argument("--floor", type=int, help="shortest suffix kept (suffix mode; default 1)")
     p.add_argument("--alphabet", help="override the standard 20-letter alphabet")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_build)
@@ -280,7 +288,7 @@ def make_parser() -> argparse.ArgumentParser:
         "--similarity-threshold", type=int,
         help="similarity cutoff t; converted to radius self-score - t",
     )
-    p.add_argument("--all-ties", action="store_true")
+    p.add_argument("--all-ties", action="store_true", help="with --k: hits up to the k-th value")
     p.add_argument("--format", choices=["tsv", "json"], default="tsv")
     p.add_argument("--out")
     p.set_defaults(func=cmd_search)

@@ -67,7 +67,7 @@ from _blake2 import blake2b
 import numpy as np
 
 from .alphabet import Alphabet, PartitionScheme, parse_partition
-from .ingest import FragmentDataset, SequenceDB, encode_db, seq_refs
+from .ingest import FragmentDataset, SequenceDB, encode_db
 
 MAGIC = b"FSIX"
 FORMAT_VERSION = 5
@@ -354,8 +354,9 @@ class KeyRows:
     """A sorted run of fragments, as ``_sorted_run`` makes it: its
     dataset's fragments in frag order, a record per key (``records``) and
     the key starts.  ``flat_build`` returns one, the flat baseline; an
-    ``FSIndex`` extends the one ``build`` indexes.  The references,
-    letters and lcp are read from those."""
+    ``FSIndex`` extends the one ``build`` indexes.  The references (its
+    dataset's, derived once and cached there), letters and lcp are read
+    from those."""
 
     dataset: FragmentDataset  # its fragments in frag order: the positions
     records: np.ndarray  # (keys, m + 4) uint8, frag order: letters (pad = |alphabet|), fields
@@ -497,8 +498,7 @@ class FSIndex(KeyRows):
         assert np.array_equal(ranks, np.repeat(filled, sizes)), "fragment in the wrong bin"
         # key lengths from the sequence set, not from the letters
         pad, ds = len(self.alphabet), self.dataset
-        sids, offs = seq_refs(ds.starts, self.pos)
-        key_len = np.minimum(ds.seq_lengths.take(sids) - offs, m)
+        key_len = np.minimum(ds.seq_lengths.take(ds.sids) - ds.offs, m)
         # each position starts a fragment the extraction rule admits, once
         admits = ds.clean_runs.take(self.pos) >= (key_len if self.suffix_mode else m)
         assert admits.all(), "position starts no fragment"

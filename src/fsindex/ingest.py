@@ -100,8 +100,36 @@ def parse_fasta(source) -> SequenceDB:
     return SequenceDB(records=tuple(records))
 
 
+class CodePositions:
+    """Fragments as code positions ``pos`` in sequences that start at
+    ``starts``, as a suffix array's entries are text positions.  Their
+    sequence ordinals and offsets (``sids``, ``offs``) are derived once,
+    on first use, by one binary search over ``starts`` per position, and
+    then cached read-only: 16 bytes (two int64) per position."""
+
+    pos: np.ndarray
+    starts: np.ndarray
+
+    @cached_property
+    def _refs(self) -> tuple[np.ndarray, np.ndarray]:
+        sids = np.searchsorted(self.starts, self.pos, side="right") - 1
+        offs = self.pos.astype(np.int64) - self.starts.take(sids)
+        sids.flags.writeable = offs.flags.writeable = False
+        return sids, offs
+
+    @property
+    def sids(self) -> np.ndarray:
+        """(n,) sequence ordinals, read-only."""
+        return self._refs[0]
+
+    @property
+    def offs(self) -> np.ndarray:
+        """(n,) offsets within their sequences, read-only."""
+        return self._refs[1]
+
+
 @dataclass(frozen=True)
-class FragmentDataset:
+class FragmentDataset(CodePositions):
     """All valid fragment occurrences of a SequenceDB.
 
     In fixed mode each fragment is a clean width-``m`` window.  In suffix
@@ -111,7 +139,8 @@ class FragmentDataset:
 
     A fragment is its code position, as a suffix array's entry is a text
     position: its sequence ordinal and offset (``sids``, ``offs``) are
-    derived from it on demand, by one binary search over ``starts``.
+    derived once, on first use, and then cached (``CodePositions``): 16
+    bytes per fragment.
     """
 
     db: SequenceDB
@@ -126,16 +155,6 @@ class FragmentDataset:
     @property
     def n(self) -> int:
         return int(self.pos.shape[0])
-
-    @property
-    def sids(self) -> np.ndarray:
-        """(n,) sequence ordinals, derived from the positions."""
-        return seq_refs(self.starts, self.pos)[0]
-
-    @property
-    def offs(self) -> np.ndarray:
-        """(n,) offsets within their sequences, derived from the positions."""
-        return seq_refs(self.starts, self.pos)[1]
 
     @property
     def seq_lengths(self) -> np.ndarray:
@@ -189,15 +208,6 @@ class FragmentDataset:
                 rows[np.arange(m)[None, :] >= klen[short, None]] = pad
                 out[short, :m] = rows
         return out
-
-
-def seq_refs(starts: np.ndarray, pos: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(sequence ordinals, offsets) of code positions, for sequences
-    starting at ``starts``, read-only: one binary search per position."""
-    sids = np.searchsorted(starts, pos, side="right") - 1
-    offs = pos.astype(np.int64) - starts.take(sids)
-    sids.flags.writeable = offs.flags.writeable = False
-    return sids, offs
 
 
 def encode_db(db: SequenceDB, alphabet: Alphabet) -> tuple[np.ndarray, np.ndarray]:

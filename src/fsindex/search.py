@@ -55,12 +55,11 @@ from __future__ import annotations
 import time
 from collections import Counter
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
 from .core import FSIndex, _lap
-from .ingest import FragmentRef, seq_refs
+from .ingest import CodePositions, FragmentRef
 from .query import LowerBoundTable, NormalizedQuery, QueryFunction, lower_bound_table
 
 INF_RADIUS = int(np.iinfo(np.int64).max)
@@ -101,14 +100,14 @@ class SearchStats:
 
 
 @dataclass(eq=False)
-class HitList:
+class HitList(CodePositions):
     """Search results as arrays: hit ``i`` is the fragment at code position
     ``pos[i]`` of a sequence set whose sequences start at ``starts``, with
     query value ``vals[i]``.  Its sequence ordinals and offsets (``sids``,
-    ``offs``) are derived on first use, by one binary search over the
-    starts per hit; the order of the positions is (seq_id, offset) order.
-    Python objects per hit (pairs, values, triples, the multiset) are built
-    when asked for."""
+    ``offs``) are derived once, on first use, and then cached
+    (``CodePositions``): 16 bytes per hit.  The order of the positions is
+    (seq_id, offset) order.  Python objects per hit (pairs, values, triples, the multiset)
+    are built when asked for."""
 
     pos: np.ndarray
     vals: np.ndarray
@@ -120,18 +119,6 @@ class HitList:
     def __iter__(self):
         return iter(self.entries)
 
-    @cached_property
-    def _refs(self) -> tuple[np.ndarray, np.ndarray]:
-        return seq_refs(self.starts, self.pos)
-
-    @property
-    def sids(self) -> np.ndarray:
-        return self._refs[0]
-
-    @property
-    def offs(self) -> np.ndarray:
-        return self._refs[1]
-
     @property
     def entries(self) -> list[tuple[FragmentRef, int]]:
         """(fragment reference, query value) pairs."""
@@ -139,8 +126,7 @@ class HitList:
 
     def triples(self, first: int | None = None) -> list[tuple[int, int, int]]:
         """(seq_id, offset, value) of the first ``first`` hits (all by default)."""
-        refs = self._refs if first is None else seq_refs(self.starts, self.pos[:first])
-        return list(zip(*(a.tolist() for a in (*refs, self.vals[:first]))))
+        return list(zip(*(a[:first].tolist() for a in (self.sids, self.offs, self.vals))))
 
     def values(self) -> list[int]:
         return self.vals.tolist()

@@ -10,6 +10,7 @@ import pytest
 
 import fsindex as fx
 import fsindex.bench
+import fsindex.cli
 from fsindex.bench import run_bench
 from fsindex.cli import main
 
@@ -85,6 +86,27 @@ class TestBuildCommand:
 
     def test_usage_error_exit_code(self):
         assert main(["build", "--fasta", "x"]) == 1
+
+    def test_floor_needs_suffix_mode(self, workdir, tmp_path, capsys):
+        out = tmp_path / "x.fsi"
+        rc = main([
+            "build", "--fasta", str(workdir / "db.fa"), "--matrix", "BLOSUM62",
+            "--partition", PARTITION, "-m", "6", "--floor", "4", "--out", str(out),
+        ])
+        assert rc == 1 and not out.exists()
+        assert "--floor" in capsys.readouterr().err
+
+    def test_floor_sets_the_shortest_suffix(self, workdir, tmp_path, capsys):
+        args = [
+            "build", "--fasta", str(workdir / "db.fa"), "--matrix", "BLOSUM62",
+            "--partition", PARTITION, "-m", "6", "--suffix-mode", "--out", str(tmp_path / "x.fsi"),
+        ]
+        assert main(args) == 0
+        # s1 and s2: 11 windows and 5 shorter tails each; s3: its 3 tails
+        assert json.loads(capsys.readouterr().out)["fragments"] == 16 + 16 + 3
+        assert main(args + ["--floor", "4"]) == 0
+        # the tails of 4 and 5 letters of s1 and s2; s3 is shorter than the floor
+        assert json.loads(capsys.readouterr().out)["fragments"] == 13 + 13
 
 
 class TestSearchCommand:
@@ -277,6 +299,63 @@ class TestSearchCommand:
         ])
         assert rc == 1
         assert "'X' not in alphabet" in capsys.readouterr().err
+
+    def test_all_ties_needs_k(self, workdir, capsys):
+        rc = main([
+            "search", "--index", str(workdir / "db.fsi"), "--fasta", str(workdir / "db.fa"),
+            "--matrix", "BLOSUM62", "--query", "MKVLAT", "--radius", "20", "--all-ties",
+        ])
+        assert rc == 1
+        assert "--all-ties" in capsys.readouterr().err
+
+    def test_knn_all_ties_prints_the_range_at_the_kth_value(self, workdir, capsys):
+        args = [
+            "search", "--index", str(workdir / "db.fsi"), "--fasta", str(workdir / "db.fa"),
+            "--matrix", "BLOSUM62", "--query", "MKVLAT",
+        ]
+
+        def rows(mode):
+            assert main(args + mode) == 0
+            return capsys.readouterr().out.splitlines()[1:-1]
+
+        knn, ties = rows(["--k", "5"]), rows(["--k", "5", "--all-ties"])
+        # values 0, 22, 25, 27, 30, 30, 30: the 5th value, 30, is shared by three hits
+        assert [r.split("\t")[3] for r in ties] == ["0", "22", "25", "27", "30", "30", "30"]
+        assert ties == rows(["--radius", "30"]) and knn == ties[:5]
+
+    def test_long_knn_query_points_to_radius(self, workdir, tmp_path, capsys):
+        idx = tmp_path / "suffix.fsi"
+        assert main([
+            "build", "--fasta", str(workdir / "db.fa"), "--matrix", "BLOSUM62",
+            "--partition", PARTITION, "-m", "9", "--suffix-mode", "--out", str(idx),
+        ]) == 0
+        capsys.readouterr()
+        rc = main([
+            "search", "--index", str(idx), "--fasta", str(workdir / "db.fa"),
+            "--matrix", "BLOSUM62", "--query", "MKVLATTRSANI", "--k", "3",
+        ])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "--radius" in err and "range_search" not in err
+
+    def test_spot_audit_catches_a_wrong_value(self, workdir, monkeypatch, capsys):
+        search = fsindex.cli.range_search
+
+        def best_value_off_by_one(*args, **kwargs):
+            hits, stats = search(*args, **kwargs)
+            vals = hits.vals.copy()
+            vals[vals.argmin()] -= 1  # still the best hit, so among the five audited
+            return fx.HitList(hits.pos, vals, hits.starts), stats
+
+        monkeypatch.setattr(fsindex.cli, "range_search", best_value_off_by_one)
+        rc = main([
+            "search", "--index", str(workdir / "db.fsi"), "--fasta", str(workdir / "db.fa"),
+            "--matrix", "BLOSUM62", "--query", "MKVLAT", "--radius", "40",
+        ])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "reported value -1 != direct evaluation 0 at seq_id 0, offset 0" in captured.err
 
     def test_similarity_threshold_needs_a_literal_query(self, workdir, tmp_path, capsys):
         s = fx.load_builtin_matrix("BLOSUM62")

@@ -141,6 +141,17 @@ class TestExtractFragments:
         lens = ds.seq_lengths
         assert (ds.offs < lens[ds.sids]).all()
 
+    def test_each_position_array_derives_its_references_once(self):
+        ds = fx.extract_fragments(fx.parse_fasta(">a\nMKVLATSERW\n>b\nWRESTALVKM\n"), 3)
+        index = fx.build(ds, fx.parse_partition("TSAN,ILVM,KR,DEQ,WFYH,GPC", ds.alphabet, 3))
+        hits = fx.HitList(index.pos, np.zeros(index.n, dtype=np.int64), index.dataset.starts)
+        for refs in (ds, index, hits):
+            for name in ("sids", "offs"):
+                first = getattr(refs, name)
+                assert getattr(refs, name) is first and not first.flags.writeable
+        assert index.sids is index.dataset.sids  # the index reads its dataset's
+        assert hits.sids.tolist() == index.sids.tolist()
+
     def test_deterministic_rerun(self):
         text = ">a\nMKVLATSERW\n>b\nWRESTALVKM\n"
         a = fx.extract_fragments(fx.parse_fasta(text), 3)
